@@ -28,14 +28,7 @@ from .shapley import (
     verify_saddle,
     weighted_payoff,
 )
-from .simulate import (
-    DeviationReport,
-    McEstimate,
-    Trajectory,
-    deviation_gain,
-    estimate_value,
-    sample_path,
-)
+from .simulate import DeviationReport, McEstimate, deviation_gain, estimate_value
 from .solver import (
     SolverConfig,
     SolverReport,
@@ -46,8 +39,6 @@ from .solver import (
 )
 from .truncation import (
     LadderReport,
-    TruncationLevel,
-    build_level,
     floor_and_shift,
     run_ladder,
     sublevel_set,
@@ -71,13 +62,10 @@ __all__ = [
     "SolverReport",
     "StructureError",
     "TimeGrid",
-    "Trajectory",
-    "TruncationLevel",
     "ValidationReport",
     "ValueBounds",
     "ValueGrid",
     "apply_gamma",
-    "build_level",
     "build_gaussian",
     "build_rps",
     "check_assumptions",
@@ -90,7 +78,6 @@ __all__ = [
     "game_value_field",
     "grid_refinement_check",
     "run_ladder",
-    "sample_path",
     "solve",
     "solve_matrix_game",
     "stopping_threshold",

@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -76,7 +77,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = artifacts.load_model(args.model)
-    policies, _ = artifacts.load_policies(args.policy)
+    policies, order = artifacts.load_policies(args.policy)
+    if order != model.state_ids:
+        raise ValueError(
+            f"policy file {args.policy} covers states {order}, not the model's {model.state_ids}"
+        )
     est = estimate_value(
         model,
         policies,
@@ -131,7 +136,7 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_example(args: argparse.Namespace) -> int:
-    params = json.loads(open(args.params).read()) if args.params else {}
+    params = json.loads(Path(args.params).read_text()) if args.params else {}
     if args.name == "rps":
         model, cert = build_rps(
             alpha=params.get("alpha", 0.35),
@@ -164,7 +169,7 @@ def _cmd_build_example(args: argparse.Namespace) -> int:
 def _cmd_matrix_game(args: argparse.Namespace) -> int:
     rows = [
         [float(v) for v in line.split(",")]
-        for line in open(args.csv).read().splitlines()
+        for line in Path(args.csv).read_text().splitlines()
         if line.strip()
     ]
     sol = solve_matrix_game(np.array(rows))
@@ -197,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-value")
     p.add_argument("--out-policy")
     p.add_argument("--report")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", help="Monte Carlo value estimate under stored policies")

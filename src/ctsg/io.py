@@ -1,6 +1,7 @@
 """JSON and CSV (de)serialization for models, certificates, grids and reports.
 
-JSON artifacts are written with sorted keys; floats go through Python's
+JSON artifacts are written compactly (no indentation, so the json module's
+C encoder runs) with sorted keys; floats go through Python's
 shortest round-trip repr in both JSON and CSV, so write-then-read is exact
 and byte-deterministic.
 """
@@ -24,7 +25,7 @@ from .truncation import LadderReport
 
 
 def _dump_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _load_json(path: str | Path) -> Any:

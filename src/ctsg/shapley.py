@@ -51,10 +51,13 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def interval_index(self, t: float) -> int:
-        """Index i of the interval [t_i, t_{i+1}) containing t; t = T maps to the last."""
-        i = int(t / self.dt)
-        return min(max(i, 0), self.n_steps - 1)
+    def interval_index(self, t: float | np.ndarray) -> int | np.ndarray:
+        """Index i of the interval [t_i, t_{i+1}) containing t; t = T maps to the last.
+
+        Accepts a scalar (returns an int) or an array (returns int64 indices).
+        """
+        i = np.clip(np.asarray(t) / self.dt, 0, self.n_steps - 1).astype(np.int64)
+        return int(i) if i.ndim == 0 else i
 
 
 @dataclass

@@ -8,12 +8,15 @@ from the policy-mixed off-diagonal kernel. Thinning is exact for the
 piecewise-constant rates produced by grid-node policies (left-endpoint
 convention, matching the solver).
 
-The value estimate averages exp(theta * (integral of the policy-mixed payoff
-rate along the path + terminal reward)). Randomness is counter-based
-(Philox): estimate paths are processed in fixed-size batches keyed by
+One vectorized sampler, ``_simulate_batch``, produces every path. Each path
+yields the functional exp(theta * (integral of the policy-mixed payoff rate
+along the path + terminal reward)), and the value estimate is their average;
+choosing the payoff and terminal reward turns the functional into another
+path quantity (a censored jump time, the terminal state). Randomness is
+counter-based (Philox): paths are processed in fixed-size batches keyed by
 (seed, batch_index) with column-indexed draws, so estimates are reproducible
-for a given seed and independent across batches; single trajectories use the
-key (seed,).
+for a given seed, independent across batches and unchanged by the thread
+count.
 """
 
 from __future__ import annotations
@@ -22,47 +25,18 @@ import itertools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GameModel
-from .shapley import PolicyPair, TimeGrid
+from .shapley import PolicyPair
 
 logger = logging.getLogger(__name__)
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
 _MAX_ENUMERATED_DEVIATIONS = 256
 _SAMPLED_DEVIATIONS = 64
-
-
-@dataclass
-class JumpEvent:
-    """One candidate event: sampled actions, acceptance, and the move."""
-
-    time: float
-    action_p1: int
-    action_p2: int
-    accepted: bool
-    from_state: int
-    to_state: int
-
-
-@dataclass
-class Trajectory:
-    """A piecewise-constant sample path of the controlled chain."""
-
-    jump_times: list[float]  # T_0 = t0 < T_1 < ... <= horizon
-    states: list[int]  # X_0, ..., X_K
-    events: list[JumpEvent] = field(default_factory=list)
-
-    def state_at(self, t: float) -> int:
-        """State in force at time t (right-continuous path)."""
-        idx = 0
-        for k, tk in enumerate(self.jump_times):
-            if tk <= t:
-                idx = k
-        return self.states[idx]
 
 
 @dataclass
@@ -103,12 +77,22 @@ class _PolicyTables:
         if abs(grid.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
             raise ValueError("policy grid horizon does not match the model")
         n_t, n_x = grid.n_steps, model.n_states
+        if len(policies.pi1) != n_x or len(policies.pi2) != n_x:
+            raise ValueError(
+                f"policies cover {len(policies.pi1)}/{len(policies.pi2)} states; the model has {n_x}"
+            )
         self.grid = grid
         self.rbar = np.empty((n_t + 1, n_x))
         self.qbar = np.empty((n_t + 1, n_x))
         self.dest_cum = np.zeros((n_t + 1, n_x, n_x))
         for x in range(n_x):
             p1, p2 = policies.pi1[x], policies.pi2[x]
+            want = ((n_t + 1, model.n_actions_p1(x)), (n_t + 1, model.n_actions_p2(x)))
+            if (p1.shape, p2.shape) != want:
+                raise ValueError(
+                    f"policy shapes {p1.shape}, {p2.shape} at state {x} do not match "
+                    f"the model and grid: {want[0]}, {want[1]}"
+                )
             self.rbar[:, x] = np.einsum("ia,ab,ib->i", p1, model.payoff[x], p2)
             mixed = np.einsum("ia,aby,ib->iy", p1, model.generator[x], p2)
             mixed[:, x] = 0.0
@@ -122,74 +106,14 @@ class _PolicyTables:
         self.r_cum = np.zeros((n_t + 1, n_x))
         self.r_cum[1:] = np.cumsum(self.rbar[:-1] * dt, axis=0)
 
-    def interval(self, t: np.ndarray) -> np.ndarray:
-        idx = (t / self.grid.dt).astype(np.int64)
-        return np.clip(idx, 0, self.grid.n_steps - 1)
-
     def payoff_integral(self, t0: np.ndarray, t1: np.ndarray, x: np.ndarray) -> np.ndarray:
         """int_{t0}^{t1} rbar(x, s) ds for a constant state x per row."""
-        k0 = self.interval(t0)
-        k1 = self.interval(t1)
+        k0 = self.grid.interval_index(t0)
+        k1 = self.grid.interval_index(t1)
         nodes = self.grid.dt
         r0 = self.r_cum[k0, x] + self.rbar[k0, x] * (t0 - k0 * nodes)
         r1 = self.r_cum[k1, x] + self.rbar[k1, x] * (t1 - k1 * nodes)
         return r1 - r0
-
-
-def sample_path(
-    model: GameModel, policies: PolicyPair, x0: int, rng_seed: int, t0: float = 0.0
-) -> Trajectory:
-    """Sample one trajectory on [t0, horizon] by uniformization.
-
-    At each candidate time an action pair is drawn from the mixed policies,
-    the jump is accepted with probability q(x, a, b) / Lambda, and the
-    destination follows the off-diagonal kernel of the sampled actions; this
-    decomposition of the mixture is exact and yields the diagnostic action
-    log. Lambda = 0 produces a jump-free path.
-    """
-    tables = _PolicyTables(model, policies)
-    lam = model.norm_q
-    gen = np.random.Generator(np.random.Philox(key=int(rng_seed)))
-    T = model.horizon
-    t = float(t0)
-    x = int(x0)
-    times = [t]
-    states = [x]
-    events: list[JumpEvent] = []
-    if lam <= 0.0:
-        return Trajectory(times, states, events)
-    grid = tables.grid
-    while True:
-        t = t + gen.exponential(1.0 / lam)
-        if t >= T:
-            break
-        i = grid.interval_index(t)
-        a = _draw_categorical(gen, _policy_row(policies.pi1[x], i))
-        b = _draw_categorical(gen, _policy_row(policies.pi2[x], i))
-        row = model.generator[x][a, b]
-        rate = -row[x]
-        accept = gen.random() < min(max(rate, 0.0) / lam, 1.0)
-        if accept and rate > 0.0:
-            probs = np.clip(row, 0.0, None)
-            probs[x] = 0.0
-            probs = probs / probs.sum()
-            y = _draw_categorical(gen, probs)
-            events.append(JumpEvent(t, a, b, True, x, y))
-            x = y
-            times.append(t)
-            states.append(x)
-        else:
-            events.append(JumpEvent(t, a, b, False, x, x))
-    return Trajectory(times, states, events)
-
-
-def _policy_row(pi: np.ndarray, i: int) -> np.ndarray:
-    return pi[min(i, pi.shape[0] - 1)]
-
-
-def _draw_categorical(gen: np.random.Generator, probs: np.ndarray) -> int:
-    u = gen.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
 
 
 def _simulate_batch(
@@ -226,7 +150,7 @@ def _simulate_batch(
         if cont.any():
             acc[cont] += tables.payoff_integral(t[cont], t_next[cont], x[cont])
             t[cont] = t_next[cont]
-            k = tables.interval(t[cont])
+            k = tables.grid.interval_index(t[cont])
             xc = x[cont]
             p_accept = np.minimum(tables.qbar[k, xc] / lam, 1.0)
             jump = u_accept[cont] < p_accept
@@ -253,11 +177,15 @@ def estimate_value(
 ) -> McEstimate:
     """Monte Carlo estimate of the risk-sensitive value under fixed policies.
 
-    t0 must coincide with a policy grid node. Batches are independent
-    Philox streams, so threads only changes wall time, never the result.
+    t0 must coincide with a policy grid node, x0 must be a state index and
+    the policies must match the model's states and action sets (ValueError
+    otherwise). Batches are independent Philox streams, so threads only
+    changes wall time, never the result.
     """
     if paths < 2:
         raise ValueError("need at least 2 paths to form a standard error")
+    if not 0 <= x0 < model.n_states:
+        raise ValueError(f"x0={x0} is not a state index in [0, {model.n_states})")
     grid = policies.grid
     nearest = round(t0 / grid.dt) * grid.dt
     if abs(t0 - nearest) > 1e-9 * max(1.0, model.horizon) or not (0.0 <= t0 < model.horizon):

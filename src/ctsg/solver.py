@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .model import GameModel
-from .shapley import (
-    PolicyPair,
-    TimeGrid,
-    ValueGrid,
-    boundary_row,
-    game_value_field,
-    integrate_backward,
-)
+from .shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma, boundary_row
 
 logger = logging.getLogger(__name__)
 
@@ -120,7 +113,8 @@ def solve(
     Returns the last iterate, the policies extracted from the final
     game-value evaluation (the epsilon-Nash pair once converged), and a
     report. If max_iterations is exhausted the partial result is returned
-    with converged = False.
+    with converged = False. A non-finite v0 raises ModelScaleError; a
+    non-finite iterate raises NumericsError naming the iteration.
     """
     start = time.perf_counter()
     norm_r = model.norm_r
@@ -135,14 +129,12 @@ def solve(
             raise ValueError("v0 grid does not match the solver configuration")
         v = v0.copy()
 
-    boundary = boundary_row(model)
     diffs: list[float] = []
     policies: PolicyPair | None = None
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        a_field, policies = game_value_field(model, v)
-        v_next = integrate_backward(v.grid, a_field, boundary)
+        v_next, policies = apply_gamma(model, v)
         if not np.isfinite(v_next.values).all():
             raise NumericsError(f"non-finite value appeared at iteration {iterations}")
         diff = float(np.max(np.abs(v_next.values - v.values)))

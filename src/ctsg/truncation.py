@@ -37,22 +37,6 @@ def sublevel_set(cert: LyapunovCertificate, n: int) -> np.ndarray:
     return cert.v0 <= float(n)
 
 
-@dataclass
-class TruncationLevel:
-    """One rung of a ladder: the level, its sublevel set, the induced model."""
-
-    n: int
-    in_level: np.ndarray
-    model: GameModel
-
-
-def build_level(model: GameModel, cert: LyapunovCertificate, n: int) -> TruncationLevel:
-    """Bundle a level with its sublevel set and induced bounded model."""
-    return TruncationLevel(
-        n=int(n), in_level=sublevel_set(cert, n), model=truncate_nonnegative(model, cert, n)
-    )
-
-
 def truncate_nonnegative(model: GameModel, cert: LyapunovCertificate, n: int) -> GameModel:
     """Bounded model with absorbing far states and payoff/terminal capped at n.
 
@@ -196,8 +180,7 @@ def run_ladder(
     max_threshold = 0.0
     for n in levels:
         if kind == "cap":
-            level = build_level(base, cert, n)
-            v, _, rep = solve(level.model, config)
+            v, _, rep = solve(truncate_nonnegative(base, cert, n), config)
             if unshift_common is not None:
                 v = unshift_common(v)
         else:

@@ -191,6 +191,35 @@ class TestCli:
         assert payload["value"] == pytest.approx(1.5)
         assert payload["strategy_p2"] == pytest.approx([0.25, 0.75])
 
+    def simulate_fails(self, capsys, policy_json, x0: str) -> str:
+        code = self.run(
+            "simulate",
+            "--model", str(FIXTURES / "two_state_model.json"),
+            "--policy", str(policy_json),
+            "--x0", x0, "--paths", "100",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize("x0", ["-1", "2"])
+    def test_simulate_x0_outside_states_exits_one(self, tmp_path, capsys, two_state_model, x0):
+        _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.1, n_t=8))
+        policy_json = tmp_path / "policy.json"
+        artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
+        assert f"x0={x0}" in self.simulate_fails(capsys, policy_json, x0)
+
+    def test_simulate_policy_state_order_mismatch_exits_one(
+        self, tmp_path, capsys, two_state_model
+    ):
+        _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.1, n_t=8))
+        policy_json = tmp_path / "policy.json"
+        artifacts.save_policies(policies, [1, 0], policy_json)
+        assert "covers states [1, 0]" in self.simulate_fails(capsys, policy_json, "0")
+
     def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch, two_state_model):
         from ctsg.solver import SolverConfig, solve
 

@@ -1,7 +1,8 @@
-"""Path sampler and Monte Carlo estimator against closed-form oracles."""
+"""Path sampler laws and the Monte Carlo estimator against closed-form oracles."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from ctsg.model import GameModel
 from ctsg.shapley import PolicyPair, TimeGrid
-from ctsg.simulate import deviation_gain, estimate_value, sample_path
+from ctsg.simulate import deviation_gain, estimate_value
 from ctsg.solver import SolverConfig, solve
 
 from .conftest import single_state_model
@@ -42,72 +43,58 @@ def two_state_chain(rate: float, T: float = 10.0) -> GameModel:
     )
 
 
-class TestSamplePath:
-    def test_no_rates_no_jumps(self):
-        model = single_state_model(r0=1.0, T=5.0)
-        traj = sample_path(model, uniform_policies(model, 4), x0=0, rng_seed=0)
-        assert traj.jump_times == [0.0]
-        assert traj.states == [0]
+def absorbing_clock(q0: np.ndarray, T: float) -> GameModel:
+    """State 0 pays rate 1 and leaves at q0[a] under player-1 action a; state 1 absorbs.
 
-    def test_reproducible(self):
-        model = two_state_chain(0.9)
-        pol = uniform_policies(model, 10)
-        a = sample_path(model, pol, 0, rng_seed=123)
-        b = sample_path(model, pol, 0, rng_seed=123)
-        assert a.jump_times == b.jump_times and a.states == b.states
+    With theta = 1 each path's functional is exp(min(tau, T)), tau the first
+    jump time, so the log of the retained values is the censored jump time.
+    """
+    n_act = q0.shape[0]
+    return GameModel(
+        actions_p1=[list(range(n_act)), [0]],
+        actions_p2=[[0], [0]],
+        payoff=[np.ones((n_act, 1)), np.zeros((1, 1))],
+        generator=[np.asarray(q0, dtype=float).reshape(n_act, 1, 2), np.zeros((1, 1, 2))],
+        terminal=np.zeros(2),
+        theta=1.0,
+        horizon=T,
+    )
+
+
+def first_jump_ks(model: GameModel, pol: PolicyPair, n: int, cdf) -> float:
+    """Kolmogorov-Smirnov distance of the sampled first-jump times to cdf, censored at T."""
+    est = estimate_value(model, pol, 0, 0.0, paths=n, rng_seed=0, retain_values=True)
+    tau = np.log(est.values)
+    xs = np.sort(tau[tau < model.horizon * (1.0 - 1e-12)])
+    return float(np.max(np.abs(np.arange(1, len(xs) + 1) / n - cdf(xs))))
+
+
+class TestSamplePath:
+    """Laws of the paths drawn by the estimator's sampler, read off retained values."""
 
     def test_first_jump_exponential_ks(self):
-        # Kolmogorov-Smirnov against the closed-form exponential CDF,
-        # censored at the horizon; 1% critical value at 10^4 samples.
+        # 1% critical value at 10^4 samples
         rate = 0.7
-        model = two_state_chain(rate)
-        pol = uniform_policies(model, 10)
+        model = absorbing_clock(np.array([[-rate, rate]]), T=10.0)
         n = 10_000
-        firsts = []
-        for seed in range(n):
-            traj = sample_path(model, pol, 0, rng_seed=seed)
-            if len(traj.jump_times) > 1:
-                firsts.append(traj.jump_times[1])
-        xs = np.sort(firsts)
-        ecdf = np.arange(1, len(xs) + 1) / n
-        cdf = 1.0 - np.exp(-rate * xs)
-        ks = float(np.max(np.abs(ecdf - cdf)))
+        ks = first_jump_ks(model, uniform_policies(model, 10), n, lambda t: 1.0 - np.exp(-rate * t))
         assert ks < 1.628 / math.sqrt(n)
 
     def test_symmetric_chain_occupation(self):
+        # terminal [0, 1] makes log(value) the indicator of ending in state 1
         model = two_state_chain(1.0, T=20.0)
-        pol = uniform_policies(model, 10)
+        model.terminal = np.array([0.0, 1.0])
         n = 1500
-        occupied = [sample_path(model, pol, 0, rng_seed=s).state_at(19.9) for s in range(n)]
-        freq = float(np.mean(occupied))
+        pol = uniform_policies(model, 10)
+        est = estimate_value(model, pol, 0, 0.0, paths=n, rng_seed=0, retain_values=True)
+        freq = float(np.mean(np.log(est.values)))
         assert abs(freq - 0.5) <= 3.0 * 0.5 / math.sqrt(n)
-
-    def test_event_log_populated(self):
-        model = two_state_chain(2.0, T=4.0)
-        pol = uniform_policies(model, 8)
-        traj = sample_path(model, pol, 0, rng_seed=5)
-        assert traj.events, "expected at least one candidate event"
-        accepted = [e for e in traj.events if e.accepted]
-        assert len(accepted) == len(traj.jump_times) - 1
-        for e in traj.events:
-            assert e.action_p1 == 0 and e.action_p2 == 0
 
     def test_two_piece_policy_jump_law(self):
         # policy switches the jump rate at t = 1; first-jump CDF has the
         # closed inhomogeneous-survival form, checked by Kolmogorov-Smirnov
         lo, hi, T = 0.4, 1.2, 3.0
-        q = np.zeros((2, 1, 2))
-        q[0, 0] = [-lo, lo]
-        q[1, 0] = [-hi, hi]
-        model = GameModel(
-            actions_p1=[[0, 1], [0]],
-            actions_p2=[[0], [0]],
-            payoff=[np.zeros((2, 1)), np.zeros((1, 1))],
-            generator=[q, np.zeros((1, 1, 2))],
-            terminal=np.zeros(2),
-            theta=1.0,
-            horizon=T,
-        )
+        model = absorbing_clock(np.array([[-lo, lo], [-hi, hi]]), T)
         grid = TimeGrid(T, 3)
         pi1 = np.zeros((4, 2))
         pi1[0] = [1.0, 0.0]  # rate lo on [0, 1)
@@ -119,14 +106,7 @@ class TestSamplePath:
             return 1.0 - np.exp(-hazard)
 
         n = 4000
-        firsts = []
-        for seed in range(n):
-            traj = sample_path(model, pol, 0, rng_seed=seed)
-            if len(traj.jump_times) > 1:
-                firsts.append(traj.jump_times[1])
-        xs = np.sort(firsts)
-        ks = float(np.max(np.abs(np.arange(1, len(xs) + 1) / n - cdf(xs))))
-        assert ks < 1.628 / math.sqrt(n)
+        assert first_jump_ks(model, pol, n, cdf) < 1.628 / math.sqrt(n)
 
 
 class TestEstimateValue:
@@ -175,6 +155,21 @@ class TestEstimateValue:
         with pytest.raises(ValueError):
             estimate_value(two_state_model, pol, 0, 0.0, paths=1, rng_seed=0)
 
+    def test_x0_outside_states_rejected(self, two_state_model):
+        pol = uniform_policies(two_state_model, 4)
+        for x0 in (-1, two_state_model.n_states):
+            with pytest.raises(ValueError, match="x0"):
+                estimate_value(two_state_model, pol, x0, 0.0, paths=10, rng_seed=0)
+
+    def test_policy_shape_mismatch_rejected(self, two_state_model):
+        pol = uniform_policies(two_state_model, 4)
+        fewer_states = PolicyPair(pol.grid, pol.pi1[:1], pol.pi2[:1])
+        with pytest.raises(ValueError, match="states"):
+            estimate_value(two_state_model, fewer_states, 0, 0.0, paths=10, rng_seed=0)
+        extra_action = PolicyPair(pol.grid, [np.full((5, 3), 1.0 / 3.0)] + pol.pi1[1:], pol.pi2)
+        with pytest.raises(ValueError, match="policy shapes"):
+            estimate_value(two_state_model, extra_action, 0, 0.0, paths=10, rng_seed=0)
+
     def test_interior_start_matches_solver(self, two_state_model):
         v, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.01, n_t=64))
         t0 = 0.5
@@ -188,17 +183,18 @@ def test_drift_shadow_bound():
     from ctsg.example_games import build_rps
 
     model, cert = build_rps(0.3, x_max=4.0, n_x=16, theta=1.0, T=2.0)
-    pol = uniform_policies(model, 8)
     x0 = 8
     n = 800
     for t in (0.5, 1.5):
-        vals = []
-        for seed in range(n):
-            traj = sample_path(model, pol, x0, rng_seed=seed)
-            vals.append(cert.v0[traj.state_at(t)])
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(n))
-        assert mean <= math.exp(cert.rho0 * t) * cert.v0[x0] + 3.0 * se
+        # horizon t, no payoff, terminal log(v0) / theta: each path's value is v0(X_t)
+        model_t = dataclasses.replace(
+            model,
+            payoff=[np.zeros_like(p) for p in model.payoff],
+            terminal=np.log(cert.v0) / model.theta,
+            horizon=t,
+        )
+        est = estimate_value(model_t, uniform_policies(model_t, 8), x0, 0.0, paths=n, rng_seed=0)
+        assert est.mean <= math.exp(cert.rho0 * t) * cert.v0[x0] + 3.0 * est.std_error
 
 
 class TestDeviationGain:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctsg.errors import NumericsError
 from ctsg.model import check_assumptions, compute_value_bounds
 from ctsg.shapley import verify_saddle
 from ctsg.solver import (
@@ -124,6 +125,12 @@ class TestSolve:
             two_state_model.theta * two_state_model.norm_r + 2.0 * two_state_model.norm_q
         )
         assert gap <= 1e-9 * scale + 10.0 * report.threshold
+
+    def test_overflowing_iterate_names_iteration(self):
+        # every cell's game value is finite (~1.5e308) but the trapezoid sum overflows
+        model = single_state_model(r0=1.5e4, g0=700.0, T=0.01)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="iteration 1$"):
+            solve(model, SolverConfig(epsilon=0.1, n_t=4))
 
     def test_mismatched_v0_rejected(self, two_state_model):
         v0 = default_initial_grid(two_state_model, 16)

@@ -10,7 +10,6 @@ import pytest
 from ctsg.model import GameModel, LyapunovCertificate, validate_generator
 from ctsg.solver import SolverConfig, solve
 from ctsg.truncation import (
-    build_level,
     floor_and_shift,
     run_ladder,
     sublevel_set,
@@ -77,14 +76,13 @@ class TestTruncateNonnegative:
         with pytest.raises(ValueError, match="floor_and_shift"):
             truncate_nonnegative(model, growing_cert(4), n=2)
 
-    def test_build_level_bundle(self):
+    def test_level_mask_and_absorbing_row(self):
         model = nonneg_model()
         cert = growing_cert(4)
-        level = build_level(model, cert, 3)
-        assert level.n == 3
-        assert level.in_level.tolist() == [True, True, True, False]
-        assert validate_generator(level.model).is_valid
-        np.testing.assert_array_equal(level.model.generator[3], 0.0)
+        assert sublevel_set(cert, 3).tolist() == [True, True, True, False]
+        out = truncate_nonnegative(model, cert, 3)
+        assert validate_generator(out).is_valid
+        np.testing.assert_array_equal(out.generator[3], 0.0)
 
 
 class TestFloorAndShift:
