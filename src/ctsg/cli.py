@@ -68,9 +68,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         artifacts.save_policies(policies, model.state_ids, args.out_policy)
     payload = {"solver": artifacts.solver_report_to_dict(report), **report_extra}
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        artifacts._dump_json(payload, args.report)
     print(json.dumps({"converged": report.converged, "iterations": report.iterations}))
     return 0 if report.converged else 1
 
@@ -93,9 +91,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     payload = artifacts.estimate_to_dict(est)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        artifacts._dump_json(payload, args.out)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -111,9 +107,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         payload["certificate"] = artifacts.certificate_checks_to_dict(cert)
         ok = cert.all_ok
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        artifacts._dump_json(payload, args.out)
     print(json.dumps(payload, sort_keys=True))
     return 0 if ok else 1
 

@@ -1,20 +1,29 @@
 """Exact solution of two-player zero-sum matrix games via linear programming.
 
 The game with payoff matrix C (rows = maximizer, columns = minimizer) is
-solved through the classical normalized LP: after shifting all entries
-positive, player 2's problem becomes
+solved through the classical normalized LP: after mapping all entries into
+[1, 2], player 2's problem becomes
 
     max 1'w   subject to  C w <= 1,  w >= 0,
 
 whose optimal w recovers the column strategy (psi = w / sum w, game value
-1 / sum w before unshifting) and whose dual solution, read off the slack
+1 / sum w before mapping back) and whose dual solution, read off the slack
 columns of the final tableau, recovers the row strategy. One simplex run
 therefore yields the value and both optimal mixed strategies.
 
+The map is (C - min C) / (max C - min C) + 1 (a constant game maps to all
+ones), so the LP sees the same matrix whatever the scale and offset of the
+payoffs, and the solution is equivariant under both up to round-off.
+
 The simplex is a dense primal tableau with Bland's anti-cycling rule
 (lowest-index entering variable, lowest-index basic variable on ratio
-ties), which makes the returned vertex deterministic across runs. The
-matrices here are action-set sized, so nothing fancier is warranted.
+ties), which makes the returned vertex deterministic across runs. Value
+iteration solves one small game per grid cell, so the kernel works on a
+stack of equally shaped games at once: every step of the scalar method,
+including Bland's sequential scan of the ratio rows, is applied to all games
+of a block in lockstep, and a game leaves the block once it is optimal.
+Each game's arithmetic is exactly the scalar method's, so a result does not
+depend on the other games in the stack or on where block boundaries fall.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ import numpy as np
 
 _PIVOT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
+# Games per tableau block. Bounds the kernel's working memory; results do
+# not depend on it.
+_BLOCK_GAMES = 2048
 
 
 @dataclass
@@ -42,66 +54,149 @@ class MatrixGameSolution:
     status: str
 
 
-def _simplex(C: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, str]:
-    """Solve max 1'w s.t. C w <= 1, w >= 0 for C with all entries >= 1.
+def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve max 1'w s.t. C[g] w <= 1, w >= 0 for each game g of a (B, m, n) stack.
 
-    Returns (objective, w, dual y, status). Finite termination is guaranteed
-    by Bland's rule; unboundedness is impossible because every column of C
-    is strictly positive.
+    Entries must be >= 1. Returns (w (B, n), dual y (B, m), degenerate (B,)).
+    Finite termination is guaranteed by Bland's rule; unboundedness is
+    impossible because every column of C is strictly positive.
     """
-    m, n = C.shape
+    B, m, n = C.shape
     # Tableau rows: 0 = objective (reduced costs, negated for max), 1..m constraints.
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[0, :n] = -1.0
-    tab[1:, :n] = C
-    tab[1:, n : n + m] = np.eye(m)
-    tab[1:, -1] = 1.0
-    basis = list(range(n, n + m))
+    tab = np.zeros((B, m + 1, n + m + 1))
+    tab[:, 0, :n] = -1.0
+    tab[:, 1:, :n] = C
+    tab[:, 1:, n : n + m] = np.eye(m)
+    tab[:, 1:, -1] = 1.0
+    basis = np.tile(np.arange(n, n + m), (B, 1))
 
-    while True:
+    # Unfinished games, compacted to the front as games become optimal.
+    live = np.arange(B)
+    work, work_basis = tab, basis
+    while live.size:
         # Bland: entering variable = lowest column index with negative reduced cost.
-        enter = -1
-        for j in range(n + m):
-            if tab[0, j] < -_PIVOT_TOL:
-                enter = j
+        negative = work[:, 0, : n + m] < -_PIVOT_TOL
+        pivoting = negative.any(axis=1)
+        if not pivoting.all():
+            done = ~pivoting
+            tab[live[done]] = work[done]
+            basis[live[done]] = work_basis[done]
+            live, work, work_basis = live[pivoting], work[pivoting], work_basis[pivoting]
+            negative = negative[pivoting]
+            if not live.size:
                 break
-        if enter < 0:
-            break
-        col = tab[1:, enter]
-        rhs = tab[1:, -1]
-        best_ratio = np.inf
-        leave = -1
+        games = np.arange(live.size)
+        enter = negative.argmax(axis=1)
+        col = work[games, 1:, enter]
+        rhs = work[:, 1:, -1]
+        # Ratio test scanned row by row, as the scalar method does: a tie
+        # within tolerance goes to the lower basic variable, and the running
+        # best ratio moves to every accepted row.
+        best_ratio = np.full(live.size, np.inf)
+        leave = np.full(live.size, -1)
+        leave_var = np.zeros(live.size, dtype=basis.dtype)
         for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = rhs[i] / col[i]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    ratio < best_ratio + _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+            eligible = col[:, i] > _PIVOT_TOL
+            ratio = rhs[:, i] / np.where(eligible, col[:, i], 1.0)
+            var = work_basis[:, i]
+            take = eligible & (
+                (ratio < best_ratio - _PIVOT_TOL)
+                | ((ratio < best_ratio + _PIVOT_TOL) & ((leave < 0) | (var < leave_var)))
+            )
+            best_ratio = np.where(take, ratio, best_ratio)
+            leave = np.where(take, i, leave)
+            leave_var = np.where(take, var, leave_var)
+        if (leave < 0).any():
             raise RuntimeError("unbounded game LP; input matrix not positive")
         piv_row = leave + 1
-        tab[piv_row] /= tab[piv_row, enter]
-        for i in range(m + 1):
-            if i != piv_row and tab[i, enter] != 0.0:
-                tab[i] -= tab[i, enter] * tab[piv_row]
-        basis[leave] = enter
+        pivot = work[games, piv_row] / work[games, piv_row, enter][:, None]
+        factor = work[games, :, enter]
+        # Rows with a zero entering coefficient are left untouched, as in the
+        # scalar method; subtracting 0 * pivot could flip the sign of a zero.
+        update = work - factor[:, :, None] * pivot[:, None, :]
+        work = np.where((factor != 0.0)[:, :, None], update, work)
+        work[games, piv_row] = pivot
+        work_basis[games, leave] = enter
 
-    w = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            w[var] = tab[i + 1, -1]
-    y = tab[0, n : n + m].copy()  # dual values sit in the slack reduced costs
-    objective = tab[0, -1]
+    games = np.arange(B)
+    w = np.zeros((B, n))
+    for i in range(m):
+        structural = basis[:, i] < n
+        w[games[structural], basis[structural, i]] = tab[structural, i + 1, -1]
+    y = tab[:, 0, n : n + m].copy()  # dual values sit in the slack reduced costs
 
-    in_basis = set(basis)
-    degenerate = any(
-        j not in in_basis and abs(tab[0, j]) <= _DEGENERACY_TOL for j in range(n + m)
-    )
-    status = "degenerate-optimal" if degenerate else "optimal"
-    return float(objective), w, y, status
+    nonbasic = np.ones((B, n + m), dtype=bool)
+    nonbasic[games[:, None], basis] = False
+    degenerate = (nonbasic & (np.abs(tab[:, 0, : n + m]) <= _DEGENERACY_TOL)).any(axis=1)
+    return w, y, degenerate
+
+
+def _solve_line_games(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Games with a single row (column): player 2 (1) picks the first best entry."""
+    B, m, n = C.shape
+    games = np.arange(B)
+    if m == 1:
+        line = C[:, 0, :]
+        best = line.argmin(axis=1)
+        p1 = np.ones((B, 1))
+        p2 = np.zeros((B, n))
+        p2[games, best] = 1.0
+    else:
+        line = C[:, :, 0]
+        best = line.argmax(axis=1)
+        p1 = np.zeros((B, m))
+        p1[games, best] = 1.0
+        p2 = np.ones((B, 1))
+    values = line[games, best]
+    tol = _DEGENERACY_TOL * (1.0 + np.abs(C).max(axis=(1, 2)))
+    ties = np.sum(np.abs(line - values[:, None]) <= tol[:, None], axis=1)
+    return values, p1, p2, ties > 1
+
+
+def solve_matrix_games(
+    C: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a stack of equally shaped zero-sum matrix games exactly.
+
+    C has shape (B, m, n); game g has payoff matrix C[g] with player 1 on
+    rows (maximizing). Returns (values (B,), strategies_p1 (B, m),
+    strategies_p2 (B, n), degenerate (B,) bool), where degenerate flags
+    alternate optimal vertices. Each game's result is bitwise the same
+    whatever else is in the stack.
+
+    Raises ValueError on a malformed or non-finite stack.
+    """
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 3 or C.shape[1] == 0 or C.shape[2] == 0:
+        raise ValueError("payoff stack must have shape (B, m, n) with m, n >= 1")
+    if not np.isfinite(C).all():
+        raise ValueError("payoff matrix contains a non-finite entry")
+    B, m, n = C.shape
+    if m == 1 or n == 1:
+        return _solve_line_games(C)
+
+    values = np.empty(B)
+    p1 = np.empty((B, m))
+    p2 = np.empty((B, n))
+    degenerate = np.empty(B, dtype=bool)
+    for lo in range(0, B, _BLOCK_GAMES):
+        block = slice(lo, lo + _BLOCK_GAMES)
+        # Map every game into [1, 2]: a positive game value and a bounded
+        # normalized LP, the same LP whatever the payoffs' scale and offset.
+        low = C[block].min(axis=(1, 2))
+        with np.errstate(over="ignore"):
+            span = C[block].max(axis=(1, 2)) - low
+        if not np.isfinite(span).all():
+            raise ValueError("payoff matrix range overflows double precision")
+        span[span == 0.0] = 1.0
+        scaled = (C[block] - low[:, None, None]) / span[:, None, None] + 1.0
+        w, y, degenerate[block] = _simplex(scaled)
+        total_w = w.sum(axis=1)
+        total_y = y.sum(axis=1)
+        p2[block] = w / total_w[:, None]
+        p1[block] = y / total_y[:, None]
+        values[block] = (1.0 / total_w - 1.0) * span + low
+    return values, p1, p2, degenerate
 
 
 def solve_matrix_game(C: np.ndarray) -> MatrixGameSolution:
@@ -109,42 +204,14 @@ def solve_matrix_game(C: np.ndarray) -> MatrixGameSolution:
 
     Player 1 (rows) maximizes, player 2 (columns) minimizes. Returns the
     game value and a pair of optimal mixed strategies satisfying the saddle
-    inequalities up to LP tolerance.
+    inequalities up to LP tolerance. This is solve_matrix_games on a stack
+    of one.
 
     Raises ValueError on an empty or non-finite matrix.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.size == 0:
         raise ValueError("payoff matrix must be a nonempty 2-d array")
-    if not np.isfinite(C).all():
-        raise ValueError("payoff matrix contains a non-finite entry")
-    m, n = C.shape
-
-    if m == 1 and n == 1:
-        return MatrixGameSolution(float(C[0, 0]), np.ones(1), np.ones(1), "optimal")
-    if m == 1:
-        j = int(np.argmin(C[0]))
-        p2 = np.zeros(n)
-        p2[j] = 1.0
-        ties = int(np.sum(np.abs(C[0] - C[0, j]) <= _DEGENERACY_TOL * (1.0 + np.abs(C).max())))
-        status = "degenerate-optimal" if ties > 1 else "optimal"
-        return MatrixGameSolution(float(C[0, j]), np.ones(1), p2, status)
-    if n == 1:
-        i = int(np.argmax(C[:, 0]))
-        p1 = np.zeros(m)
-        p1[i] = 1.0
-        ties = int(np.sum(np.abs(C[:, 0] - C[i, 0]) <= _DEGENERACY_TOL * (1.0 + np.abs(C).max())))
-        status = "degenerate-optimal" if ties > 1 else "optimal"
-        return MatrixGameSolution(float(C[i, 0]), p1, np.ones(1), status)
-
-    # Shift so every entry is >= 1, guaranteeing a positive game value and a
-    # bounded normalized LP; the shift moves the value, not the strategies.
-    shift = max(0.0, -float(C.min())) + 1.0
-    objective, w, y, status = _simplex(C + shift)
-
-    total_w = float(w.sum())
-    total_y = float(y.sum())
-    p2 = w / total_w
-    p1 = y / total_y
-    value = 1.0 / total_w - shift
-    return MatrixGameSolution(value, p1, p2, status)
+    values, p1, p2, degenerate = solve_matrix_games(C[None])
+    status = "degenerate-optimal" if degenerate[0] else "optimal"
+    return MatrixGameSolution(float(values[0]), p1[0], p2[0], status)

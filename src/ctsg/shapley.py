@@ -18,12 +18,13 @@ the Monte Carlo simulator uses.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelScaleError
-from .matrix_game import solve_matrix_game
+from .matrix_game import solve_matrix_games
 from .model import GameModel
 
 # exp overflows just above this; used to reject unrepresentable boundary rows
@@ -116,33 +117,50 @@ def weighted_payoff(model: GameModel, v: ValueGrid, t_index: int, x: int) -> np.
     return model.theta * model.payoff[x] * row[x] + model.generator[x] @ row
 
 
+def _payoff_stacks(model: GameModel, v: ValueGrid) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The weighted payoff of every grid cell, stacked by action-set shape.
+
+    Yields (states, C) for each distinct (|A|, |B|), where C has shape
+    (len(states), n_steps + 1, |A|, |B|) and C[k, i] is the weighted payoff
+    at (t_i, states[k]): weighted_payoff(model, v, i, states[k]) up to the
+    summation order of the generator product.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x in range(model.n_states):
+        groups.setdefault(model.payoff[x].shape, []).append(x)
+    V = v.values
+    for (na, nb), states in groups.items():
+        C = np.empty((len(states), V.shape[0], na, nb))
+        for k, x in enumerate(states):
+            # c for all time rows at once: (n_t+1, na*nb)
+            gen_part = V @ model.generator[x].reshape(na * nb, -1).T
+            pay = model.theta * model.payoff[x].reshape(na * nb)
+            C[k] = (gen_part + V[:, x : x + 1] * pay[None, :]).reshape(-1, na, nb)
+        yield states, C
+
+
 def game_value_field(
     model: GameModel, v: ValueGrid
 ) -> tuple[np.ndarray, PolicyPair]:
     """Matrix-game value of the weighted payoff at every grid cell.
 
     Returns the (n_steps + 1, n_states) field of game values together with
-    the optimal mixed strategies of both players at each cell.
+    the optimal mixed strategies of both players at each cell. All cells
+    whose games share a shape are solved by one solve_matrix_games call.
     """
-    n_t = v.grid.n_steps
-    n_x = model.n_states
-    a_field = np.empty((n_t + 1, n_x))
-    pi1 = [np.empty((n_t + 1, model.n_actions_p1(x))) for x in range(n_x)]
-    pi2 = [np.empty((n_t + 1, model.n_actions_p2(x))) for x in range(n_x)]
-    V = v.values
-    theta = model.theta
-    for x in range(n_x):
-        q = model.generator[x]
-        na, nb = q.shape[0], q.shape[1]
-        # c for all time rows at once: (n_t+1, na*nb)
-        gen_part = V @ q.reshape(na * nb, n_x).T
-        pay = theta * model.payoff[x].reshape(na * nb)
-        c_all = gen_part + V[:, x : x + 1] * pay[None, :]
-        for i in range(n_t + 1):
-            sol = solve_matrix_game(c_all[i].reshape(na, nb))
-            a_field[i, x] = sol.value
-            pi1[x][i] = sol.strategy_p1
-            pi2[x][i] = sol.strategy_p2
+    n_rows = v.grid.n_steps + 1
+    a_field = np.empty((n_rows, model.n_states))
+    pi1: list[np.ndarray] = [np.empty(0)] * model.n_states
+    pi2: list[np.ndarray] = [np.empty(0)] * model.n_states
+    for states, C in _payoff_stacks(model, v):
+        k, _, na, nb = C.shape
+        values, p1, p2, _ = solve_matrix_games(C.reshape(k * n_rows, na, nb))
+        a_field[:, states] = values.reshape(k, n_rows).T
+        p1 = p1.reshape(k, n_rows, na)
+        p2 = p2.reshape(k, n_rows, nb)
+        for j, x in enumerate(states):
+            pi1[x] = p1[j]
+            pi2[x] = p2[j]
     return a_field, PolicyPair(v.grid, pi1, pi2)
 
 
@@ -180,9 +198,10 @@ def verify_saddle(
     to LP tolerance. Returns the maximum over cells.
     """
     worst = -np.inf
-    for x in range(model.n_states):
-        for i in range(v.grid.n_steps + 1):
-            c = weighted_payoff(model, v, i, x)
-            gap = float(np.max(c @ policies.pi2[x][i]) - np.min(policies.pi1[x][i] @ c))
-            worst = max(worst, gap)
+    for states, C in _payoff_stacks(model, v):
+        p1 = np.stack([policies.pi1[x] for x in states])
+        p2 = np.stack([policies.pi2[x] for x in states])
+        row_best = np.max(C @ p2[..., None], axis=(-2, -1))
+        col_best = np.min(p1[..., None, :] @ C, axis=(-2, -1))
+        worst = max(worst, float(np.max(row_best - col_best)))
     return worst

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ModelScaleError, NumericsError
 from .model import GameModel
 from .shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma, boundary_row
 
@@ -77,9 +77,20 @@ def stopping_threshold(
             "degenerate: zero payoff norm; using the limit-form stopping threshold "
             "epsilon / (2 e^{2||q||T} (1 + 2||q||T))"
         )
-        return epsilon / (2.0 * math.exp(2.0 * norm_q * T) * (1.0 + 2.0 * norm_q * T))
+        return epsilon / (2.0 * _growth(2.0 * norm_q * T) * (1.0 + 2.0 * norm_q * T))
     l_tilde = theta * norm_r + 2.0 * norm_q
-    return epsilon / (2.0 * math.exp(l_tilde * T) * (1.0 + 2.0 * norm_q / (theta * norm_r)))
+    return epsilon / (2.0 * _growth(l_tilde * T) * (1.0 + 2.0 * norm_q / (theta * norm_r)))
+
+
+def _growth(exponent: float) -> float:
+    """exp(exponent) for the stopping threshold, which no double can hold past ~709."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise ModelScaleError(
+            f"stopping threshold needs exp({exponent:.4g}), which overflows double precision; "
+            "rescale the payoff or rates, or shorten the horizon"
+        ) from None
 
 
 def contraction_constants(
@@ -96,6 +107,11 @@ def contraction_constants(
         term *= l_tilde * T / k
         if term < 1.0:
             return l_tilde, k, term
+        if math.isinf(term):  # past l_tilde T ~ 712 the peak term is not a double
+            raise ModelScaleError(
+                f"contraction constant l_tilde^k T^k / k! overflows double precision "
+                f"at l_tilde T = {l_tilde * T:.4g}"
+            )
 
 
 def default_initial_grid(model: GameModel, n_t: int) -> ValueGrid:

@@ -12,7 +12,7 @@ from ctsg.cli import dispatch
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, single_state_model
 
 
 class TestRoundTrips:
@@ -147,6 +147,17 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert any(v["kind"] == "offdiag_negative" for v in payload["violations"])
+
+    def test_solve_unrepresentable_threshold_exits_one(self, tmp_path, capsys):
+        # payoff rate 800 over T = 1: the stopping threshold needs e^800
+        hot = tmp_path / "hot.json"
+        artifacts.save_model(single_state_model(r0=800.0), hot)
+        code = self.run("solve", "--model", str(hot), "--nt", "4")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
 
     def test_missing_file_exits_two(self):
         assert self.run("solve", "--model", "/nonexistent.json") == 2

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from ctsg.matrix_game import solve_matrix_game
+from ctsg.matrix_game import _BLOCK_GAMES, solve_matrix_game, solve_matrix_games
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+EQUALIZER = np.array([[3.0, 1.0], [0.0, 2.0]])  # value 3/2, p1 (1/2, 1/2), p2 (1/4, 3/4)
 
 
 def brute_force_value(C: np.ndarray, step: float) -> float:
@@ -58,7 +59,7 @@ class TestExamples:
 
     def test_two_by_two_equalizer(self):
         # closed form by equalization: 3p = 2 - p and 1 + 2q = 2 - 2q
-        sol = solve_matrix_game(np.array([[3.0, 1.0], [0.0, 2.0]]))
+        sol = solve_matrix_game(EQUALIZER)
         assert sol.value == pytest.approx(1.5, abs=1e-9)
         np.testing.assert_allclose(sol.strategy_p1, [0.5, 0.5], atol=1e-9)
         np.testing.assert_allclose(sol.strategy_p2, [0.25, 0.75], atol=1e-9)
@@ -128,3 +129,90 @@ def test_random_3x3_against_brute_force():
         C = rng.uniform(-1.0, 1.0, size=(3, 3))
         sol = solve_matrix_game(C)
         assert sol.value == pytest.approx(brute_force_value(C, step=1e-2), abs=2e-2)
+
+
+@pytest.mark.parametrize("s", [1e-30, 1e30])
+def test_scale_equivariance_at_extreme_scales(s):
+    two = solve_matrix_game(s * EQUALIZER)
+    assert two.value == pytest.approx(1.5 * s, rel=1e-14)
+    np.testing.assert_allclose(two.strategy_p1, [0.5, 0.5], rtol=1e-14)
+    np.testing.assert_allclose(two.strategy_p2, [0.25, 0.75], rtol=1e-14)
+    rps = solve_matrix_game(s * RPS)
+    assert abs(rps.value) <= 1e-14 * s
+    np.testing.assert_allclose(rps.strategy_p1, 1.0 / 3.0, rtol=1e-14)
+    np.testing.assert_allclose(rps.strategy_p2, 1.0 / 3.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("C, value", [(EQUALIZER, 1.5), (RPS, 0.0)])
+@pytest.mark.parametrize("offset", [1e8, -1e8])
+def test_offset_equivariance_at_large_offsets(C, value, offset):
+    # C + offset - min(C + offset) is exact here, so the LP is unchanged.
+    base = solve_matrix_game(C)
+    moved = solve_matrix_game(C + offset)
+    assert moved.value == offset + value
+    np.testing.assert_array_equal(moved.strategy_p1, base.strategy_p1)
+    np.testing.assert_array_equal(moved.strategy_p2, base.strategy_p2)
+
+
+def assert_batch_matches_singles(C: np.ndarray) -> None:
+    """Every game of the stack solves bit for bit as it does on its own."""
+    values, p1, p2, degenerate = solve_matrix_games(C)
+    for g in range(C.shape[0]):
+        one = solve_matrix_games(C[g : g + 1])
+        assert values[g : g + 1].tobytes() == one[0].tobytes()
+        assert p1[g : g + 1].tobytes() == one[1].tobytes()
+        assert p2[g : g + 1].tobytes() == one[2].tobytes()
+        assert degenerate[g] == one[3][0]
+
+
+game_stacks = st.tuples(
+    st.integers(1, 6), st.integers(1, 4), st.integers(1, 4)
+).flatmap(
+    lambda shape: arrays(
+        np.float64,
+        shape,
+        elements=st.one_of(
+            st.floats(-10, 10, allow_nan=False),
+            st.integers(-2, 2).map(float),  # ties and degenerate games
+        ),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game_stacks)
+def test_batch_equals_single_bitwise(C):
+    assert_batch_matches_singles(C)
+
+
+@pytest.mark.parametrize("B", [_BLOCK_GAMES - 1, _BLOCK_GAMES + 1])
+def test_result_independent_of_neighbours_and_block_boundaries(B):
+    rng = np.random.default_rng(B)
+    probe = rng.uniform(-1.0, 1.0, size=(3, 3))
+    alone = solve_matrix_games(probe[None])
+    # first, middle and last game, and the games on either side of the first block boundary
+    offsets = sorted({0, B // 2, B - 1, _BLOCK_GAMES - 1, _BLOCK_GAMES} & set(range(B)))
+    C = rng.uniform(-1.0, 1.0, size=(B, 3, 3))
+    C[1::3] = np.round(C[1::3])  # neighbours that tie or degenerate
+    C[offsets] = probe
+    values, p1, p2, degenerate = solve_matrix_games(C)
+    for g in offsets:
+        assert values[g : g + 1].tobytes() == alone[0].tobytes()
+        assert p1[g : g + 1].tobytes() == alone[1].tobytes()
+        assert p2[g : g + 1].tobytes() == alone[2].tobytes()
+        assert degenerate[g] == alone[3][0]
+    # and every other game matches its own solo solve on a sample
+    for g in rng.choice(B, size=40, replace=False):
+        one = solve_matrix_games(C[g : g + 1])
+        assert values[g] == one[0][0] and np.array_equal(p1[g], one[1][0])
+
+
+def test_stack_validation():
+    with pytest.raises(ValueError):
+        solve_matrix_games(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        solve_matrix_games(np.zeros((3, 0, 2)))
+    with pytest.raises(ValueError):
+        solve_matrix_games(np.array([[[1.0, np.inf]]]))
+    with pytest.raises(ValueError):
+        solve_matrix_game(np.array([[1e308, -1e308], [0.0, 1.0]]))

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from ctsg.errors import ModelScaleError
+from ctsg.example_games import build_rps
+from ctsg.matrix_game import solve_matrix_game
 from ctsg.model import GameModel
 from ctsg.shapley import (
     TimeGrid,
     ValueGrid,
     apply_gamma,
     game_value_field,
+    verify_saddle,
     weighted_payoff,
 )
 from ctsg.solver import SolverConfig, solve
@@ -85,6 +88,70 @@ class TestGameValueField:
         a_field, policies = game_value_field(model, v)
         np.testing.assert_allclose(a_field[:, 0], 2.0 * 0.7 * np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_allclose(policies.pi1[0], 1.0)
+
+
+    def test_mixed_shapes_match_per_cell_solves(self):
+        model = mixed_shape_model()
+        rng = np.random.default_rng(5)
+        # integer data keep every weighted payoff exact, whatever the summation order
+        v = ValueGrid(TimeGrid(1.0, 5), rng.integers(1, 6, size=(6, model.n_states)).astype(float))
+        a_field, policies = game_value_field(model, v)
+        for x in range(model.n_states):
+            for i in range(6):
+                sol = solve_matrix_game(weighted_payoff(model, v, i, x))
+                assert a_field[i, x] == sol.value
+                np.testing.assert_array_equal(policies.pi1[x][i], sol.strategy_p1)
+                np.testing.assert_array_equal(policies.pi2[x][i], sol.strategy_p2)
+        np.testing.assert_array_equal(a_field[:, 5], 0.0)  # the all-zero games
+
+
+def mixed_shape_model() -> GameModel:
+    """States with 1x3, 3x1, 2x2, 2x3, 1x1 and all-zero 2x2 games; integer data."""
+    rng = np.random.default_rng(11)
+    shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (1, 1), (2, 2)]
+    n = len(shapes)
+    payoff, generator = [], []
+    for x, (na, nb) in enumerate(shapes):
+        q = rng.integers(0, 3, size=(na, nb, n)).astype(float)
+        q[:, :, x] = 0.0
+        q[:, :, x] = -q.sum(axis=2)
+        payoff.append(rng.integers(-3, 4, size=(na, nb)).astype(float))
+        generator.append(q)
+    payoff[5][:] = 0.0
+    generator[5][:] = 0.0
+    return GameModel(
+        actions_p1=[list(range(na)) for na, _ in shapes],
+        actions_p2=[list(range(nb)) for _, nb in shapes],
+        payoff=payoff,
+        generator=generator,
+        terminal=np.zeros(n),
+        theta=1.0,
+        horizon=1.0,
+    )
+
+
+def per_cell_saddle_gap(model: GameModel, v: ValueGrid, policies) -> float:
+    """verify_saddle's quantity by one weighted_payoff per cell."""
+    worst = -np.inf
+    for x in range(model.n_states):
+        for i in range(v.grid.n_steps + 1):
+            c = weighted_payoff(model, v, i, x)
+            gap = float(np.max(c @ policies.pi2[x][i]) - np.min(policies.pi1[x][i] @ c))
+            worst = max(worst, gap)
+    return worst
+
+
+@pytest.mark.parametrize("game", ["two_state", "rps8"])
+def test_verify_saddle_matches_per_cell_loop(game, two_state_model):
+    if game == "two_state":
+        model = two_state_model
+    else:
+        model, _ = build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+    v, policies, _ = solve(model, SolverConfig(epsilon=1e-3, n_t=16))
+    expected = per_cell_saddle_gap(model, v, policies)
+    # the stacked and the per-cell generator products may round differently
+    scale = float(np.max(np.abs(v.values))) * (model.theta * model.norm_r + 2.0 * model.norm_q)
+    assert verify_saddle(model, v, policies) == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)
 
 
 class TestApplyGamma:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctsg.errors import NumericsError
+from ctsg.errors import ModelScaleError, NumericsError
 from ctsg.model import check_assumptions, compute_value_bounds
 from ctsg.shapley import verify_saddle
 from ctsg.solver import (
@@ -50,6 +50,12 @@ class TestStoppingThreshold:
         with pytest.raises(ValueError):
             stopping_threshold(-1.0, 1.0, 1.0, 1.0, 1.0)
 
+    def test_overflowing_exponent_is_a_scale_error(self):
+        with pytest.raises(ModelScaleError, match="overflows"):
+            stopping_threshold(1e-3, 1.0, 800.0, 0.0, 1.0)
+        with pytest.raises(ModelScaleError, match="overflows"):
+            stopping_threshold(1e-3, 1.0, 0.0, 400.0, 1.0)  # limit form
+
 
 class TestContractionConstants:
     def test_reference_value(self):
@@ -63,6 +69,10 @@ class TestContractionConstants:
 
     def test_zero_operator(self):
         assert contraction_constants(1.0, 0.0, 0.0, 3.0) == (0.0, 1, 0.0)
+
+    def test_overflowing_product_is_a_scale_error(self):
+        with pytest.raises(ModelScaleError, match="overflows"):
+            contraction_constants(1.0, 800.0, 0.0, 1.0)
 
     def test_minimality_of_k(self):
         l_tilde, k, beta = contraction_constants(1.0, 3.0, 1.0, 1.0)
