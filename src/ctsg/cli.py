@@ -20,7 +20,7 @@ from . import io as artifacts
 from .errors import CtsgError
 from .example_games import build_gaussian, build_rps
 from .matrix_game import solve_matrix_game
-from .model import check_assumptions, compute_value_bounds, validate_generator
+from .model import GameModel, check_assumptions, compute_value_bounds, validate_generator
 from .simulate import estimate_value
 from .solver import SolverConfig, solve
 from .truncation import run_ladder
@@ -33,11 +33,19 @@ def _threads(args: argparse.Namespace) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    model = artifacts.load_model(args.model)
+def _valid_model(path: str) -> GameModel | None:
+    """Load a model; print its validation report and return None if it is invalid."""
+    model = artifacts.load_model(path)
     validation = validate_generator(model)
     if not validation.is_valid:
         print(json.dumps(artifacts.validation_report_to_dict(validation), sort_keys=True))
+        return None
+    return model
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    model = _valid_model(args.model)
+    if model is None:
         return 1
     report_extra: dict = {}
     cert = None
@@ -74,7 +82,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = artifacts.load_model(args.model)
+    model = _valid_model(args.model)
+    if model is None:
+        return 1
     policies, order = artifacts.load_policies(args.policy)
     if order != model.state_ids:
         raise ValueError(
@@ -113,18 +123,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ladder(args: argparse.Namespace) -> int:
-    model = artifacts.load_model(args.model)
-    validation = validate_generator(model)
-    if not validation.is_valid:
-        print(json.dumps(artifacts.validation_report_to_dict(validation), sort_keys=True))
+    model = _valid_model(args.model)
+    if model is None:
         return 1
     cert = artifacts.load_certificate(args.cert)
     levels = [int(s) for s in args.levels.split(",") if s]
     config = SolverConfig(epsilon=args.eps, n_t=args.nt, max_iterations=args.max_iter)
     report = run_ladder(model, cert, levels, config, kind=args.kind)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(artifacts.ladder_to_csv(report, model.state_ids))
+        Path(args.out).write_text(artifacts.ladder_to_csv(report, model.state_ids))
     print(json.dumps(artifacts.ladder_summary_to_dict(report), sort_keys=True))
     return 0 if report.monotone_ok else 1
 

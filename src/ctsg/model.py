@@ -213,7 +213,8 @@ def validate_generator(model: GameModel) -> ValidationReport:
     """Check off-diagonal nonnegativity, conservativity and stability of the rates.
 
     Dimension mismatches raise StructureError; rate-invariant violations are
-    collected in the report with an (x, a, b, y) witness and a residual.
+    collected in the report with an (x, a, b, y) witness and a residual;
+    non-finite payoff and terminal entries are not_finite at (x, a, b) and x.
     """
     _check_dimensions(model)
     n = model.n_states
@@ -223,6 +224,11 @@ def validate_generator(model: GameModel) -> ValidationReport:
     violations: list[Violation] = []
     q_star = np.zeros(n)
     for x in range(n):
+        if not np.isfinite(model.payoff[x]).all():
+            a, b = (int(v) for v in np.argwhere(~np.isfinite(model.payoff[x]))[0])
+            violations.append(Violation("not_finite", x, a, b, residual=math.inf))
+        if not math.isfinite(model.terminal[x]):
+            violations.append(Violation("not_finite", x, residual=math.inf))
         q = model.generator[x]
         if not np.isfinite(q).all():
             bad = np.argwhere(~np.isfinite(q))
@@ -271,7 +277,7 @@ def check_assumptions(
 
     drift0_res = -math.inf
     drift1_res = -math.inf
-    payoff_res = -math.inf
+    payoff_excess: list[float] = []
     for x in range(model.n_states):
         q = model.generator[x]
         drift0 = q @ v0  # (na, nb)
@@ -279,9 +285,10 @@ def check_assumptions(
         drift1 = q @ (v1**2)
         drift1_res = max(drift1_res, float(np.max(drift1)) - (cert.rho1 * v1[x] ** 2 + cert.b1))
         bound = cert.m0 + (math.sqrt(2.0) / 2.0) * math.sqrt(math.log(v0[x]))
-        payoff_res = max(payoff_res, float(np.max(np.abs(model.payoff[x]))) - bound)
-        payoff_res = max(payoff_res, abs(float(model.terminal[x])) - bound)
+        payoff_excess.append(float(np.max(np.abs(model.payoff[x]))) - bound)
+        payoff_excess.append(abs(float(model.terminal[x])) - bound)
 
+    payoff_res = float(np.max(payoff_excess))  # unlike max(), keeps a NaN so the check fails
     q_star = np.array([model.rate_out(x) for x in range(model.n_states)])
     rate_res = float(np.max(q_star - cert.l0 * v0))
     squeeze_res = float(np.max(v0**2 - cert.m1 * v1))

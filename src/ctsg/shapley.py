@@ -18,8 +18,9 @@ the Monte Carlo simulator uses.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,6 +140,34 @@ def _payoff_stacks(model: GameModel, v: ValueGrid) -> Iterator[tuple[list[int], 
         yield states, C
 
 
+def _solve_stacks(
+    model: GameModel, v: ValueGrid, reduce: Callable[[list[int], np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Value field and per-state strategy rows of the games reduce(states, C), solved per stack."""
+    n_rows = v.grid.n_steps + 1
+    a_field = np.empty((n_rows, model.n_states))
+    pi1: list[np.ndarray] = [np.empty(0)] * model.n_states
+    pi2: list[np.ndarray] = [np.empty(0)] * model.n_states
+    for states, C in _payoff_stacks(model, v):
+        C = reduce(states, C)
+        k, _, na, nb = C.shape
+        values, p1, p2, _ = solve_matrix_games(C.reshape(k * n_rows, na, nb))
+        a_field[:, states] = values.reshape(k, n_rows).T
+        p1 = p1.reshape(k, n_rows, na)
+        p2 = p2.reshape(k, n_rows, nb)
+        for j, x in enumerate(states):
+            pi1[x] = p1[j]
+            pi2[x] = p2[j]
+    return a_field, pi1, pi2
+
+
+def _against(policies: PolicyPair, player: int, states: list[int], C: np.ndarray) -> np.ndarray:
+    """A payoff stack reduced by the opponent's mixed action: c pi2 for player 1, pi1' c for 2."""
+    if player == 1:
+        return C @ np.stack([policies.pi2[x] for x in states])[..., None]
+    return np.stack([policies.pi1[x] for x in states])[..., None, :] @ C
+
+
 def game_value_field(
     model: GameModel, v: ValueGrid
 ) -> tuple[np.ndarray, PolicyPair]:
@@ -148,19 +177,7 @@ def game_value_field(
     the optimal mixed strategies of both players at each cell. All cells
     whose games share a shape are solved by one solve_matrix_games call.
     """
-    n_rows = v.grid.n_steps + 1
-    a_field = np.empty((n_rows, model.n_states))
-    pi1: list[np.ndarray] = [np.empty(0)] * model.n_states
-    pi2: list[np.ndarray] = [np.empty(0)] * model.n_states
-    for states, C in _payoff_stacks(model, v):
-        k, _, na, nb = C.shape
-        values, p1, p2, _ = solve_matrix_games(C.reshape(k * n_rows, na, nb))
-        a_field[:, states] = values.reshape(k, n_rows).T
-        p1 = p1.reshape(k, n_rows, na)
-        p2 = p2.reshape(k, n_rows, nb)
-        for j, x in enumerate(states):
-            pi1[x] = p1[j]
-            pi2[x] = p2[j]
+    a_field, pi1, pi2 = _solve_stacks(model, v, lambda states, C: C)
     return a_field, PolicyPair(v.grid, pi1, pi2)
 
 
@@ -188,6 +205,23 @@ def apply_gamma(model: GameModel, v: ValueGrid) -> tuple[ValueGrid, PolicyPair]:
     return integrate_backward(v.grid, a_field, boundary), policies
 
 
+def best_response_sweep(
+    model: GameModel, v: ValueGrid, policies: PolicyPair, player: int
+) -> tuple[ValueGrid, PolicyPair]:
+    """One backward sweep of `player`'s best response to the opponent's policy in `policies`.
+
+    Each cell's game is reduced by the opponent's mixed action and the
+    deviator takes the first best pure action. Returns the new value grid and
+    the pair of the deviator's one-hot rows and the opponent's rows; at the
+    fixed point this is an exact best response among grid Markov policies.
+    """
+    a_field, pi1, pi2 = _solve_stacks(model, v, partial(_against, policies, player))
+    v_next = integrate_backward(v.grid, a_field, boundary_row(model))
+    if player == 1:
+        return v_next, PolicyPair(v.grid, pi1, list(policies.pi2))
+    return v_next, PolicyPair(v.grid, list(policies.pi1), pi2)
+
+
 def verify_saddle(
     model: GameModel, v: ValueGrid, policies: PolicyPair
 ) -> float:
@@ -199,9 +233,7 @@ def verify_saddle(
     """
     worst = -np.inf
     for states, C in _payoff_stacks(model, v):
-        p1 = np.stack([policies.pi1[x] for x in states])
-        p2 = np.stack([policies.pi2[x] for x in states])
-        row_best = np.max(C @ p2[..., None], axis=(-2, -1))
-        col_best = np.min(p1[..., None, :] @ C, axis=(-2, -1))
+        row_best = np.max(_against(policies, 1, states, C), axis=(-2, -1))
+        col_best = np.min(_against(policies, 2, states, C), axis=(-2, -1))
         worst = max(worst, float(np.max(row_best - col_best)))
     return worst

@@ -21,22 +21,22 @@ count.
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericsError
 from .model import GameModel
-from .shapley import PolicyPair
-
-logger = logging.getLogger(__name__)
+from .shapley import PolicyPair, best_response_sweep
+from .solver import SolverConfig, default_initial_grid
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
-_MAX_ENUMERATED_DEVIATIONS = 256
-_SAMPLED_DEVIATIONS = 64
+# Best-response sweeps stop once successive iterates differ by at most this
+# fraction of the largest value; a stop at a few ulp stalls on some models.
+_BEST_RESPONSE_REL_TOL = 1e-12
+_PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
 
 
 @dataclass
@@ -52,21 +52,20 @@ class McEstimate:
 
 @dataclass
 class DeviationReport:
-    """Best estimated unilateral improvement over a base policy pair.
+    """Estimated unilateral improvement of one player over a base policy pair.
 
-    gain > 0 means the deviating player found a profitable deterministic
-    stationary deviation; std_error is the common-random-number standard
-    error of that gain. exhaustive is False when the deviation set was
-    sampled instead of enumerated.
+    gain is the mean per-path value of the best response minus the base pair
+    (base minus best response for player 2), so gain > 0 is the deviator's
+    profit; both runs share the seed, and std_error is that difference's
+    standard error. n_candidates counts evaluated deviations (always 1).
     """
 
     gain: float
     std_error: float
     player: int
     base: McEstimate
-    best_assignment: tuple[int, ...] | None
+    best_response: PolicyPair
     n_candidates: int
-    exhaustive: bool
 
 
 class _PolicyTables:
@@ -93,6 +92,14 @@ class _PolicyTables:
                     f"policy shapes {p1.shape}, {p2.shape} at state {x} do not match "
                     f"the model and grid: {want[0]}, {want[1]}"
                 )
+            for name, p in (("pi1", p1), ("pi2", p2)):
+                ok = (p >= -_PROBABILITY_TOL).all(axis=1)
+                ok &= np.abs(p.sum(axis=1) - 1.0) <= _PROBABILITY_TOL
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    raise ValueError(
+                        f"{name} at state {x}, row {i} is not a probability vector: {p[i].tolist()}"
+                    )
             self.rbar[:, x] = np.einsum("ia,ab,ib->i", p1, model.payoff[x], p2)
             mixed = np.einsum("ia,aby,ib->iy", p1, model.generator[x], p2)
             mixed[:, x] = 0.0
@@ -219,27 +226,6 @@ def estimate_value(
     )
 
 
-def _pure_stationary_policy(
-    base: PolicyPair, player: int, assignment: tuple[int, ...]
-) -> PolicyPair:
-    """Replace one player's policy with a time-constant pure action per state."""
-    grid = base.grid
-    n_t = grid.n_steps
-    if player == 1:
-        pi1 = []
-        for x, a in enumerate(assignment):
-            p = np.zeros((n_t + 1, base.pi1[x].shape[1]))
-            p[:, a] = 1.0
-            pi1.append(p)
-        return PolicyPair(grid, pi1, [p.copy() for p in base.pi2])
-    pi2 = []
-    for x, b in enumerate(assignment):
-        p = np.zeros((n_t + 1, base.pi2[x].shape[1]))
-        p[:, b] = 1.0
-        pi2.append(p)
-    return PolicyPair(grid, [p.copy() for p in base.pi1], pi2)
-
-
 def deviation_gain(
     model: GameModel,
     base_policies: PolicyPair,
@@ -250,66 +236,42 @@ def deviation_gain(
     t0: float = 0.0,
     threads: int = 1,
 ) -> DeviationReport:
-    """Best estimated improvement from deterministic stationary deviations.
+    """Estimated improvement from the deviating player's exact best response.
 
-    Enumerates every time-constant pure-action assignment for the deviating
-    player (the opponent keeps the base policy); when the assignment count
-    exceeds the enumeration cap a seeded random sample is used instead and
-    flagged. All estimates share the seed (common random numbers), and the
-    standard error is that of the per-path difference for the best deviation.
+    best_response_sweep is iterated from the default initial grid until
+    successive iterates agree to _BEST_RESPONSE_REL_TOL of the largest value
+    (NumericsError past SolverConfig's default iteration cap); the base pair
+    and the best response are then simulated with the same seed.
     """
     if deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")
-    counts = [
-        model.n_actions_p1(x) if deviating_player == 1 else model.n_actions_p2(x)
-        for x in range(model.n_states)
-    ]
-    total = 1
-    for c in counts:
-        total *= c
-    if total <= _MAX_ENUMERATED_DEVIATIONS:
-        assignments = list(itertools.product(*(range(c) for c in counts)))
-        exhaustive = True
-    else:
-        logger.warning(
-            "deviation space too large (%d assignments); sampling %d at random",
-            total,
-            _SAMPLED_DEVIATIONS,
-        )
-        gen = np.random.Generator(np.random.Philox(key=int(rng_seed)))
-        assignments = [
-            tuple(int(gen.integers(c)) for c in counts) for _ in range(_SAMPLED_DEVIATIONS)
-        ]
-        exhaustive = False
-
     base = estimate_value(
         model, base_policies, x0, t0, paths, rng_seed, retain_values=True, threads=threads
     )
-    assert base.values is not None
-    best_gain = -math.inf
-    best_se = 0.0
-    best_assignment: tuple[int, ...] | None = None
-    for assignment in assignments:
-        dev_policies = _pure_stationary_policy(base_policies, deviating_player, assignment)
-        est = estimate_value(
-            model, dev_policies, x0, t0, paths, rng_seed, retain_values=True, threads=threads
+    v = default_initial_grid(model, base_policies.grid.n_steps)
+    for sweep in range(1, SolverConfig.max_iterations + 1):
+        v_next, response = best_response_sweep(model, v, base_policies, deviating_player)
+        if not np.isfinite(v_next.values).all():
+            raise NumericsError(f"non-finite best-response value at sweep {sweep}")
+        diff = float(np.max(np.abs(v_next.values - v.values)))
+        v = v_next
+        if diff <= _BEST_RESPONSE_REL_TOL * float(np.max(np.abs(v.values))):
+            break
+    else:
+        raise NumericsError(
+            f"best response did not settle within {SolverConfig.max_iterations} sweeps "
+            f"(last difference {diff:.3g})"
         )
-        assert est.values is not None
-        if deviating_player == 1:
-            diff = est.values - base.values
-        else:
-            diff = base.values - est.values
-        gain = float(np.mean(diff))
-        if gain > best_gain:
-            best_gain = gain
-            best_se = float(np.std(diff, ddof=1) / math.sqrt(paths))
-            best_assignment = assignment
+    dev = estimate_value(
+        model, response, x0, t0, paths, rng_seed, retain_values=True, threads=threads
+    )
+    assert base.values is not None and dev.values is not None
+    diffs = dev.values - base.values if deviating_player == 1 else base.values - dev.values
     return DeviationReport(
-        gain=best_gain,
-        std_error=best_se,
+        gain=float(np.mean(diffs)),
+        std_error=float(np.std(diffs, ddof=1) / math.sqrt(paths)),
         player=deviating_player,
         base=base,
-        best_assignment=best_assignment,
-        n_candidates=len(assignments),
-        exhaustive=exhaustive,
+        best_response=response,
+        n_candidates=1,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -65,17 +65,7 @@ def truncate_nonnegative(model: GameModel, cert: LyapunovCertificate, n: int) ->
         else:
             payoff.append(np.zeros_like(model.payoff[x]))
             generator.append(np.zeros_like(model.generator[x]))
-    return GameModel(
-        actions_p1=[list(a) for a in model.actions_p1],
-        actions_p2=[list(b) for b in model.actions_p2],
-        payoff=payoff,
-        generator=generator,
-        terminal=terminal,
-        theta=model.theta,
-        horizon=model.horizon,
-        coords=None if model.coords is None else model.coords.copy(),
-        state_ids=list(model.state_ids),
-    )
+    return replace(model, payoff=payoff, generator=generator, terminal=terminal)
 
 
 def floor_and_shift(
@@ -90,16 +80,11 @@ def floor_and_shift(
     """
     if n < 1:
         raise ValueError("flooring level must be a positive integer")
-    shifted = GameModel(
-        actions_p1=[list(a) for a in model.actions_p1],
-        actions_p2=[list(b) for b in model.actions_p2],
+    shifted = replace(
+        model,
         payoff=[np.maximum(-float(n), m) + float(n) for m in model.payoff],
         generator=[g.copy() for g in model.generator],
         terminal=np.maximum(-float(n), model.terminal) + float(n),
-        theta=model.theta,
-        horizon=model.horizon,
-        coords=None if model.coords is None else model.coords.copy(),
-        state_ids=list(model.state_ids),
     )
     theta, T = model.theta, model.horizon
 

@@ -231,6 +231,32 @@ class TestCli:
         artifacts.save_policies(policies, [1, 0], policy_json)
         assert "covers states [1, 0]" in self.simulate_fails(capsys, policy_json, "0")
 
+    @pytest.mark.parametrize("entries", [[1.2, -0.2], [0.9, 0.2]])
+    def test_simulate_policy_row_not_probability_exits_one(
+        self, tmp_path, capsys, two_state_model, entries
+    ):
+        _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.1, n_t=8))
+        policies.pi1[1][3] = entries
+        policy_json = tmp_path / "policy.json"
+        artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
+        line = self.simulate_fails(capsys, policy_json, "0")
+        assert "pi1 at state 1, row 3 is not a probability vector" in line
+
+    def test_simulate_invalid_model_exits_one(self, tmp_path, capsys, two_state_model):
+        _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.1, n_t=8))
+        policy_json = tmp_path / "policy.json"
+        artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
+        model = artifacts.load_model(FIXTURES / "two_state_model.json")
+        model.payoff[0][1, 0] = np.nan
+        bad = tmp_path / "bad.json"
+        artifacts.save_model(model, bad)
+        code = self.run("simulate", "--model", str(bad), "--policy", str(policy_json), "--x0", "0")
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [(v["kind"], v["x"], v["a"], v["b"]) for v in payload["violations"]] == [
+            ("not_finite", 0, 1, 0)
+        ]
+
     def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch, two_state_model):
         from ctsg.solver import SolverConfig, solve
 

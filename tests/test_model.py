@@ -90,6 +90,15 @@ class TestValidateGenerator:
         report = validate_generator(model)
         assert any(v.kind == "not_finite" for v in report.violations)
 
+    def test_nonfinite_payoff_and_terminal_flagged(self):
+        model = two_state([-1.0, 1.0], [1.0, -1.0])
+        model.payoff[1] = np.array([[np.nan]])
+        model.terminal = np.array([-np.inf, 0.0])
+        report = validate_generator(model)
+        assert not report.is_valid
+        witnesses = {(v.kind, v.x, v.a, v.b, v.y) for v in report.violations}
+        assert witnesses == {("not_finite", 1, 0, 0, None), ("not_finite", 0, None, None, None)}
+
 
 class TestModelInvariants:
     def test_theta_must_be_positive(self):
@@ -128,6 +137,17 @@ class TestCheckAssumptions:
         for name in ("drift0_ok", "rate_bound_ok", "payoff_bound_ok", "drift1_ok", "squeeze_ok"):
             if getattr(tight, name):
                 assert getattr(loose, name)
+
+    @pytest.mark.parametrize("field", ["payoff", "terminal"])
+    def test_nan_payoff_or_terminal_fails_payoff_bound(self, field):
+        model = two_state([0.0, 0.0], [0.0, 0.0])
+        if field == "payoff":
+            model.payoff[0] = np.array([[np.nan]])
+        else:
+            model.terminal = np.array([0.0, np.nan])
+        out = check_assumptions(model, unit_cert(), tol=0.0)
+        assert out.payoff_bound_ok is False
+        assert math.isnan(out.residuals["payoff_bound"])
 
     def test_invalid_certificate_rejected(self):
         model = two_state([0.0, 0.0], [0.0, 0.0])

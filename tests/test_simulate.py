@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ctsg.errors import NumericsError
 from ctsg.model import GameModel
 from ctsg.shapley import PolicyPair, TimeGrid
 from ctsg.simulate import deviation_gain, estimate_value
@@ -170,6 +171,19 @@ class TestEstimateValue:
         with pytest.raises(ValueError, match="policy shapes"):
             estimate_value(two_state_model, extra_action, 0, 0.0, paths=10, rng_seed=0)
 
+    @pytest.mark.parametrize(
+        ("player", "state", "row", "entries"),
+        [(1, 0, 2, [1.2, -0.2]), (2, 1, 0, [0.9, 0.2]), (1, 1, 4, [np.nan, 1.0])],
+    )
+    def test_policy_rows_must_be_probability_vectors(
+        self, two_state_model, player, state, row, entries
+    ):
+        pol = uniform_policies(two_state_model, 4)
+        rows = (pol.pi1 if player == 1 else pol.pi2)[state]
+        rows[row] = entries
+        with pytest.raises(ValueError, match=f"pi{player} at state {state}, row {row} "):
+            estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=0)
+
     def test_interior_start_matches_solver(self, two_state_model):
         v, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.01, n_t=64))
         t0 = 0.5
@@ -203,7 +217,7 @@ class TestDeviationGain:
         pol = uniform_policies(model, 4)
         report = deviation_gain(model, pol, 1, paths=200, rng_seed=0, x0=0)
         assert report.gain == pytest.approx(0.0, abs=1e-12)
-        assert report.exhaustive
+        assert report.n_candidates == 1
 
     def test_detects_profitable_deviation(self):
         # single state, q = 0: equilibrium of the exponential game equals the
@@ -231,19 +245,26 @@ class TestDeviationGain:
         report = deviation_gain(model, perturbed, 1, paths=100, rng_seed=0, x0=0)
         expected = math.exp(3.0 * 0.75 + 1.0 * 0.25) - math.exp(1.5)
         assert report.gain == pytest.approx(expected, rel=1e-9)
-        assert report.best_assignment == (0,)
+        np.testing.assert_array_equal(report.best_response.pi1[0], np.tile([1.0, 0.0], (5, 1)))
+        assert report.best_response.pi2[0] is perturbed.pi2[0]
 
     def test_solver_output_near_equilibrium(self, two_state_model):
         _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=64))
         for player in (1, 2):
             report = deviation_gain(two_state_model, pol, player, paths=20_000, rng_seed=4, x0=0)
             assert report.gain <= 0.05 + 3.0 * report.std_error
-            assert report.n_candidates == 4 and report.exhaustive
+            assert report.n_candidates == 1
+            deviator, opponent = report.best_response.pi1, report.best_response.pi2
+            if player == 2:
+                deviator, opponent = opponent, deviator
+            for rows in deviator:
+                assert set(np.unique(rows)) <= {0.0, 1.0} and np.all(rows.sum(axis=1) == 1.0)
+            base_rows = pol.pi2 if player == 1 else pol.pi1
+            assert all(a is b for a, b in zip(opponent, base_rows, strict=True))
 
-    def test_large_action_space_falls_back_to_sampling(self, caplog):
-        import logging
-
-        # 17^2 = 289 stationary assignments exceeds the enumeration cap
+    def test_best_response_in_large_action_space(self):
+        # 17^2 = 289 stationary assignments: the best response plays the top
+        # action everywhere, worth e^0.5 against the uniform base's e^0.25
         n_act = 17
         model = GameModel(
             actions_p1=[list(range(n_act))] * 2,
@@ -260,9 +281,40 @@ class TestDeviationGain:
             [np.full((3, n_act), 1.0 / n_act)] * 2,
             [np.ones((3, 1))] * 2,
         )
-        with caplog.at_level(logging.WARNING, logger="ctsg.simulate"):
-            report = deviation_gain(model, pol, 1, paths=50, rng_seed=0, x0=0)
-        assert not report.exhaustive
-        assert report.n_candidates == 64
-        assert "sampling" in caplog.text
-        assert report.gain > 0.0  # uniform base is beatable by the top action
+        report = deviation_gain(model, pol, 1, paths=50, rng_seed=0, x0=0)
+        top = np.zeros((3, n_act))
+        top[:, n_act - 1] = 1.0
+        for rows in report.best_response.pi1:
+            np.testing.assert_array_equal(rows, top)
+        # every path is the same without jumps; only the mean of 50 equal
+        # doubles rounds, so the standard error is 0 up to that rounding
+        assert report.gain == pytest.approx(math.exp(0.5) - math.exp(0.25), rel=1e-12)
+        assert report.std_error <= 1e-15 * report.gain
+
+    def test_time_varying_best_response(self):
+        # player 2 plays column 0 on [0, 1/2) and column 1 after: matching it
+        # earns payoff 1 throughout, which no time-constant deviation can
+        model = GameModel(
+            actions_p1=[[0, 1]],
+            actions_p2=[[0, 1]],
+            payoff=[np.eye(2)],
+            generator=[np.zeros((2, 2, 1))],
+            terminal=np.zeros(1),
+            theta=1.0,
+            horizon=1.0,
+        )
+        switch = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        pol = PolicyPair(TimeGrid(1.0, 2), [np.full((3, 2), 0.5)], [switch])
+        report = deviation_gain(model, pol, 1, paths=100, rng_seed=0, x0=0)
+        np.testing.assert_array_equal(report.best_response.pi1[0], switch)
+        assert report.gain == pytest.approx(math.e - math.exp(0.5), rel=1e-12)
+        assert report.std_error <= 1e-15 * report.gain
+
+    def test_unsettled_best_response_raises(self, monkeypatch):
+        import ctsg.simulate as simulate_module
+
+        monkeypatch.setattr(simulate_module.SolverConfig, "max_iterations", 1)
+        model = two_state_chain(1.0, T=2.0)
+        model.payoff = [np.ones((1, 1))] * 2
+        with pytest.raises(NumericsError, match="did not settle"):
+            deviation_gain(model, uniform_policies(model, 4), 2, paths=10, rng_seed=0, x0=0)
