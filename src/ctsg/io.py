@@ -121,14 +121,13 @@ def load_certificate(path: str | Path) -> LyapunovCertificate:
 
 
 def value_grid_to_csv(grid: ValueGrid, state_ids: list[int]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x_id", "value"])
-    nodes = grid.grid.nodes
-    for i in range(grid.grid.n_steps + 1):
-        for x, sid in enumerate(state_ids):
-            writer.writerow([repr(float(nodes[i])), sid, repr(float(grid.values[i, x]))])
-    return buf.getvalue()
+    # No field holds a comma, quote or line break, so csv.writer would write
+    # these lines unquoted; each time node is formatted once per row.
+    lines = ["t,x_id,value"]
+    for t, row in zip(grid.grid.nodes.tolist(), grid.values.tolist()):
+        t_str = repr(t)
+        lines.extend(f"{t_str},{sid},{v!r}" for sid, v in zip(state_ids, row))
+    return "\n".join(lines) + "\n"
 
 
 def save_value_grid(grid: ValueGrid, state_ids: list[int], path: str | Path) -> None:

@@ -11,9 +11,13 @@ whose optimal w recovers the column strategy (psi = w / sum w, game value
 columns of the final tableau, recovers the row strategy. One simplex run
 therefore yields the value and both optimal mixed strategies.
 
-The map is (C - min C) / (max C - min C) + 1 (a constant game maps to all
-ones), so the LP sees the same matrix whatever the scale and offset of the
-payoffs, and the solution is equivariant under both up to round-off.
+The map is (C - min C) / (max C - min C) + 1, so the LP sees the same
+matrix whatever the scale and offset of the payoffs, and the solution is
+equivariant under both up to round-off. A constant game would map to the
+all-ones LP; it skips the tableau and gets by rule the answer Bland's
+method returns for that LP: value min C (+0.0 for a zero game), both
+players on their first action, flagged degenerate. Such games fill the
+absorbing states of a truncation ladder.
 
 The simplex is a dense primal tableau with Bland's anti-cycling rule
 (lowest-index entering variable, lowest-index basic variable on ratio
@@ -21,9 +25,11 @@ ties), which makes the returned vertex deterministic across runs. Value
 iteration solves one small game per grid cell, so the kernel works on a
 stack of equally shaped games at once: every step of the scalar method,
 including Bland's sequential scan of the ratio rows, is applied to all games
-of a block in lockstep, and a game leaves the block once it is optimal.
-Each game's arithmetic is exactly the scalar method's, so a result does not
-depend on the other games in the stack or on where block boundaries fall.
+of a block of up to _BLOCK_GAMES in lockstep, and a game leaves the block
+once it is optimal. The tableau is laid out (row, column, game), so every
+step reads and writes whole contiguous rows of games. Each game's
+arithmetic is exactly the scalar method's, so a result does not depend on
+the other games in the stack or on where block boundaries fall.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ _PIVOT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
 # Games per tableau block. Bounds the kernel's working memory; results do
 # not depend on it.
-_BLOCK_GAMES = 2048
+_BLOCK_GAMES = 4096
 
 
 @dataclass
@@ -62,33 +68,40 @@ def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     impossible because every column of C is strictly positive.
     """
     B, m, n = C.shape
-    # Tableau rows: 0 = objective (reduced costs, negated for max), 1..m constraints.
-    tab = np.zeros((B, m + 1, n + m + 1))
-    tab[:, 0, :n] = -1.0
-    tab[:, 1:, :n] = C
-    tab[:, 1:, n : n + m] = np.eye(m)
-    tab[:, 1:, -1] = 1.0
-    basis = np.tile(np.arange(n, n + m), (B, 1))
+    # Tableau (row, column, game), games on the last, contiguous axis. Rows:
+    # 0 = objective (reduced costs, negated for max), 1..m constraints.
+    tab = np.zeros((m + 1, n + m + 1, B))
+    tab[0, :n] = -1.0
+    tab[1:, :n] = C.transpose(1, 2, 0)
+    tab[1:, n : n + m] = np.eye(m)[:, :, None]
+    tab[1:, -1] = 1.0
+    basis = np.tile(np.arange(n, n + m)[:, None], (1, B))
 
-    # Unfinished games, compacted to the front as games become optimal.
+    # Unfinished games, compacted to the front as games become optimal. Until
+    # the first compaction work is tab itself, so the games that finish
+    # then are already in place.
     live = np.arange(B)
     work, work_basis = tab, basis
     while live.size:
         # Bland: entering variable = lowest column index with negative reduced cost.
-        negative = work[:, 0, : n + m] < -_PIVOT_TOL
-        pivoting = negative.any(axis=1)
+        negative = work[0, : n + m] < -_PIVOT_TOL
+        pivoting = negative.any(axis=0)
         if not pivoting.all():
-            done = ~pivoting
-            tab[live[done]] = work[done]
-            basis[live[done]] = work_basis[done]
-            live, work, work_basis = live[pivoting], work[pivoting], work_basis[pivoting]
-            negative = negative[pivoting]
+            if work is not tab:
+                done = ~pivoting
+                tab[:, :, live[done]] = work[:, :, done]
+                basis[:, live[done]] = work_basis[:, done]
+            live = live[pivoting]
+            work = np.compress(pivoting, work, axis=2)
+            work_basis = np.compress(pivoting, work_basis, axis=1)
+            negative = np.compress(pivoting, negative, axis=1)
             if not live.size:
                 break
         games = np.arange(live.size)
-        enter = negative.argmax(axis=1)
-        col = work[games, 1:, enter]
-        rhs = work[:, 1:, -1]
+        enter = negative.argmax(axis=0)
+        factor = np.take_along_axis(work, enter[None, None, :], axis=1)[:, 0]
+        col = factor[1:]
+        rhs = work[1:, -1]
         # Ratio test scanned row by row, as the scalar method does: a tie
         # within tolerance goes to the lower basic variable, and the running
         # best ratio moves to every accepted row.
@@ -96,9 +109,9 @@ def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         leave = np.full(live.size, -1)
         leave_var = np.zeros(live.size, dtype=basis.dtype)
         for i in range(m):
-            eligible = col[:, i] > _PIVOT_TOL
-            ratio = rhs[:, i] / np.where(eligible, col[:, i], 1.0)
-            var = work_basis[:, i]
+            eligible = col[i] > _PIVOT_TOL
+            ratio = rhs[i] / np.where(eligible, col[i], 1.0)
+            var = work_basis[i]
             take = eligible & (
                 (ratio < best_ratio - _PIVOT_TOL)
                 | ((ratio < best_ratio + _PIVOT_TOL) & ((leave < 0) | (var < leave_var)))
@@ -108,26 +121,24 @@ def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             leave_var = np.where(take, var, leave_var)
         if (leave < 0).any():
             raise RuntimeError("unbounded game LP; input matrix not positive")
-        piv_row = leave + 1
-        pivot = work[games, piv_row] / work[games, piv_row, enter][:, None]
-        factor = work[games, :, enter]
+        piv_row = (leave + 1)[None, None, :]
+        pivot = np.take_along_axis(work, piv_row, axis=0) / factor[leave + 1, games]
         # Rows with a zero entering coefficient are left untouched, as in the
         # scalar method; subtracting 0 * pivot could flip the sign of a zero.
-        update = work - factor[:, :, None] * pivot[:, None, :]
-        work = np.where((factor != 0.0)[:, :, None], update, work)
-        work[games, piv_row] = pivot
-        work_basis[games, leave] = enter
+        np.subtract(work, factor[:, None, :] * pivot, out=work, where=(factor != 0.0)[:, None, :])
+        np.put_along_axis(work, piv_row, pivot, axis=0)
+        work_basis[leave, games] = enter
 
     games = np.arange(B)
     w = np.zeros((B, n))
     for i in range(m):
-        structural = basis[:, i] < n
-        w[games[structural], basis[structural, i]] = tab[structural, i + 1, -1]
-    y = tab[:, 0, n : n + m].copy()  # dual values sit in the slack reduced costs
+        structural = basis[i] < n
+        w[games[structural], basis[i, structural]] = tab[i + 1, -1, structural]
+    y = tab[0, n : n + m].T.copy()  # dual values sit in the slack reduced costs
 
-    nonbasic = np.ones((B, n + m), dtype=bool)
-    nonbasic[games[:, None], basis] = False
-    degenerate = (nonbasic & (np.abs(tab[:, 0, : n + m]) <= _DEGENERACY_TOL)).any(axis=1)
+    nonbasic = np.ones((n + m, B), dtype=bool)
+    nonbasic[basis, games] = False
+    degenerate = (nonbasic & (np.abs(tab[0, : n + m]) <= _DEGENERACY_TOL)).any(axis=0)
     return w, y, degenerate
 
 
@@ -175,27 +186,31 @@ def solve_matrix_games(
     if m == 1 or n == 1:
         return _solve_line_games(C)
 
-    values = np.empty(B)
-    p1 = np.empty((B, m))
-    p2 = np.empty((B, n))
-    degenerate = np.empty(B, dtype=bool)
-    for lo in range(0, B, _BLOCK_GAMES):
-        block = slice(lo, lo + _BLOCK_GAMES)
-        # Map every game into [1, 2]: a positive game value and a bounded
-        # normalized LP, the same LP whatever the payoffs' scale and offset.
-        low = C[block].min(axis=(1, 2))
-        with np.errstate(over="ignore"):
-            span = C[block].max(axis=(1, 2)) - low
-        if not np.isfinite(span).all():
-            raise ValueError("payoff matrix range overflows double precision")
-        span[span == 0.0] = 1.0
-        scaled = (C[block] - low[:, None, None]) / span[:, None, None] + 1.0
+    # Map every game into [1, 2]: a positive game value and a bounded
+    # normalized LP, the same LP whatever the payoffs' scale and offset.
+    low = C.min(axis=(1, 2))
+    with np.errstate(over="ignore"):
+        span = C.max(axis=(1, 2)) - low
+    if not np.isfinite(span).all():
+        raise ValueError("payoff matrix range overflows double precision")
+    # A constant game maps to the all-ones LP. Bland's method solves that in
+    # one pivot to w = y = e0 with alternate optima, so its answer is set
+    # here by rule: value (1/1 - 1) * 1 + low, both players on their first action.
+    values = 0.0 + low
+    p1 = np.zeros((B, m))
+    p2 = np.zeros((B, n))
+    p1[:, 0] = p2[:, 0] = 1.0
+    degenerate = np.ones(B, dtype=bool)
+    varied = np.flatnonzero(span != 0.0)
+    for lo in range(0, varied.size, _BLOCK_GAMES):
+        block = varied[lo : lo + _BLOCK_GAMES]
+        scaled = (C[block] - low[block, None, None]) / span[block, None, None] + 1.0
         w, y, degenerate[block] = _simplex(scaled)
         total_w = w.sum(axis=1)
         total_y = y.sum(axis=1)
         p2[block] = w / total_w[:, None]
         p1[block] = y / total_y[:, None]
-        values[block] = (1.0 / total_w - 1.0) * span + low
+        values[block] = (1.0 / total_w - 1.0) * span[block] + low[block]
     return values, p1, p2, degenerate
 
 

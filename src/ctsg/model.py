@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,19 @@ logger = logging.getLogger(__name__)
 # Relative tolerance for row-sum conservativity: floating-point row sums of
 # rate tensors never vanish exactly.
 CONSERVATIVITY_REL_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class _ShapeGroup:
+    """The states sharing one action-set shape, with their tensors stacked.
+
+    payoff[k] is r[states[k]], shape (|A|, |B|); generator[k] is
+    q[states[k]] with its action pairs flattened, shape (|A| |B|, n_states).
+    """
+
+    states: np.ndarray
+    payoff: np.ndarray
+    generator: np.ndarray
 
 
 @dataclass
@@ -53,6 +67,12 @@ class GameModel:
     coords: np.ndarray | None = None
     state_ids: list[int] = field(default_factory=list)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        # Rebinding a tensor list drops the stacks built from the old one.
+        if name in ("payoff", "generator"):
+            self.__dict__.pop("_shape_groups", None)
+        super().__setattr__(name, value)
+
     def __post_init__(self) -> None:
         if self.theta <= 0:
             raise ValueError(
@@ -71,6 +91,26 @@ class GameModel:
     @property
     def n_states(self) -> int:
         return len(self.payoff)
+
+    @cached_property
+    def _shape_groups(self) -> list[_ShapeGroup]:
+        """States grouped by payoff shape, in order of first appearance.
+
+        The stacks are copies made on first use: rebinding payoff or
+        generator drops them, but an in-place edit of a per-state array
+        after that is not seen.
+        """
+        groups: dict[tuple[int, int], list[int]] = {}
+        for x in range(self.n_states):
+            groups.setdefault(self.payoff[x].shape, []).append(x)
+        return [
+            _ShapeGroup(
+                states=np.array(states),
+                payoff=np.stack([self.payoff[x] for x in states]),
+                generator=np.stack([self.generator[x].reshape(na * nb, -1) for x in states]),
+            )
+            for (na, nb), states in groups.items()
+        ]
 
     def n_actions_p1(self, x: int) -> int:
         return len(self.actions_p1[x])
@@ -275,20 +315,23 @@ def check_assumptions(
     cert.validate_shape(model.n_states)
     v0, v1 = cert.v0, cert.v1
 
-    drift0_res = -math.inf
-    drift1_res = -math.inf
+    drift0_excess: list[float] = []
+    drift1_excess: list[float] = []
     payoff_excess: list[float] = []
     for x in range(model.n_states):
         q = model.generator[x]
         drift0 = q @ v0  # (na, nb)
-        drift0_res = max(drift0_res, float(np.max(drift0)) - cert.rho0 * v0[x])
+        drift0_excess.append(float(np.max(drift0)) - cert.rho0 * v0[x])
         drift1 = q @ (v1**2)
-        drift1_res = max(drift1_res, float(np.max(drift1)) - (cert.rho1 * v1[x] ** 2 + cert.b1))
+        drift1_excess.append(float(np.max(drift1)) - (cert.rho1 * v1[x] ** 2 + cert.b1))
         bound = cert.m0 + (math.sqrt(2.0) / 2.0) * math.sqrt(math.log(v0[x]))
         payoff_excess.append(float(np.max(np.abs(model.payoff[x]))) - bound)
         payoff_excess.append(abs(float(model.terminal[x])) - bound)
 
-    payoff_res = float(np.max(payoff_excess))  # unlike max(), keeps a NaN so the check fails
+    # Unlike max(), np.max keeps a NaN, so a NaN entry fails its check.
+    drift0_res = float(np.max(drift0_excess))
+    drift1_res = float(np.max(drift1_excess))
+    payoff_res = float(np.max(payoff_excess))
     q_star = np.array([model.rate_out(x) for x in range(model.n_states)])
     rate_res = float(np.max(q_star - cert.l0 * v0))
     squeeze_res = float(np.max(v0**2 - cert.m1 * v1))

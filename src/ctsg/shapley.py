@@ -118,7 +118,7 @@ def weighted_payoff(model: GameModel, v: ValueGrid, t_index: int, x: int) -> np.
     return model.theta * model.payoff[x] * row[x] + model.generator[x] @ row
 
 
-def _payoff_stacks(model: GameModel, v: ValueGrid) -> Iterator[tuple[list[int], np.ndarray]]:
+def _payoff_stacks(model: GameModel, v: ValueGrid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The weighted payoff of every grid cell, stacked by action-set shape.
 
     Yields (states, C) for each distinct (|A|, |B|), where C has shape
@@ -126,22 +126,18 @@ def _payoff_stacks(model: GameModel, v: ValueGrid) -> Iterator[tuple[list[int], 
     at (t_i, states[k]): weighted_payoff(model, v, i, states[k]) up to the
     summation order of the generator product.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for x in range(model.n_states):
-        groups.setdefault(model.payoff[x].shape, []).append(x)
     V = v.values
-    for (na, nb), states in groups.items():
-        C = np.empty((len(states), V.shape[0], na, nb))
-        for k, x in enumerate(states):
-            # c for all time rows at once: (n_t+1, na*nb)
-            gen_part = V @ model.generator[x].reshape(na * nb, -1).T
-            pay = model.theta * model.payoff[x].reshape(na * nb)
-            C[k] = (gen_part + V[:, x : x + 1] * pay[None, :]).reshape(-1, na, nb)
-        yield states, C
+    for group in model._shape_groups:
+        k, na, nb = group.payoff.shape
+        # c for all time rows of every state at once: (k, n_t+1, na*nb)
+        gen_part = np.matmul(V, group.generator.transpose(0, 2, 1))
+        pay = model.theta * group.payoff.reshape(k, 1, na * nb)
+        C = gen_part + V[:, group.states].T[:, :, None] * pay
+        yield group.states, C.reshape(k, -1, na, nb)
 
 
 def _solve_stacks(
-    model: GameModel, v: ValueGrid, reduce: Callable[[list[int], np.ndarray], np.ndarray]
+    model: GameModel, v: ValueGrid, reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Value field and per-state strategy rows of the games reduce(states, C), solved per stack."""
     n_rows = v.grid.n_steps + 1
@@ -161,7 +157,7 @@ def _solve_stacks(
     return a_field, pi1, pi2
 
 
-def _against(policies: PolicyPair, player: int, states: list[int], C: np.ndarray) -> np.ndarray:
+def _against(policies: PolicyPair, player: int, states: np.ndarray, C: np.ndarray) -> np.ndarray:
     """A payoff stack reduced by the opponent's mixed action: c pi2 for player 1, pi1' c for 2."""
     if player == 1:
         return C @ np.stack([policies.pi2[x] for x in states])[..., None]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ModelScaleError, NumericsError
 from .model import GameModel
 from .shapley import PolicyPair, best_response_sweep
 from .solver import SolverConfig, default_initial_grid
@@ -81,9 +81,7 @@ class _PolicyTables:
                 f"policies cover {len(policies.pi1)}/{len(policies.pi2)} states; the model has {n_x}"
             )
         self.grid = grid
-        self.rbar = np.empty((n_t + 1, n_x))
-        self.qbar = np.empty((n_t + 1, n_x))
-        self.dest_cum = np.zeros((n_t + 1, n_x, n_x))
+        self.lam = model.norm_q  # dominating rate of the uniformized candidate stream
         for x in range(n_x):
             p1, p2 = policies.pi1[x], policies.pi2[x]
             want = ((n_t + 1, model.n_actions_p1(x)), (n_t + 1, model.n_actions_p2(x)))
@@ -100,14 +98,23 @@ class _PolicyTables:
                     raise ValueError(
                         f"{name} at state {x}, row {i} is not a probability vector: {p[i].tolist()}"
                     )
-            self.rbar[:, x] = np.einsum("ia,ab,ib->i", p1, model.payoff[x], p2)
-            mixed = np.einsum("ia,aby,ib->iy", p1, model.generator[x], p2)
-            mixed[:, x] = 0.0
+        self.rbar = np.empty((n_t + 1, n_x))
+        self.qbar = np.empty((n_t + 1, n_x))
+        self.dest_cum = np.empty((n_t + 1, n_x, n_x))
+        for group in model._shape_groups:
+            states = group.states
+            k, na, nb = group.payoff.shape
+            p1 = np.stack([policies.pi1[x] for x in states])
+            p2 = np.stack([policies.pi2[x] for x in states])
+            self.rbar[:, states] = np.einsum("kia,kab,kib->ik", p1, group.payoff, p2)
+            G = group.generator.reshape(k, na, nb, n_x)
+            mixed = np.einsum("kia,kaby,kib->kiy", p1, G, p2)
+            mixed[np.arange(k), :, states] = 0.0
             np.clip(mixed, 0.0, None, out=mixed)
-            total = mixed.sum(axis=1)
-            self.qbar[:, x] = total
+            total = mixed.sum(axis=2)
+            self.qbar[:, states] = total.T
             safe = np.where(total > 0.0, total, 1.0)
-            self.dest_cum[:, x, :] = np.cumsum(mixed / safe[:, None], axis=1)
+            self.dest_cum[:, states, :] = np.cumsum(mixed / safe[:, :, None], axis=2).transpose(1, 0, 2)
         # Cumulative payoff integral per state: Rcum[i, x] = int_0^{t_i} rbar(x, s) ds
         dt = grid.dt
         self.r_cum = np.zeros((n_t + 1, n_x))
@@ -134,7 +141,7 @@ def _simulate_batch(
 ) -> np.ndarray:
     """Vectorized batch of path functionals exp(theta * (payoff integral + g))."""
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64)))
-    lam = model.norm_q
+    lam = tables.lam
     T = model.horizon
     t = np.full(size, float(t0))
     x = np.full(size, int(x0), dtype=np.int64)
@@ -169,7 +176,8 @@ def _simulate_batch(
                 xc[jump] = dest
                 x[cont] = xc
     acc += model.terminal[x]
-    return np.exp(model.theta * acc)
+    with np.errstate(over="ignore"):  # an overflow is reported by estimate_value
+        return np.exp(model.theta * acc)
 
 
 def estimate_value(
@@ -187,7 +195,8 @@ def estimate_value(
     t0 must coincide with a policy grid node, x0 must be a state index and
     the policies must match the model's states and action sets (ValueError
     otherwise). Batches are independent Philox streams, so threads only
-    changes wall time, never the result.
+    changes wall time, never the result. Raises ModelScaleError when the
+    mean or standard error of the path functionals overflows.
     """
     if paths < 2:
         raise ValueError("need at least 2 paths to form a standard error")
@@ -216,8 +225,13 @@ def estimate_value(
     else:
         chunks = [run(j) for j in jobs]
     values = np.concatenate(chunks)
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(paths))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        std_error = float(np.std(values, ddof=1) / math.sqrt(paths))
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ModelScaleError(
+            "Monte Carlo estimate overflows double precision; rescale or truncate the model"
+        )
     return McEstimate(
         mean=mean,
         std_error=std_error,

@@ -65,3 +65,28 @@ def random_bounded_model(
         theta=1.0,
         horizon=1.0,
     )
+
+
+def mixed_shape_model() -> GameModel:
+    """States with 1x3, 3x1, 2x2, 2x3, 1x1 and all-zero 2x2 games; integer data."""
+    rng = np.random.default_rng(11)
+    shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (1, 1), (2, 2)]
+    n = len(shapes)
+    payoff, generator = [], []
+    for x, (na, nb) in enumerate(shapes):
+        q = rng.integers(0, 3, size=(na, nb, n)).astype(float)
+        q[:, :, x] = 0.0
+        q[:, :, x] = -q.sum(axis=2)
+        payoff.append(rng.integers(-3, 4, size=(na, nb)).astype(float))
+        generator.append(q)
+    payoff[5][:] = 0.0
+    generator[5][:] = 0.0
+    return GameModel(
+        actions_p1=[list(range(na)) for na, _ in shapes],
+        actions_p2=[list(range(nb)) for _, nb in shapes],
+        payoff=payoff,
+        generator=generator,
+        terminal=np.zeros(n),
+        theta=1.0,
+        horizon=1.0,
+    )

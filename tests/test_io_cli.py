@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -36,6 +38,17 @@ class TestRoundTrips:
         assert ids == [0, 1]
         assert loaded.grid.n_steps == 3 and loaded.grid.horizon == 1.0
         np.testing.assert_array_equal(loaded.values, grid.values)
+
+    def test_value_grid_csv_matches_csv_module(self):
+        values = np.array([[-0.0, 1e-300], [1e300, -2.5], [0.1, -1e-300]])
+        grid = ValueGrid(TimeGrid(0.3, 2), values)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t", "x_id", "value"])
+        for t, row in zip(grid.grid.nodes, values):
+            for sid, v in zip([7, 3], row):
+                writer.writerow([repr(float(t)), sid, repr(float(v))])
+        assert artifacts.value_grid_to_csv(grid, [7, 3]) == buf.getvalue()
 
     def test_policies(self, tmp_path):
         grid = TimeGrid(1.0, 2)
@@ -241,6 +254,25 @@ class TestCli:
         artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
         line = self.simulate_fails(capsys, policy_json, "0")
         assert "pi1 at state 1, row 3 is not a probability vector" in line
+
+    def test_simulate_overflowing_estimate_exits_one(self, tmp_path, capsys):
+        # payoff rate 800 over T = 1: every path's functional is e^800
+        hot = tmp_path / "hot.json"
+        model = single_state_model(r0=800.0)
+        artifacts.save_model(model, hot)
+        policy_json = tmp_path / "policy.json"
+        grid = TimeGrid(1.0, 4)
+        policies = PolicyPair(grid, [np.ones((5, 1))], [np.ones((5, 1))])
+        artifacts.save_policies(policies, model.state_ids, policy_json)
+        code = self.run(
+            "simulate", "--model", str(hot), "--policy", str(policy_json), "--x0", "0",
+            "--paths", "10",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
 
     def test_simulate_invalid_model_exits_one(self, tmp_path, capsys, two_state_model):
         _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.1, n_t=8))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from ctsg.matrix_game import _BLOCK_GAMES, solve_matrix_game, solve_matrix_games
+from ctsg.matrix_game import _BLOCK_GAMES, _simplex, solve_matrix_game, solve_matrix_games
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 EQUALIZER = np.array([[3.0, 1.0], [0.0, 2.0]])  # value 3/2, p1 (1/2, 1/2), p2 (1/4, 3/4)
@@ -190,10 +190,18 @@ def test_result_independent_of_neighbours_and_block_boundaries(B):
     rng = np.random.default_rng(B)
     probe = rng.uniform(-1.0, 1.0, size=(3, 3))
     alone = solve_matrix_games(probe[None])
-    # first, middle and last game, and the games on either side of the first block boundary
-    offsets = sorted({0, B // 2, B - 1, _BLOCK_GAMES - 1, _BLOCK_GAMES} & set(range(B)))
-    C = rng.uniform(-1.0, 1.0, size=(B, 3, 3))
-    C[1::3] = np.round(C[1::3])  # neighbours that tie or degenerate
+    # B varied games with a constant one after every fourth; constant games
+    # are answered by rule and kept out of the tableau blocks
+    constant = np.zeros(B + B // 4, dtype=bool)
+    constant[4::5] = True
+    varied = np.flatnonzero(~constant)
+    C = np.empty((constant.size, 3, 3))
+    C[constant] = rng.choice([0.0, -0.0, 2.5, -1e300], size=(int(constant.sum()), 1, 1))
+    C[varied] = rng.uniform(-1.0, 1.0, size=(B, 3, 3))
+    C[varied[1::3]] = np.round(C[varied[1::3]])  # neighbours that tie or degenerate
+    # first, middle and last varied game, and the varied games on either
+    # side of the first block boundary
+    offsets = [varied[i] for i in sorted({0, B // 2, B - 1, _BLOCK_GAMES - 1, _BLOCK_GAMES}) if i < B]
     C[offsets] = probe
     values, p1, p2, degenerate = solve_matrix_games(C)
     for g in offsets:
@@ -201,10 +209,38 @@ def test_result_independent_of_neighbours_and_block_boundaries(B):
         assert p1[g : g + 1].tobytes() == alone[1].tobytes()
         assert p2[g : g + 1].tobytes() == alone[2].tobytes()
         assert degenerate[g] == alone[3][0]
-    # and every other game matches its own solo solve on a sample
-    for g in rng.choice(B, size=40, replace=False):
+    # and every other game, constant ones included, matches its own solo solve on a sample
+    sample = np.concatenate([rng.choice(varied, 30, replace=False), np.flatnonzero(constant)[:10]])
+    for g in sample:
         one = solve_matrix_games(C[g : g + 1])
-        assert values[g] == one[0][0] and np.array_equal(p1[g], one[1][0])
+        assert values[g : g + 1].tobytes() == one[0].tobytes()
+        assert p1[g : g + 1].tobytes() == one[1].tobytes()
+        assert p2[g : g + 1].tobytes() == one[2].tobytes()
+        assert degenerate[g] == one[3][0]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (2, 5)])
+@pytest.mark.parametrize("c", [0.0, -0.0, 1e300, -1e300, 1e-300])
+def test_constant_game_rule_equals_tableau(shape, c):
+    """The rule for span-0 games is bitwise what the all-ones tableau returns."""
+    games = [np.full(shape, c)]
+    if c == 0.0:  # and signed zeros mixed within one game
+        mixed = np.zeros(shape)
+        mixed.flat[::2] = -0.0
+        games.append(mixed)
+    C = np.stack(games)
+    w, y, degenerate = _simplex(np.ones(C.shape))
+    total_w = w.sum(axis=1)
+    low = C.min(axis=(1, 2))
+    expected = (
+        (1.0 / total_w - 1.0) * 1.0 + low,
+        y / y.sum(axis=1)[:, None],
+        w / total_w[:, None],
+        degenerate,
+    )
+    got = solve_matrix_games(C)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_stack_validation():

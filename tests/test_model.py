@@ -17,6 +17,8 @@ from ctsg.model import (
     validate_generator,
 )
 
+from .conftest import mixed_shape_model
+
 
 def two_state(rows0, rows1, **kw) -> GameModel:
     """One action per player; rows are the generator rows of the two states."""
@@ -112,6 +114,39 @@ class TestModelInvariants:
         assert model.norm_r == 3.0
 
 
+class TestShapeGroups:
+    def test_groups_stack_each_shape_in_state_order(self):
+        model = mixed_shape_model()
+        groups = model._shape_groups
+        assert [g.states.tolist() for g in groups] == [[0], [1], [2, 5], [3], [4]]
+        for g in groups:
+            for k, x in enumerate(g.states):
+                np.testing.assert_array_equal(g.payoff[k], model.payoff[x])
+                np.testing.assert_array_equal(
+                    g.generator[k], model.generator[x].reshape(-1, model.n_states)
+                )
+        assert model._shape_groups is groups  # built once
+
+    def test_replaced_model_never_sees_source_stacks(self):
+        model = mixed_shape_model()
+        source = model._shape_groups
+        doubled = replace(model, payoff=[2.0 * p for p in model.payoff])
+        assert doubled._shape_groups is not source
+        for g in doubled._shape_groups:
+            for k, x in enumerate(g.states):
+                np.testing.assert_array_equal(g.payoff[k], 2.0 * model.payoff[x])
+
+    def test_rebinding_a_tensor_list_drops_the_stacks(self):
+        model = mixed_shape_model()
+        model._shape_groups
+        model.generator = [2.0 * q for q in model.generator]
+        for g in model._shape_groups:
+            for k, x in enumerate(g.states):
+                np.testing.assert_array_equal(
+                    g.generator[k], model.generator[x].reshape(-1, model.n_states)
+                )
+
+
 class TestCheckAssumptions:
     def test_everything_vanishes_passes(self):
         model = two_state([0.0, 0.0], [0.0, 0.0])
@@ -148,6 +183,12 @@ class TestCheckAssumptions:
         out = check_assumptions(model, unit_cert(), tol=0.0)
         assert out.payoff_bound_ok is False
         assert math.isnan(out.residuals["payoff_bound"])
+
+    def test_nan_generator_fails_drift_checks(self):
+        model = two_state([0.0, 0.0], [np.nan, 0.0])
+        out = check_assumptions(model, unit_cert(), tol=0.0)
+        assert out.drift0_ok is False and out.drift1_ok is False
+        assert math.isnan(out.residuals["drift0"]) and math.isnan(out.residuals["drift1"])
 
     def test_invalid_certificate_rejected(self):
         model = two_state([0.0, 0.0], [0.0, 0.0])

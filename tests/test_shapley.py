@@ -21,7 +21,7 @@ from ctsg.shapley import (
 )
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import random_bounded_model, single_state_model
+from .conftest import mixed_shape_model, random_bounded_model, single_state_model
 
 
 def constant_grid(n_t: int, values: np.ndarray, T: float = 1.0) -> ValueGrid:
@@ -103,31 +103,6 @@ class TestGameValueField:
                 np.testing.assert_array_equal(policies.pi1[x][i], sol.strategy_p1)
                 np.testing.assert_array_equal(policies.pi2[x][i], sol.strategy_p2)
         np.testing.assert_array_equal(a_field[:, 5], 0.0)  # the all-zero games
-
-
-def mixed_shape_model() -> GameModel:
-    """States with 1x3, 3x1, 2x2, 2x3, 1x1 and all-zero 2x2 games; integer data."""
-    rng = np.random.default_rng(11)
-    shapes = [(1, 3), (3, 1), (2, 2), (2, 3), (1, 1), (2, 2)]
-    n = len(shapes)
-    payoff, generator = [], []
-    for x, (na, nb) in enumerate(shapes):
-        q = rng.integers(0, 3, size=(na, nb, n)).astype(float)
-        q[:, :, x] = 0.0
-        q[:, :, x] = -q.sum(axis=2)
-        payoff.append(rng.integers(-3, 4, size=(na, nb)).astype(float))
-        generator.append(q)
-    payoff[5][:] = 0.0
-    generator[5][:] = 0.0
-    return GameModel(
-        actions_p1=[list(range(na)) for na, _ in shapes],
-        actions_p2=[list(range(nb)) for _, nb in shapes],
-        payoff=payoff,
-        generator=generator,
-        terminal=np.zeros(n),
-        theta=1.0,
-        horizon=1.0,
-    )
 
 
 def per_cell_saddle_gap(model: GameModel, v: ValueGrid, policies) -> float:

@@ -8,13 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from ctsg.errors import NumericsError
+from ctsg.errors import ModelScaleError, NumericsError
 from ctsg.model import GameModel
 from ctsg.shapley import PolicyPair, TimeGrid
-from ctsg.simulate import deviation_gain, estimate_value
+from ctsg.simulate import _PolicyTables, deviation_gain, estimate_value
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import single_state_model
+from .conftest import mixed_shape_model, single_state_model
 
 
 def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
@@ -156,6 +156,12 @@ class TestEstimateValue:
         with pytest.raises(ValueError):
             estimate_value(two_state_model, pol, 0, 0.0, paths=1, rng_seed=0)
 
+    def test_overflowing_estimate_is_a_scale_error(self):
+        # payoff rate 800 over T = 1: every path's functional is e^800
+        model = single_state_model(r0=800.0)
+        with pytest.raises(ModelScaleError, match="overflows"):
+            estimate_value(model, uniform_policies(model, 4), 0, 0.0, paths=10, rng_seed=0)
+
     def test_x0_outside_states_rejected(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)
         for x0 in (-1, two_state_model.n_states):
@@ -190,6 +196,26 @@ class TestEstimateValue:
         i = 32
         est = estimate_value(two_state_model, pol, 0, t0, paths=40_000, rng_seed=9)
         assert abs(est.mean - v.values[i, 0]) <= 4.0 * est.std_error
+
+
+def test_policy_tables_match_per_state_einsum():
+    # one einsum per shape group gives each state's tables bit for bit
+    model = mixed_shape_model()
+    rng = np.random.default_rng(8)
+    n_t = 7
+    pi1 = [rng.dirichlet(np.ones(model.n_actions_p1(x)), n_t + 1) for x in range(model.n_states)]
+    pi2 = [rng.dirichlet(np.ones(model.n_actions_p2(x)), n_t + 1) for x in range(model.n_states)]
+    tables = _PolicyTables(model, PolicyPair(TimeGrid(model.horizon, n_t), pi1, pi2))
+    for x in range(model.n_states):
+        rbar = np.einsum("ia,ab,ib->i", pi1[x], model.payoff[x], pi2[x])
+        mixed = np.einsum("ia,aby,ib->iy", pi1[x], model.generator[x], pi2[x])
+        mixed[:, x] = 0.0
+        np.clip(mixed, 0.0, None, out=mixed)
+        total = mixed.sum(axis=1)
+        safe = np.where(total > 0.0, total, 1.0)
+        assert tables.rbar[:, x].tobytes() == rbar.tobytes()
+        assert tables.qbar[:, x].tobytes() == total.tobytes()
+        assert tables.dest_cum[:, x].tobytes() == np.cumsum(mixed / safe[:, None], axis=1).tobytes()
 
 
 def test_drift_shadow_bound():

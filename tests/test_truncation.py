@@ -46,6 +46,21 @@ class TestTruncateNonnegative:
             np.testing.assert_array_equal(out.generator[x], model.generator[x])
         np.testing.assert_array_equal(out.terminal, model.terminal)
 
+    def test_truncated_model_solves_on_its_own_tensors(self):
+        # the source is solved first, so its shape-group stacks exist when
+        # truncation copies it with dataclasses.replace
+        model = nonneg_model()
+        config = SolverConfig(epsilon=1e-3, n_t=8)
+        solve(model, config)
+        out = truncate_nonnegative(model, growing_cert(4), n=2)
+        fresh = GameModel(
+            model.actions_p1, model.actions_p2, out.payoff, out.generator,
+            out.terminal, model.theta, model.horizon,
+        )
+        v_out, _, _ = solve(out, config)
+        v_fresh, _, _ = solve(fresh, config)
+        assert v_out.values.tobytes() == v_fresh.values.tobytes()
+
     def test_outside_states_absorbing(self):
         model = nonneg_model()
         cert = growing_cert(4)  # v0 = 1..4
