@@ -17,6 +17,17 @@ counter-based (Philox): paths are processed in fixed-size batches keyed by
 (seed, batch_index) with column-indexed draws, so estimates are reproducible
 for a given seed, independent across batches and unchanged by the thread
 count.
+
+Each round of a batch draws for every column but works on the live paths
+only, kept compacted (column, time, state, interval index, integral) and
+re-compacted once per round in which a path passes the horizon. A path
+carries the interval index of its current time, so a round makes one
+``TimeGrid.interval_index`` lookup, at the candidate time clipped to the
+horizon, and that cell serves both the payoff integral and the acceptance
+rate. A jump's destination comes from a branchless log-step search of its
+cumulative row, ceil(log2(n_x + 1)) single-element gathers instead of a
+whole row. Per-path values are bitwise those of a full-width sampler that
+counts each row.
 """
 
 from __future__ import annotations
@@ -120,14 +131,31 @@ class _PolicyTables:
         self.r_cum = np.zeros((n_t + 1, n_x))
         self.r_cum[1:] = np.cumsum(self.rbar[:-1] * dt, axis=0)
 
-    def payoff_integral(self, t0: np.ndarray, t1: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """int_{t0}^{t1} rbar(x, s) ds for a constant state x per row."""
-        k0 = self.grid.interval_index(t0)
-        k1 = self.grid.interval_index(t1)
-        nodes = self.grid.dt
-        r0 = self.r_cum[k0, x] + self.rbar[k0, x] * (t0 - k0 * nodes)
-        r1 = self.r_cum[k1, x] + self.rbar[k1, x] * (t1 - k1 * nodes)
-        return r1 - r0
+    def payoff_integral(self, t: np.ndarray, k: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """int_0^t rbar(x, s) ds for t in interval k, with cell = k * n_x + x.
+
+        The sampler takes a path's payoff over [t, t'] as the difference of two
+        of these, so k must be grid.interval_index(t), the row in force at t.
+        """
+        return self.r_cum.ravel()[cell] + self.rbar.ravel()[cell] * (t - k * self.grid.dt)
+
+
+def _destination(cum: np.ndarray, row: np.ndarray, u: np.ndarray, n_x: int) -> np.ndarray:
+    """min(#{y : cum[row + y] <= u}, n_x - 1) for each nondecreasing row of n_x entries.
+
+    cum is the flattened dest_cum and row the flat offset of each path's row.
+    A branchless lower-bound search (Shar's): the first step splits the
+    n_x + 1 possible counts into n_x + 1 - 2^(m-1) and 2^(m-1), the rest
+    halve, so each path makes m = ceil(log2(n_x + 1)) single-element gathers.
+    It equals counting the whole row because a cumulative sum of nonnegative
+    terms never decreases.
+    """
+    m = n_x.bit_length()
+    steps = [n_x + 1 - (1 << (m - 1))] + [1 << j for j in range(m - 2, -1, -1)]
+    pos = row.copy()
+    for step in steps:
+        pos += (cum[pos + (step - 1)] <= u) * step
+    return np.minimum(pos - row, n_x - 1)
 
 
 def _simulate_batch(
@@ -139,43 +167,61 @@ def _simulate_batch(
     seed: int,
     batch_index: int,
 ) -> np.ndarray:
-    """Vectorized batch of path functionals exp(theta * (payoff integral + g))."""
+    """Vectorized batch of path functionals exp(theta * (payoff integral + g)).
+
+    Each round works on the live paths only, held compacted: column, time,
+    state, interval index of the time and payoff integral so far. A path that
+    passes the horizon writes its integral and final state into its column.
+    """
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, batch_index], dtype=np.uint64)))
     lam = tables.lam
     T = model.horizon
-    t = np.full(size, float(t0))
-    x = np.full(size, int(x0), dtype=np.int64)
+    n_x = model.n_states
+    grid = tables.grid
+    qbar = tables.qbar.ravel()
+    cum = tables.dest_cum.ravel()
     acc = np.zeros(size)
-    alive = np.ones(size, dtype=bool)
-    if lam <= 0.0:
-        acc = tables.payoff_integral(t, np.full(size, T), x)
-        alive[:] = False
-    while alive.any():
+    x_end = np.full(size, int(x0), dtype=np.int64)
+    # live paths, compacted: column, time, interval of the time, state, integral
+    col = np.arange(size)
+    t = np.full(size, float(t0))
+    k = grid.interval_index(t)
+    x = x_end.copy()
+    integral = np.zeros(size)
+    if lam <= 0.0:  # no candidate events: every path stays in x0 until T
+        t_end = np.full(size, T)
+        k1 = grid.interval_index(t_end)
+        acc = tables.payoff_integral(t_end, k1, k1 * n_x + x) - tables.payoff_integral(
+            t, k, k * n_x + x
+        )
+        col = col[:0]
+    while col.size:
         # Fixed draw pattern each round keeps the stream layout deterministic.
         dt = gen.exponential(1.0 / lam, size=size)
         u_accept = gen.random(size=size)
         u_dest = gen.random(size=size)
-        t_next = t + dt
-        finish = alive & (t_next >= T)
-        if finish.any():
-            acc[finish] += tables.payoff_integral(t[finish], np.full(int(finish.sum()), T), x[finish])
-            alive[finish] = False
-        cont = alive & (t_next < T)
-        if cont.any():
-            acc[cont] += tables.payoff_integral(t[cont], t_next[cont], x[cont])
-            t[cont] = t_next[cont]
-            k = tables.grid.interval_index(t[cont])
-            xc = x[cont]
-            p_accept = np.minimum(tables.qbar[k, xc] / lam, 1.0)
-            jump = u_accept[cont] < p_accept
-            if jump.any():
-                rows = tables.dest_cum[k[jump], xc[jump], :]
-                dest = (rows <= u_dest[cont][jump, None]).sum(axis=1)
-                dest = np.minimum(dest, model.n_states - 1)
-                xc = xc.copy()
-                xc[jump] = dest
-                x[cont] = xc
-    acc += model.terminal[x]
+        t_next = t + dt[col]
+        done = t_next >= T
+        t_end = np.where(done, T, t_next)
+        k1 = grid.interval_index(t_end)
+        cell = k1 * n_x + x
+        integral += tables.payoff_integral(t_end, k1, cell) - tables.payoff_integral(
+            t, k, k * n_x + x
+        )
+        finished = np.flatnonzero(done)
+        if finished.size:
+            acc[col[finished]] = integral[finished]
+            x_end[col[finished]] = x[finished]
+            live = np.flatnonzero(~done)
+            col, t_next, k1, cell, x, integral = (
+                a[live] for a in (col, t_next, k1, cell, x, integral)
+            )
+        t, k = t_next, k1
+        p_accept = np.minimum(qbar[cell] / lam, 1.0)
+        jump = np.flatnonzero(u_accept[col] < p_accept)
+        if jump.size:
+            x[jump] = _destination(cum, cell[jump] * n_x, u_dest[col[jump]], n_x)
+    acc += model.terminal[x_end]
     with np.errstate(over="ignore"):  # an overflow is reported by estimate_value
         return np.exp(model.theta * acc)
 

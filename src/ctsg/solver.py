@@ -26,6 +26,13 @@ from .shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma, boundary_row
 
 logger = logging.getLogger(__name__)
 
+# A solve is refused up front when its stopping threshold is below this many
+# units of float spacing (2^-52 relative) at the largest boundary value: the
+# iterates cannot then resolve differences that small, so the run would spin
+# to max_iterations. The smallest threshold on a shipped model or test fixture,
+# gaussian64 at epsilon = 1e-6, is 2.8e4 spacings.
+_RESOLUTION_FACTOR = 16.0
+
 
 @dataclass
 class SolverConfig:
@@ -130,13 +137,23 @@ def solve(
     game-value evaluation (the epsilon-Nash pair once converged), and a
     report. If max_iterations is exhausted the partial result is returned
     with converged = False. A non-finite v0 raises ModelScaleError; a
-    non-finite iterate raises NumericsError naming the iteration.
+    non-finite iterate raises NumericsError naming the iteration, and so does,
+    before any iteration, a threshold below _RESOLUTION_FACTOR float spacings
+    of the largest boundary value exp(theta g). Each iteration logs its
+    difference at INFO level.
     """
     start = time.perf_counter()
     norm_r = model.norm_r
     norm_q = model.norm_q
     threshold = stopping_threshold(config.epsilon, model.theta, norm_r, norm_q, model.horizon)
     l_tilde, k, beta = contraction_constants(model.theta, norm_r, norm_q, model.horizon)
+    resolution = _RESOLUTION_FACTOR * float(np.max(boundary_row(model))) * 2.0**-52
+    if threshold < resolution:
+        raise NumericsError(
+            f"stopping threshold {threshold:.3g} is below the float resolution {resolution:.3g} "
+            "of the values, so the iteration cannot meet it; raise epsilon or lower theta * "
+            "terminal (v(g + K) = e^(theta K) v(g))"
+        )
 
     if v0 is None:
         v = default_initial_grid(model, config.n_t)
@@ -156,6 +173,10 @@ def solve(
         diff = float(np.max(np.abs(v_next.values - v.values)))
         diffs.append(diff)
         v = v_next
+        logger.info(
+            "iteration %d: diff %.6g, threshold %.6g, elapsed %.3f s",
+            iterations, diff, threshold, time.perf_counter() - start,
+        )
         if diff < threshold:
             converged = True
             break

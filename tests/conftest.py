@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctsg import io as artifacts
+from ctsg.example_games import build_rps
 from ctsg.model import GameModel, LyapunovCertificate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,3 +92,9 @@ def mixed_shape_model() -> GameModel:
         theta=1.0,
         horizon=1.0,
     )
+
+
+def lifted_rps8(theta_k: float) -> GameModel:
+    """rps on 8 states (the CLI's default parameters) with terminal raised by theta_k / theta."""
+    model, _ = build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+    return dataclasses.replace(model, terminal=model.terminal + theta_k / model.theta)

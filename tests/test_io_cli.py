@@ -13,7 +13,7 @@ from ctsg import io as artifacts
 from ctsg.cli import dispatch
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid
 from ctsg.solver import SolverConfig, solve
-
+from .conftest import FIXTURES, lifted_rps8, single_state_model
 from .conftest import FIXTURES, single_state_model
 
 
@@ -171,6 +171,17 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0]
+
+    def test_solve_unreachable_threshold_exits_one(self, tmp_path, capsys):
+        # theta K = 100: the threshold lies below the float spacing of the values
+        lifted = tmp_path / "lifted.json"
+        artifacts.save_model(lifted_rps8(100.0), lifted)
+        code = self.run("solve", "--model", str(lifted), "--nt", "32", "--eps", "1e-3")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: stopping threshold ")
 
     def test_missing_file_exits_two(self):
         assert self.run("solve", "--model", "/nonexistent.json") == 2

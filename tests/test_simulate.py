@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from ctsg.errors import ModelScaleError, NumericsError
+from ctsg.example_games import build_rps
 from ctsg.model import GameModel
 from ctsg.shapley import PolicyPair, TimeGrid
-from ctsg.simulate import _PolicyTables, deviation_gain, estimate_value
+from ctsg.simulate import _destination, _PolicyTables, deviation_gain, estimate_value
 from ctsg.solver import SolverConfig, solve
 
 from .conftest import mixed_shape_model, single_state_model
@@ -218,10 +220,33 @@ def test_policy_tables_match_per_state_einsum():
         assert tables.dest_cum[:, x].tobytes() == np.cumsum(mixed / safe[:, None], axis=1).tobytes()
 
 
+@pytest.mark.parametrize("n_x", [1, 2, 3, 8, 64, 65])
+def test_destination_search_counts_the_row(n_x):
+    # the log-step search equals counting a nondecreasing row, clamped to n_x - 1
+    rng = np.random.default_rng(n_x)
+    n_rows = 40
+    w = rng.random((n_rows, n_x))
+    w[rng.random((n_rows, n_x)) < 0.4] = 0.0  # zero-probability entries: tied cumulative values
+    w[:, -1] += 0.5
+    rows = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+    rows[0] = 0.0  # an all-zero row, as for a state that never leaves
+    rows[1] *= 1.0 - 2.0**-50  # last entry rounded below 1
+    top = 1.0 - 2.0**-53  # the largest draw of Generator.random
+    r = np.repeat(np.arange(n_rows), 8)
+    u = rng.random(r.size)
+    u[0::8] = 0.0
+    u[1::8] = top
+    u[2::8] = rows[r[2::8], rng.integers(0, n_x, r.size // 8)]  # exactly a cumulative entry
+    u[3::8] = rows[r[3::8], 0]
+    u[4::8] = rows[r[4::8], -1]
+    got = _destination(rows.ravel(), r * n_x, u, n_x)
+    want = np.minimum((rows[r] <= u[:, None]).sum(axis=1), n_x - 1)
+    np.testing.assert_array_equal(got, want)
+    assert got[9] == n_x - 1 and rows[1, -1] < top  # row 1, u above the whole row
+
+
 def test_drift_shadow_bound():
     """Empirical mean of v0 along paths stays under the exponential drift bound."""
-    from ctsg.example_games import build_rps
-
     model, cert = build_rps(0.3, x_max=4.0, n_x=16, theta=1.0, T=2.0)
     x0 = 8
     n = 800
@@ -344,3 +369,77 @@ class TestDeviationGain:
         model.payoff = [np.ones((1, 1))] * 2
         with pytest.raises(NumericsError, match="did not settle"):
             deviation_gain(model, uniform_policies(model, 4), 2, paths=10, rng_seed=0, x0=0)
+
+
+def arithmetic_policies(model: GameModel, n_t: int) -> PolicyPair:
+    """Time- and state-varying policies built by exact arithmetic, no random draws."""
+
+    def rows(x: int, n_act: int, shift: int) -> np.ndarray:
+        i = np.arange(n_t + 1)[:, None]
+        a = np.arange(n_act)[None, :]
+        w = 1.0 + ((x + 3 * i + shift * a) % 5)
+        return w / w.sum(axis=1, keepdims=True)
+
+    grid = TimeGrid(model.horizon, n_t)
+    pi1 = [rows(x, model.n_actions_p1(x), 1) for x in range(model.n_states)]
+    pi2 = [rows(x, model.n_actions_p2(x), 2) for x in range(model.n_states)]
+    return PolicyPair(grid, pi1, pi2)
+
+
+def _pinned_model(name: str, two_state: GameModel) -> GameModel:
+    if name == "rps64":
+        # action-dependent sojourn rates, so acceptance depends on the policies
+        f1, f2 = (0.2, 0.6, 1.0), (1.0, 0.5, 0.25)
+        model, _ = build_rps(
+            0.35, lambda x, a, b: 2.0 * f1[a] * f2[b], lambda_bound=2.0,
+            x_max=8.0, n_x=64, theta=1.0, T=3.0,
+        )
+        return model
+    if name == "two_state":
+        return two_state
+    if name == "mixed_shapes":
+        return mixed_shape_model()  # includes a state with an all-zero generator
+    return single_state_model(r0=0.4, g0=0.3, theta=2.0, T=1.5)  # Lambda = 0
+
+
+# SHA-256 of estimate_value(...).values.tobytes() as the full-width sampler,
+# which counted each whole destination row, produced them (numpy 2.4, x86-64).
+# The per-path values for a seed are part of the reproducibility contract, so
+# any rewrite of the sampler must keep them.
+_PINNED_PATH_HASHES = {
+    ("rps64", 5, 0): (
+        "0844eaf1c24df1bf378baa37b6e143dd"
+        "4d383f1b9a3eac9ab595cd33cb511fcf"
+    ),
+    ("rps64", 40, 12): (
+        "dfcab664e5eeca0503e1629b7838bac1"
+        "15efc1aff104641534ea7398e8f5aca8"
+    ),
+    ("two_state", 0, 5): (
+        "6ac74f84d1ad0d969289e02cdabdf4cd"
+        "35257d85563d139f1830f9e20c3a616a"
+    ),
+    ("mixed_shapes", 2, 0): (
+        "ee7a4f11ef35c949ad35afd0efbe98d5"
+        "74859252f13cf9ea86b5774ccf34f2be"
+    ),
+    ("one_state", 0, 3): (
+        "37f6846fb271fe04f93cca4eac463679"
+        "5b88867fb220ea2ff4ea31007f30cb59"
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(("name", "x0", "node"), list(_PINNED_PATH_HASHES))
+def test_per_path_values_pinned(two_state_model, name, x0, node, threads):
+    # 20 000 paths: one full batch of 16 384 and one partial batch
+    model = _pinned_model(name, two_state_model)
+    pol = arithmetic_policies(model, 16)
+    t0 = node * pol.grid.dt
+    est = estimate_value(
+        model, pol, x0, t0, paths=20_000, rng_seed=31, retain_values=True, threads=threads
+    )
+    assert est.values is not None
+    digest = hashlib.sha256(est.values.tobytes()).hexdigest()
+    assert digest == _PINNED_PATH_HASHES[(name, x0, node)]

@@ -22,7 +22,7 @@ from ctsg.solver import (
     stopping_threshold,
 )
 
-from .conftest import random_bounded_model, single_state_model
+from .conftest import lifted_rps8, random_bounded_model, single_state_model
 
 
 class TestStoppingThreshold:
@@ -137,10 +137,35 @@ class TestSolve:
         assert gap <= 1e-9 * scale + 10.0 * report.threshold
 
     def test_overflowing_iterate_names_iteration(self):
-        # every cell's game value is finite (~1.5e308) but the trapezoid sum overflows
-        model = single_state_model(r0=1.5e4, g0=700.0, T=0.01)
+        # every cell's game value is finite (~1.5e308) but the trapezoid sum
+        # overflows; T = 0.001 and epsilon = 1e300 keep the stopping threshold
+        # above the float resolution of the values, which solve checks first
+        model = single_state_model(r0=1.5e4, g0=700.0, T=0.001)
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="iteration 1$"):
-            solve(model, SolverConfig(epsilon=0.1, n_t=4))
+            solve(model, SolverConfig(epsilon=1e300, n_t=4))
+
+    def test_unreachable_threshold_fails_before_iterating(self, monkeypatch):
+        # theta K = 100 on rps8: values near e^100, threshold 1.02e-5, far below
+        # their float spacing; so too the overflow model at T = 0.01, eps = 0.1
+        import ctsg.solver as solver_module
+
+        def no_sweep(*args):
+            raise AssertionError("solve iterated")
+
+        monkeypatch.setattr(solver_module, "apply_gamma", no_sweep)
+        for model, eps in ((lifted_rps8(100.0), 1e-3), (single_state_model(1.5e4, 700.0, T=0.01), 0.1)):
+            with pytest.raises(NumericsError, match="below the float resolution"):
+                solve(model, SolverConfig(epsilon=eps, n_t=32))
+
+    def test_logs_each_iteration(self, two_state_model, caplog):
+        with caplog.at_level(logging.INFO, logger="ctsg.solver"):
+            _, _, report = solve(two_state_model, SolverConfig(epsilon=1e-4, n_t=16))
+        records = [r for r in caplog.records if r.msg.startswith("iteration ")]
+        assert len(records) == report.iterations > 1
+        for n, (record, diff) in enumerate(zip(records, report.diff_history, strict=True), 1):
+            # %-style arguments: nothing is formatted unless INFO is on
+            assert record.args[:3] == (n, diff, report.threshold) and record.args[3] >= 0.0
+            assert f"diff {diff:.6g}, threshold {report.threshold:.6g}" in record.getMessage()
 
     def test_mismatched_v0_rejected(self, two_state_model):
         v0 = default_initial_grid(two_state_model, 16)
