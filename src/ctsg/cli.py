@@ -12,7 +12,9 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from .model import GameModel, check_assumptions, compute_value_bounds, validate_
 from .simulate import estimate_value
 from .solver import SolverConfig, solve
 from .truncation import run_ladder
+
+logger = logging.getLogger(__name__)
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -41,6 +45,14 @@ def _valid_model(path: str) -> GameModel | None:
         print(json.dumps(artifacts.validation_report_to_dict(validation), sort_keys=True))
         return None
     return model
+
+
+def _save(save: Callable[..., None], *args: Any) -> None:
+    """Call ``save(*args)``, whose last argument is the path, and log its size and time."""
+    start = time.perf_counter()
+    save(*args)
+    seconds = time.perf_counter() - start
+    logger.info("wrote %s: %d bytes in %.4f s", args[-1], os.path.getsize(args[-1]), seconds)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -71,12 +83,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "value_row_contained": contained,
         }
     if args.out_value:
-        artifacts.save_value_grid(value, model.state_ids, args.out_value)
+        _save(artifacts.save_value_grid, value, model.state_ids, args.out_value)
     if args.out_policy:
-        artifacts.save_policies(policies, model.state_ids, args.out_policy)
+        _save(artifacts.save_policies, policies, model.state_ids, args.out_policy)
     payload = {"solver": artifacts.solver_report_to_dict(report), **report_extra}
     if args.report:
-        artifacts._dump_json(payload, args.report)
+        _save(artifacts._dump_json, payload, args.report)
     print(json.dumps({"converged": report.converged, "iterations": report.iterations}))
     return 0 if report.converged else 1
 

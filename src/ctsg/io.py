@@ -157,46 +157,73 @@ def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
 # -- policies ---------------------------------------------------------------
 
 
-def policies_to_dict(policies: PolicyPair, state_ids: list[int]) -> dict:
-    records = []
-    for i in range(policies.grid.n_steps + 1):
-        for x, sid in enumerate(state_ids):
-            records.append(
-                {
-                    "t_index": i,
-                    "x_id": int(sid),
-                    "pi1": policies.pi1[x][i].tolist(),
-                    "pi2": policies.pi2[x][i].tolist(),
-                }
-            )
-    return {
-        "horizon": policies.grid.horizon,
-        "n_steps": policies.grid.n_steps,
-        "records": records,
-    }
-
-
 def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
+    """Policies from a policy-file dict; records may come in any order.
+
+    Raises ValueError naming the state and ``t_index`` of a duplicate record,
+    of one past ``n_steps`` or of one missing from ``0..n_steps``.
+    """
     grid = TimeGrid(horizon=float(d["horizon"]), n_steps=int(d["n_steps"]))
+    n_steps = grid.n_steps
     by_state: dict[int, dict[int, tuple[list[float], list[float]]]] = {}
-    order: list[int] = []
     for rec in d["records"]:
         sid = int(rec["x_id"])
-        if sid not in by_state:
-            by_state[sid] = {}
-            order.append(sid)
-        by_state[sid][int(rec["t_index"])] = (rec["pi1"], rec["pi2"])
+        t = int(rec["t_index"])
+        rows = by_state.setdefault(sid, {})
+        if t in rows:
+            raise ValueError(f"policy file has two records for state {sid} at t_index {t}")
+        if not 0 <= t <= n_steps:
+            raise ValueError(
+                f"policy file has a record for state {sid} at t_index {t}, "
+                f"outside 0..n_steps = {n_steps}"
+            )
+        rows[t] = (rec["pi1"], rec["pi2"])
     pi1 = []
     pi2 = []
-    for sid in order:
-        rows = by_state[sid]
-        pi1.append(np.array([rows[i][0] for i in range(grid.n_steps + 1)], dtype=float))
-        pi2.append(np.array([rows[i][1] for i in range(grid.n_steps + 1)], dtype=float))
-    return PolicyPair(grid, pi1, pi2), order
+    for sid, rows in by_state.items():
+        if len(rows) <= n_steps:
+            t = next(i for i in range(n_steps + 1) if i not in rows)
+            raise ValueError(f"policy file has no record for state {sid} at t_index {t}")
+        pi1.append(np.array([rows[i][0] for i in range(n_steps + 1)], dtype=float))
+        pi2.append(np.array([rows[i][1] for i in range(n_steps + 1)], dtype=float))
+    return PolicyPair(grid, pi1, pi2), list(by_state)
 
 
 def save_policies(policies: PolicyPair, state_ids: list[int], path: str | Path) -> None:
-    _dump_json(policies_to_dict(policies, state_ids), path)
+    """Write ``{horizon, n_steps, records}``, one record per (t_index, state).
+
+    The bytes are those of ``json.dumps(..., sort_keys=True)`` on a dict per
+    record, which this writer does not build: each distinct float (keyed by
+    its bit pattern, so -0.0 stays apart from 0.0) is spelled once by the
+    json encoder, and the file is one ``%s`` template per state, repeated per
+    time step and filled by a single ``%``.
+    """
+    n_rows = policies.grid.n_steps + 1
+    tables = [np.asarray(p, dtype=float)[:n_rows] for p in [*policies.pi1, *policies.pi2]]
+    flat = np.concatenate([p.ravel() for p in tables] or [np.empty(0)])
+    bits, codes = np.unique(flat.view(np.int64), return_inverse=True)
+    spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    # the pool spells each distinct float, then each t_index 0..n_steps
+    pool = np.array(spelled + [str(i) for i in range(n_rows)], dtype=object)
+    t_codes = np.arange(len(spelled), len(pool)).reshape(n_rows, 1)
+    ends = np.cumsum([p.size for p in tables])[:-1]
+    code_tables = [c.reshape(p.shape) for c, p in zip(np.split(codes, ends), tables)]
+    n_x = len(policies.pi1)
+    templates = []
+    columns = []
+    for x, sid in enumerate(state_ids):
+        c1, c2 = code_tables[x], code_tables[n_x + x]
+        slots1 = ", ".join(["%s"] * c1.shape[1])
+        slots2 = ", ".join(["%s"] * c2.shape[1])
+        templates.append(
+            f'{{"pi1": [{slots1}], "pi2": [{slots2}], "t_index": %s, "x_id": {int(sid)}}}'
+        )
+        columns += [c1, c2, t_codes]
+    records = ", ".join(templates * n_rows)
+    head = {"horizon": policies.grid.horizon, "n_steps": policies.grid.n_steps, "records": []}
+    template = json.dumps(head, sort_keys=True)[:-2] + records + "]}\n"
+    args = pool[np.hstack(columns).ravel()].tolist() if columns else []
+    Path(path).write_text(template % tuple(args))
 
 
 def load_policies(path: str | Path) -> tuple[PolicyPair, list[int]]:

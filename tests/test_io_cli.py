@@ -5,16 +5,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from ctsg import io as artifacts
 from ctsg.cli import dispatch
-from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid
-from ctsg.solver import SolverConfig, solve
-from .conftest import FIXTURES, lifted_rps8, single_state_model
-from .conftest import FIXTURES, single_state_model
+from ctsg.example_games import build_gaussian, build_rps
+from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma
+from ctsg.solver import SolverConfig, default_initial_grid, solve
+from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, single_state_model
 
 
 class TestRoundTrips:
@@ -73,6 +74,106 @@ class TestRoundTrips:
         payload = json.loads(path.read_text())
         assert set(payload["records"][0]) == {"t_index", "x_id", "pi1", "pi2"}
         assert payload["records"][0]["x_id"] == 7
+
+
+def _dict_encoded(policies: PolicyPair, state_ids: list[int]) -> str:
+    """The policy file as a dict per record run through the json encoder."""
+    records = [
+        {
+            "t_index": i,
+            "x_id": int(sid),
+            "pi1": policies.pi1[x][i].tolist(),
+            "pi2": policies.pi2[x][i].tolist(),
+        }
+        for i in range(policies.grid.n_steps + 1)
+        for x, sid in enumerate(state_ids)
+    ]
+    payload = {"horizon": policies.grid.horizon, "n_steps": policies.grid.n_steps, "records": records}
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _solved(model, n_t):
+    _, policies, _ = solve(model, SolverConfig(epsilon=1e-3, n_t=n_t))
+    return policies, model.state_ids
+
+
+def _one_sweep(model, n_t):
+    _, policies = apply_gamma(model, default_initial_grid(model, n_t))
+    return policies, model.state_ids
+
+
+def _dirichlet_rows():
+    rng = np.random.default_rng(5)
+    pi1 = [rng.dirichlet(np.ones(3), 65) for _ in range(4)]
+    pi2 = [rng.dirichlet(np.ones(2), 65) for _ in range(4)]
+    entries = np.concatenate([p.ravel() for p in pi1 + pi2])
+    assert np.unique(entries).size == entries.size
+    return PolicyPair(TimeGrid(2.5, 64), pi1, pi2), [0, 1, 2, 3]
+
+
+POLICY_CASES = {
+    "rps8": lambda: _solved(build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)[0], 32),
+    "gaussian16": lambda: _solved(
+        build_gaussian(
+            sigma=1.0, rate_bound=0.25, payoff_bound=1.0, x_min=-4.0, x_max=4.0,
+            n_x=16, theta=1.0, T=1.0,
+        )[0],
+        16,
+    ),
+    "mixed_shapes": lambda: _one_sweep(mixed_shape_model(), 8),
+    "non_finite_and_signed_zero": lambda: (
+        PolicyPair(
+            TimeGrid(1.0, 1),
+            [np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-300]]), np.array([[5e-324], [1.0]])],
+            [np.array([[-0.0, 1e308], [0.1, 0.2]]), np.array([[np.nan, -0.0, 0.0], [1e16, 1e-5, 2.0]])],
+        ),
+        [0, 1],
+    ),
+    "ids_out_of_order": lambda: (
+        PolicyPair(
+            TimeGrid(0.3, 2),
+            [np.array([[0.25, 0.75]] * 3), np.array([[1.0]] * 3), np.array([[0.5, 0.5]] * 3)],
+            [np.array([[1.0]] * 3), np.array([[0.1, 0.2, 0.7]] * 3), np.array([[0.0, 1.0]] * 3)],
+        ),
+        [9, 2, 5],
+    ),
+    "one_state_one_step": lambda: (
+        PolicyPair(TimeGrid(1.0, 1), [np.array([[1.0], [1.0]])], [np.array([[1.0], [1.0]])]),
+        [3],
+    ),
+    "no_states": lambda: (PolicyPair(TimeGrid(1, 2), [], []), []),
+    "dirichlet_all_distinct": _dirichlet_rows,
+}
+
+
+class TestPolicyWriter:
+    @pytest.mark.parametrize("case", list(POLICY_CASES))
+    def test_bytes_equal_dict_encoder(self, tmp_path, case):
+        policies, state_ids = POLICY_CASES[case]()
+        path = tmp_path / "p.json"
+        artifacts.save_policies(policies, state_ids, path)
+        assert path.read_bytes() == _dict_encoded(policies, state_ids).encode()
+        loaded, ids = artifacts.load_policies(path)
+        assert ids == [int(s) for s in state_ids]
+        for got, want in zip(loaded.pi1 + loaded.pi2, policies.pi1 + policies.pi2, strict=True):
+            np.testing.assert_array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _policy_payload(model) -> dict:
+    _, policies, _ = solve(model, SolverConfig(epsilon=0.1, n_t=8))
+    return json.loads(_dict_encoded(policies, model.state_ids))
+
+
+class TestPolicyLoader:
+    def test_records_in_any_order(self, two_state_model):
+        payload = _policy_payload(two_state_model)
+        expected, _ = artifacts.policies_from_dict(payload)
+        payload["records"].sort(key=lambda r: (r["x_id"], -r["t_index"]))
+        loaded, ids = artifacts.policies_from_dict(payload)
+        assert ids == two_state_model.state_ids
+        for got, want in zip(loaded.pi1 + loaded.pi2, expected.pi1 + expected.pi2, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCli:
@@ -265,6 +366,52 @@ class TestCli:
         artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
         line = self.simulate_fails(capsys, policy_json, "0")
         assert "pi1 at state 1, row 3 is not a probability vector" in line
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (
+                lambda p: p["records"].pop(11),
+                "no record for state 1 at t_index 5",
+            ),
+            (
+                lambda p: p.update(n_steps=p["n_steps"] - 1),
+                "record for state 0 at t_index 8, outside 0..n_steps = 7",
+            ),
+            (
+                lambda p: p["records"].append(dict(p["records"][7])),
+                "two records for state 1 at t_index 3",
+            ),
+        ],
+        ids=["missing", "n_steps_one_short", "duplicate"],
+    )
+    def test_simulate_malformed_policy_file_exits_one(
+        self, tmp_path, capsys, two_state_model, edit, message
+    ):
+        payload = _policy_payload(two_state_model)
+        edit(payload)
+        policy_json = tmp_path / "policy.json"
+        policy_json.write_text(json.dumps(payload))
+        assert message in self.simulate_fails(capsys, policy_json, "0")
+
+    def test_solve_verbose_logs_each_artifact(self, tmp_path, caplog):
+        paths = [tmp_path / "value.csv", tmp_path / "policy.json", tmp_path / "report.json"]
+        with caplog.at_level(logging.INFO, logger="ctsg.cli"):
+            code = self.run(
+                "--verbose", "solve",
+                "--model", str(FIXTURES / "two_state_model.json"),
+                "--eps", "0.1", "--nt", "8",
+                "--out-value", str(paths[0]),
+                "--out-policy", str(paths[1]),
+                "--report", str(paths[2]),
+            )
+        assert code == 0
+        records = [r for r in caplog.records if r.name == "ctsg.cli"]
+        assert [r.args[0] for r in records] == [str(p) for p in paths]
+        for record, path in zip(records, paths):
+            # %-style arguments: nothing is formatted unless INFO is on
+            assert record.levelno == logging.INFO and record.msg == "wrote %s: %d bytes in %.4f s"
+            assert record.args[1] == path.stat().st_size > 0 and record.args[2] >= 0.0
 
     def test_simulate_overflowing_estimate_exits_one(self, tmp_path, capsys):
         # payoff rate 800 over T = 1: every path's functional is e^800

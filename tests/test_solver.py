@@ -184,3 +184,28 @@ def test_termination_on_random_models(seed):
 def test_grid_refinement_diagnostic(two_state_model):
     change = grid_refinement_check(two_state_model, SolverConfig(epsilon=1e-5, n_t=32))
     assert 0.0 <= change < 1e-3
+
+
+@pytest.mark.parametrize("theta_k", [0.0, 0.5, 2.0, 5.0, 10.0, 20.0, 25.0, 30.0, 50.0, 100.0, 300.0])
+def test_positive_homogeneity_or_refused_up_front(theta_k, monkeypatch):
+    # terminal g + K gives e^{theta K} v(g): each lift holds to the two solves'
+    # stopping errors, or is refused before the first sweep; lifts up to
+    # theta K = 20 are solvable (to 9.3e-8 against a tolerance near 2.7e-6)
+    import ctsg.solver as solver_module
+
+    config = SolverConfig(epsilon=1e-3, n_t=32)
+    base, _, base_report = solve(lifted_rps8(0.0), config)
+    sweeps = []
+    sweep = solver_module.apply_gamma
+    monkeypatch.setattr(solver_module, "apply_gamma", lambda *a: sweeps.append(1) or sweep(*a))
+    try:
+        lifted, _, report = solve(lifted_rps8(theta_k), config)
+    except NumericsError as exc:
+        assert not sweeps and "below the float resolution" in str(exc) and theta_k > 20.0
+        return
+    expected = math.exp(theta_k) * base.values
+    rel = np.max(np.abs(lifted.values - expected) / expected)
+    tol = 2.0 * (
+        base_report.final_diff / base.values.min() + report.final_diff / lifted.values.min()
+    )
+    assert report.converged and rel <= tol
