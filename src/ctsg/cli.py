@@ -148,30 +148,27 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     return 0 if report.monotone_ok else 1
 
 
+# Each example builder with its parameters' defaults; --params may override any of them.
+_EXAMPLES = {
+    "rps": (build_rps, dict(alpha=0.35, lambda_bound=1.0, x_max=8.0, n_x=64, theta=1.0, T=1.0)),
+    "gaussian": (build_gaussian, dict(sigma=1.0, rate_bound=0.25, payoff_bound=1.0, x_min=-4.0,
+                                      x_max=4.0, n_x=64, theta=1.0, T=1.0)),
+}
+
+
 def _cmd_build_example(args: argparse.Namespace) -> int:
+    builder, defaults = _EXAMPLES[args.name]
     params = json.loads(Path(args.params).read_text()) if args.params else {}
-    if args.name == "rps":
-        model, cert = build_rps(
-            alpha=params.get("alpha", 0.35),
-            lambda_bound=params.get("lambda_bound", 1.0),
-            x_max=params.get("x_max", 8.0),
-            n_x=params.get("n_x", 64),
-            theta=params.get("theta", 1.0),
-            T=params.get("T", 1.0),
-        )
-    elif args.name == "gaussian":
-        model, cert = build_gaussian(
-            sigma=params.get("sigma", 1.0),
-            rate_bound=params.get("rate_bound", 0.25),
-            payoff_bound=params.get("payoff_bound", 1.0),
-            x_min=params.get("x_min", -4.0),
-            x_max=params.get("x_max", 4.0),
-            n_x=params.get("n_x", 64),
-            theta=params.get("theta", 1.0),
-            T=params.get("T", 1.0),
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown example {args.name}")
+    if not isinstance(params, dict):
+        raise ValueError(f"--params must hold a JSON object, not {type(params).__name__}")
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {args.name} parameters {unknown}; known: {sorted(defaults)}")
+    for key, value in params.items():
+        kind = type(defaults[key])  # a float parameter also takes an integer
+        if isinstance(value, bool) or not isinstance(value, (kind, int)):
+            raise ValueError(f"parameter {key} must be {kind.__name__}, got {value!r}")
+    model, cert = builder(**{**defaults, **params})
     artifacts.save_model(model, args.out)
     if args.out_cert:
         artifacts.save_certificate(cert, args.out_cert)
@@ -247,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ladder)
 
     p = sub.add_parser("build-example", help="emit a benchmark model and certificate")
-    p.add_argument("--name", choices=["rps", "gaussian"], required=True)
+    p.add_argument("--name", choices=list(_EXAMPLES), required=True)
     p.add_argument("--params", help="JSON file of builder parameters")
     p.add_argument("--out", required=True)
     p.add_argument("--out-cert")

@@ -3,16 +3,16 @@
 The model is a finite (or gridded) continuous-time Markov game: per-state
 action sets for both players, a payoff-rate tensor, a conservative generator
 tensor, a terminal reward vector, a risk parameter theta > 0 and a horizon.
-Tensors are ragged over states (action set sizes may vary), so they are held
-as per-state numpy arrays.
+Tensors are ragged over states (action set sizes may vary): they are stored
+once, stacked per action-set shape, and read per state through views.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -55,23 +55,28 @@ class GameModel:
         horizon: game length T > 0.
         coords: optional real coordinate per state (gridded continuous models).
         state_ids: external state identifiers, defaults to 0..n_states-1.
+
+    Construction checks the dimensions (StructureError); payoff and generator
+    become tuples of views into one stack per action-set shape, so an in-place
+    edit of r[x] or q[x] is seen everywhere. Rebinding either restacks both.
     """
 
     actions_p1: list[list[int]]
     actions_p2: list[list[int]]
-    payoff: list[np.ndarray]
-    generator: list[np.ndarray]
+    payoff: Sequence[np.ndarray]
+    generator: Sequence[np.ndarray]
     terminal: np.ndarray
     theta: float
     horizon: float
     coords: np.ndarray | None = None
     state_ids: list[int] = field(default_factory=list)
+    _shape_groups: list[_ShapeGroup] = field(init=False, repr=False, compare=False)
 
     def __setattr__(self, name: str, value: object) -> None:
-        # Rebinding a tensor list drops the stacks built from the old one.
-        if name in ("payoff", "generator"):
-            self.__dict__.pop("_shape_groups", None)
-        super().__setattr__(name, value)
+        if name in ("payoff", "generator") and "_shape_groups" in self.__dict__:
+            self._stack(**{"payoff": self.payoff, "generator": self.generator, name: value})
+        else:
+            super().__setattr__(name, value)
 
     def __post_init__(self) -> None:
         if self.theta <= 0:
@@ -80,37 +85,54 @@ class GameModel:
             )
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        self.payoff = [np.asarray(m, dtype=float) for m in self.payoff]
-        self.generator = [np.asarray(g, dtype=float) for g in self.generator]
         self.terminal = np.asarray(self.terminal, dtype=float)
         if self.coords is not None:
             self.coords = np.asarray(self.coords, dtype=float)
+        self._stack(self.payoff, self.generator)
         if not self.state_ids:
             self.state_ids = list(range(self.n_states))
+
+    def _stack(self, payoff: Sequence, generator: Sequence) -> None:
+        """Check the dimensions, then store the tensors as views into fresh shape-group stacks."""
+        payoff = [np.asarray(m, dtype=float) for m in payoff]
+        generator = [np.asarray(q, dtype=float) for q in generator]
+        n = len(payoff)
+        if not (len(self.actions_p1) == len(self.actions_p2) == len(generator) == n):
+            raise StructureError("per-state lists have inconsistent lengths")
+        if self.terminal.shape != (n,):
+            raise StructureError(f"terminal must have shape ({n},), got {self.terminal.shape}")
+        states_by_shape: dict[tuple[int, int], list[int]] = {}
+        for x in range(n):
+            na, nb = len(self.actions_p1[x]), len(self.actions_p2[x])
+            if na == 0 or nb == 0:
+                raise StructureError(f"state {x} has an empty action set")
+            if payoff[x].shape != (na, nb):
+                raise StructureError(f"payoff[{x}] must have shape ({na}, {nb}), got {payoff[x].shape}")
+            if generator[x].shape != (na, nb, n):
+                raise StructureError(
+                    f"generator[{x}] must have shape ({na}, {nb}, {n}), got {generator[x].shape}"
+                )
+            states_by_shape.setdefault((na, nb), []).append(x)
+        groups = []
+        for (na, nb), states in states_by_shape.items():
+            group = _ShapeGroup(
+                states=np.array(states),
+                payoff=np.stack([payoff[x] for x in states]),
+                generator=np.stack([generator[x] for x in states]).reshape(len(states), na * nb, n),
+            )
+            for k, x in enumerate(states):
+                payoff[x] = group.payoff[k]
+                generator[x] = group.generator[k].reshape(na, nb, n)
+            groups.append(group)
+        self.__dict__.update(payoff=tuple(payoff), generator=tuple(generator), _shape_groups=groups)
+
+    def __reduce__(self) -> tuple:
+        """Pickles and deep copies rebuild through the constructor, so their views share stacks."""
+        return (GameModel, tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
     @property
     def n_states(self) -> int:
         return len(self.payoff)
-
-    @cached_property
-    def _shape_groups(self) -> list[_ShapeGroup]:
-        """States grouped by payoff shape, in order of first appearance.
-
-        The stacks are copies made on first use: rebinding payoff or
-        generator drops them, but an in-place edit of a per-state array
-        after that is not seen.
-        """
-        groups: dict[tuple[int, int], list[int]] = {}
-        for x in range(self.n_states):
-            groups.setdefault(self.payoff[x].shape, []).append(x)
-        return [
-            _ShapeGroup(
-                states=np.array(states),
-                payoff=np.stack([self.payoff[x] for x in states]),
-                generator=np.stack([self.generator[x].reshape(na * nb, -1) for x in states]),
-            )
-            for (na, nb), states in groups.items()
-        ]
 
     def n_actions_p1(self, x: int) -> int:
         return len(self.actions_p1[x])
@@ -228,36 +250,17 @@ class ValueBounds:
     representable: bool = True
 
 
-def _check_dimensions(model: GameModel) -> None:
-    n = model.n_states
-    if not (len(model.actions_p1) == len(model.actions_p2) == len(model.generator) == n):
-        raise StructureError("per-state lists have inconsistent lengths")
-    if model.terminal.shape != (n,):
-        raise StructureError(f"terminal must have shape ({n},), got {model.terminal.shape}")
-    for x in range(n):
-        na, nb = model.n_actions_p1(x), model.n_actions_p2(x)
-        if na == 0 or nb == 0:
-            raise StructureError(f"state {x} has an empty action set")
-        if model.payoff[x].shape != (na, nb):
-            raise StructureError(
-                f"payoff[{x}] must have shape ({na}, {nb}), got {model.payoff[x].shape}"
-            )
-        if model.generator[x].shape != (na, nb, n):
-            raise StructureError(
-                f"generator[{x}] must have shape ({na}, {nb}, {n}), "
-                f"got {model.generator[x].shape}"
-            )
-
-
 def validate_generator(model: GameModel) -> ValidationReport:
     """Check off-diagonal nonnegativity, conservativity and stability of the rates.
 
-    Dimension mismatches raise StructureError; rate-invariant violations are
-    collected in the report with an (x, a, b, y) witness and a residual;
+    Dimensions are checked when the model is built and the terminal reward's
+    shape again here (StructureError: it may have been rebound); rate-invariant
+    violations are collected with an (x, a, b, y) witness and a residual;
     non-finite payoff and terminal entries are not_finite at (x, a, b) and x.
     """
-    _check_dimensions(model)
     n = model.n_states
+    if model.terminal.shape != (n,):
+        raise StructureError(f"terminal must have shape ({n},), got {model.terminal.shape}")
     max_abs = max((float(np.max(np.abs(g))) if g.size else 0.0) for g in model.generator)
     tol = CONSERVATIVITY_REL_TOL * max(max_abs, 1.0)
 

@@ -41,12 +41,13 @@ import numpy as np
 from .errors import ModelScaleError, NumericsError
 from .model import GameModel
 from .shapley import PolicyPair, best_response_sweep
-from .solver import SolverConfig, default_initial_grid
+from .solver import default_initial_grid
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
 # Best-response sweeps stop once successive iterates differ by at most this
 # fraction of the largest value; a stop at a few ulp stalls on some models.
 _BEST_RESPONSE_REL_TOL = 1e-12
+_BEST_RESPONSE_MAX_SWEEPS = 10_000
 _PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
 
 
@@ -300,7 +301,7 @@ def deviation_gain(
 
     best_response_sweep is iterated from the default initial grid until
     successive iterates agree to _BEST_RESPONSE_REL_TOL of the largest value
-    (NumericsError past SolverConfig's default iteration cap); the base pair
+    (NumericsError past _BEST_RESPONSE_MAX_SWEEPS sweeps); the base pair
     and the best response are then simulated with the same seed.
     """
     if deviating_player not in (1, 2):
@@ -309,7 +310,7 @@ def deviation_gain(
         model, base_policies, x0, t0, paths, rng_seed, retain_values=True, threads=threads
     )
     v = default_initial_grid(model, base_policies.grid.n_steps)
-    for sweep in range(1, SolverConfig.max_iterations + 1):
+    for sweep in range(1, _BEST_RESPONSE_MAX_SWEEPS + 1):
         v_next, response = best_response_sweep(model, v, base_policies, deviating_player)
         if not np.isfinite(v_next.values).all():
             raise NumericsError(f"non-finite best-response value at sweep {sweep}")
@@ -319,7 +320,7 @@ def deviation_gain(
             break
     else:
         raise NumericsError(
-            f"best response did not settle within {SolverConfig.max_iterations} sweeps "
+            f"best response did not settle within {_BEST_RESPONSE_MAX_SWEEPS} sweeps "
             f"(last difference {diff:.3g})"
         )
     dev = estimate_value(

@@ -7,10 +7,10 @@ Two constructions, composable:
   zero terminal), and payoff/terminal inside are capped at n. The resulting
   value grids are nondecreasing in n.
 
-* flooring with an exponential shift (general payoff): payoff and terminal
-  are floored at -n, then shifted up by n so the capped construction (or a
-  direct solve) applies; the solved grid is mapped back with the exact factor
-  exp(-theta (T - t) n - theta n). The floored values are nonincreasing in n.
+* flooring (general payoff): payoff and terminal are floored at -n; the
+  floored values are nonincreasing in n. floor_and_shift also shifts both up
+  by n, so the capped construction applies to signed payoffs; the solved grid
+  is mapped back with the factor exp(-theta (T - t) n - theta n).
 
 run_ladder drives either ladder across a list of levels and reports values,
 successive differences, and the expected monotone ordering.
@@ -54,18 +54,12 @@ def truncate_nonnegative(model: GameModel, cert: LyapunovCertificate, n: int) ->
         )
     cert.validate_shape(model.n_states)
     inside = sublevel_set(cert, n)
-    payoff = []
-    generator = []
-    terminal = np.zeros(model.n_states)
-    for x in range(model.n_states):
-        if inside[x]:
-            payoff.append(np.minimum(float(n), model.payoff[x]))
-            generator.append(model.generator[x].copy())
-            terminal[x] = min(float(n), float(model.terminal[x]))
-        else:
-            payoff.append(np.zeros_like(model.payoff[x]))
-            generator.append(np.zeros_like(model.generator[x]))
-    return replace(model, payoff=payoff, generator=generator, terminal=terminal)
+    return replace(
+        model,
+        payoff=[np.minimum(n, r) if inside[x] else np.zeros_like(r) for x, r in enumerate(model.payoff)],
+        generator=[q if inside[x] else np.zeros_like(q) for x, q in enumerate(model.generator)],
+        terminal=np.where(inside, np.minimum(float(n), model.terminal), 0.0),
+    )
 
 
 def floor_and_shift(
@@ -83,7 +77,6 @@ def floor_and_shift(
     shifted = replace(
         model,
         payoff=[np.maximum(-float(n), m) + float(n) for m in model.payoff],
-        generator=[g.copy() for g in model.generator],
         terminal=np.maximum(-float(n), model.terminal) + float(n),
     )
     theta, T = model.theta, model.horizon
@@ -98,7 +91,7 @@ def floor_and_shift(
 
 @dataclass
 class LadderLevelResult:
-    """Solve outcome for one ladder level (values already unshifted)."""
+    """Solve outcome for one ladder level (values with any cap-ladder lift undone)."""
 
     level: int
     converged: bool
@@ -137,7 +130,9 @@ def run_ladder(
     factor preserves the ordering), recorded in the report.
 
     kind "floor": flooring ladder; values should be nonincreasing in the
-    level. Each level is solved on the shifted model and mapped back.
+    level. Each level solves the floored model max(-n, r), max(-n, g)
+    directly: the discrete backward operator is monotone in the payoff, so
+    no time-discretization error of a shift enters the ordering.
 
     A level that fails to converge is recorded and the ladder continues.
     """
@@ -169,9 +164,12 @@ def run_ladder(
             if unshift_common is not None:
                 v = unshift_common(v)
         else:
-            shifted, unshift = floor_and_shift(model, n)
-            v, _, rep = solve(shifted, config)
-            v = unshift(v)
+            floored = replace(
+                model,
+                payoff=[np.maximum(-float(n), m) for m in model.payoff],
+                terminal=np.maximum(-float(n), model.terminal),
+            )
+            v, _, rep = solve(floored, config)
         if not rep.converged:
             logger.warning("ladder level %d did not converge in %d iterations", n, rep.iterations)
         max_threshold = max(max_threshold, rep.threshold)

@@ -319,6 +319,45 @@ class TestCli:
         header = (tmp_path / "ladder.csv").read_text().splitlines()[0]
         assert header == "level,x_id,value_t0"
 
+    def test_floor_ladder_on_nonnegative_payoff_is_flat(self, tmp_path, capsys):
+        # every floor is inactive on gaussian64, so the three levels are one model
+        model_json, cert_json = tmp_path / "g.json", tmp_path / "g_cert.json"
+        code = self.run(
+            "build-example", "--name", "gaussian", "--out", str(model_json), "--out-cert", str(cert_json)
+        )
+        assert code == 0
+        capsys.readouterr()
+        code = self.run(
+            "ladder", "--model", str(model_json), "--cert", str(cert_json),
+            "--kind", "floor", "--levels", "1,2,3", "--nt", "32",
+        )
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert summary["worst_monotone_violation"] == 0.0
+        assert [e["sup_diff_prev"] for e in summary["levels"]] == [None, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"nx": 8}, "unknown rps parameters ['nx']"),
+            ([8], "--params must hold a JSON object, not list"),
+            ({"n_x": "8"}, "parameter n_x must be int, got '8'"),
+            ({"alpha": True}, "parameter alpha must be float, got True"),
+            ({"n_x": 8.5}, "parameter n_x must be int, got 8.5"),
+        ],
+        ids=["unknown_key", "list", "string", "bool", "fractional_count"],
+    )
+    def test_build_example_bad_params_exit_one(self, tmp_path, capsys, params, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "m.json"
+        code = self.run("build-example", "--name", "rps", "--params", str(path), "--out", str(out))
+        assert code == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
     def test_matrix_game_subcommand(self, tmp_path, capsys):
         csv_path = tmp_path / "C.csv"
         csv_path.write_text("3,1\n0,2\n")

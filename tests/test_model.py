@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ctsg.errors import CertificateError, StructureError
+from ctsg.example_games import build_rps
 from ctsg.model import (
     GameModel,
     LyapunovCertificate,
@@ -16,6 +19,9 @@ from ctsg.model import (
     compute_value_bounds,
     validate_generator,
 )
+from ctsg.shapley import verify_saddle
+from ctsg.simulate import estimate_value
+from ctsg.solver import SolverConfig, solve
 
 from .conftest import mixed_shape_model
 
@@ -73,18 +79,29 @@ class TestValidateGenerator:
         assert "not_stable" in kinds
 
     def test_dimension_mismatch_is_structural(self):
+        cases = [
+            (dict(payoff=[np.zeros((2, 1)), np.zeros((1, 1))]), r"payoff\[0\]"),
+            (dict(generator=[np.zeros((1, 1, 2)), np.zeros((1, 2, 2))]), r"generator\[1\]"),
+            (dict(terminal=np.zeros(3)), "terminal"),
+            (dict(actions_p2=[[0]]), "inconsistent lengths"),
+        ]
+        for bad, match in cases:
+            with pytest.raises(StructureError, match=match):
+                two_state([-1.0, 1.0], [1.0, -1.0], **bad)
         model = two_state([-1.0, 1.0], [1.0, -1.0])
-        model.payoff[0] = np.zeros((2, 1))
-        with pytest.raises(StructureError):
+        model.terminal = np.zeros(3)
+        with pytest.raises(StructureError, match="terminal"):
             validate_generator(model)
 
     def test_empty_action_set_is_structural(self):
-        model = two_state([-1.0, 1.0], [1.0, -1.0])
-        model.actions_p1[0] = []
-        model.payoff[0] = np.zeros((0, 1))
-        model.generator[0] = np.zeros((0, 1, 2))
-        with pytest.raises(StructureError):
-            validate_generator(model)
+        with pytest.raises(StructureError, match="state 0 has an empty action set"):
+            two_state(
+                [-1.0, 1.0],
+                [1.0, -1.0],
+                actions_p1=[[], [0]],
+                payoff=[np.zeros((0, 1)), np.zeros((1, 1))],
+                generator=[np.zeros((0, 1, 2)), np.array([[[1.0, -1.0]]])],
+            )
 
     def test_nonfinite_entry_flagged(self):
         model = two_state([-1.0, 1.0], [1.0, -1.0])
@@ -94,7 +111,7 @@ class TestValidateGenerator:
 
     def test_nonfinite_payoff_and_terminal_flagged(self):
         model = two_state([-1.0, 1.0], [1.0, -1.0])
-        model.payoff[1] = np.array([[np.nan]])
+        model.payoff[1][0, 0] = np.nan
         model.terminal = np.array([-np.inf, 0.0])
         report = validate_generator(model)
         assert not report.is_valid
@@ -136,15 +153,66 @@ class TestShapeGroups:
             for k, x in enumerate(g.states):
                 np.testing.assert_array_equal(g.payoff[k], 2.0 * model.payoff[x])
 
-    def test_rebinding_a_tensor_list_drops_the_stacks(self):
+    def test_per_state_tensors_are_views_into_the_stacks(self):
         model = mixed_shape_model()
-        model._shape_groups
-        model.generator = [2.0 * q for q in model.generator]
+        assert isinstance(model.payoff, tuple) and isinstance(model.generator, tuple)
         for g in model._shape_groups:
             for k, x in enumerate(g.states):
-                np.testing.assert_array_equal(
-                    g.generator[k], model.generator[x].reshape(-1, model.n_states)
-                )
+                assert np.shares_memory(model.payoff[x], g.payoff)
+                assert np.shares_memory(model.generator[x], g.generator)
+                model.generator[x][0, 0, 0] += 1.0
+                assert g.generator[k, 0, 0] == model.generator[x][0, 0, 0]
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            for g in clone._shape_groups:
+                for x in g.states:
+                    assert np.shares_memory(clone.payoff[x], g.payoff)
+                    assert np.shares_memory(clone.generator[x], g.generator)
+            np.testing.assert_array_equal(clone.generator[3], model.generator[3])
+            assert not np.shares_memory(clone.generator[3], model.generator[3])
+
+    def test_rebinding_a_tensor_sequence_restacks(self):
+        model = mixed_shape_model()
+        source = model._shape_groups
+        model.generator = [2.0 * q for q in model.generator]
+        assert model._shape_groups is not source
+        for g, old in zip(model._shape_groups, source):
+            np.testing.assert_array_equal(g.generator, 2.0 * old.generator)
+            for k, x in enumerate(g.states):
+                assert np.shares_memory(model.generator[x], g.generator)
+                assert np.shares_memory(model.payoff[x], g.payoff)
+        stacks = model._shape_groups
+        with pytest.raises(StructureError, match=r"payoff\[0\]"):
+            model.payoff = [np.zeros((4, 4))] * model.n_states
+        assert model._shape_groups is stacks
+        assert np.shares_memory(model.payoff[0], stacks[0].payoff)
+
+    @pytest.mark.parametrize("tensor", ["payoff", "generator"])
+    def test_in_place_edit_after_a_solve_is_seen(self, tensor):
+        def edit(model: GameModel) -> None:
+            for x in range(model.n_states):
+                if tensor == "payoff":
+                    model.payoff[x][0] += 0.3
+                else:
+                    model.generator[x][0] *= 1.5  # action-dependent rates; rows still sum to zero
+
+        config = SolverConfig(epsilon=1e-3, n_t=16)
+        fresh, _ = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        edit(fresh)
+        v_fresh, pol_fresh, _ = solve(fresh, config)
+        model, _ = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        v_old, pol_old, _ = solve(model, config)
+        edit(model)
+        gap = verify_saddle(model, v_old, pol_old)
+        assert gap == verify_saddle(fresh, v_old, pol_old) and gap > 1e-3
+        est, est_fresh = (
+            estimate_value(m, pol_fresh, x0=5, t0=0.0, paths=2000, rng_seed=7, retain_values=True)
+            for m in (model, fresh)
+        )
+        np.testing.assert_array_equal(est.values, est_fresh.values)
+        v, pol, _ = solve(model, config)
+        np.testing.assert_array_equal(v.values, v_fresh.values)
+        for mine, theirs in zip(pol.pi1 + pol.pi2, pol_fresh.pi1 + pol_fresh.pi2):
+            np.testing.assert_array_equal(mine, theirs)
 
 
 class TestCheckAssumptions:
@@ -177,7 +245,7 @@ class TestCheckAssumptions:
     def test_nan_payoff_or_terminal_fails_payoff_bound(self, field):
         model = two_state([0.0, 0.0], [0.0, 0.0])
         if field == "payoff":
-            model.payoff[0] = np.array([[np.nan]])
+            model.payoff[0][0, 0] = np.nan
         else:
             model.terminal = np.array([0.0, np.nan])
         out = check_assumptions(model, unit_cert(), tol=0.0)

@@ -364,7 +364,7 @@ class TestDeviationGain:
     def test_unsettled_best_response_raises(self, monkeypatch):
         import ctsg.simulate as simulate_module
 
-        monkeypatch.setattr(simulate_module.SolverConfig, "max_iterations", 1)
+        monkeypatch.setattr(simulate_module, "_BEST_RESPONSE_MAX_SWEEPS", 1)
         model = two_state_chain(1.0, T=2.0)
         model.payoff = [np.ones((1, 1))] * 2
         with pytest.raises(NumericsError, match="did not settle"):
