@@ -28,12 +28,17 @@ from .shapley import (
     verify_saddle,
     weighted_payoff,
 )
-from .simulate import DeviationReport, McEstimate, deviation_gain, estimate_value
+from .simulate import (
+    DeviationReport,
+    McEstimate,
+    deviation_gain,
+    estimate_value,
+    evaluate_policies,
+)
 from .solver import (
     SolverConfig,
     SolverReport,
     contraction_constants,
-    grid_refinement_check,
     solve,
     stopping_threshold,
 )
@@ -74,9 +79,9 @@ __all__ = [
     "deviation_gain",
     "discretize_density",
     "estimate_value",
+    "evaluate_policies",
     "floor_and_shift",
     "game_value_field",
-    "grid_refinement_check",
     "run_ladder",
     "solve",
     "solve_matrix_game",

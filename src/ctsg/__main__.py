@@ -1,0 +1,6 @@
+"""``python -m ctsg``: the ``ctsg`` command-line front end."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -139,7 +139,10 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     if model is None:
         return 1
     cert = artifacts.load_certificate(args.cert)
-    levels = [int(s) for s in args.levels.split(",") if s]
+    fields = args.levels.split(",")
+    if not all(f.strip() for f in fields):
+        raise ValueError(f"--levels {args.levels!r} has an empty field")
+    levels = [int(f) for f in fields]
     config = SolverConfig(epsilon=args.eps, n_t=args.nt, max_iterations=args.max_iter)
     report = run_ladder(model, cert, levels, config, kind=args.kind)
     if args.out:

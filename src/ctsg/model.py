@@ -140,19 +140,24 @@ class GameModel:
     def n_actions_p2(self, x: int) -> int:
         return len(self.actions_p2[x])
 
-    def rate_out(self, x: int) -> float:
-        """Total exit rate bound q*(x) = max over (a,b) of -q(x|x,a,b)."""
-        return float(np.max(-self.generator[x][:, :, x]))
+    @property
+    def q_star(self) -> np.ndarray:
+        """Per-state exit-rate bound q*(x) = max over (a, b) of -q(x|x,a,b); a NaN propagates."""
+        out = np.empty(self.n_states)
+        for group in self._shape_groups:
+            diagonal = group.generator[np.arange(len(group.states)), :, group.states]
+            out[group.states] = np.max(-diagonal, axis=1)
+        return out
 
     @property
     def norm_q(self) -> float:
-        """Sup of q*(x) over states."""
-        return max(self.rate_out(x) for x in range(self.n_states))
+        """Sup of q*(x) over states; NaN if any rate is NaN."""
+        return float(np.max(self.q_star))
 
     @property
     def norm_r(self) -> float:
-        """Sup of |r(x,a,b)|."""
-        return max(float(np.max(np.abs(m))) if m.size else 0.0 for m in self.payoff)
+        """Sup of |r(x,a,b)|; NaN if any payoff is NaN."""
+        return float(np.max([np.max(np.abs(group.payoff)) for group in self._shape_groups]))
 
     @property
     def norm_g(self) -> float:
@@ -265,7 +270,7 @@ def validate_generator(model: GameModel) -> ValidationReport:
     tol = CONSERVATIVITY_REL_TOL * max(max_abs, 1.0)
 
     violations: list[Violation] = []
-    q_star = np.zeros(n)
+    q_star = model.q_star
     for x in range(n):
         if not np.isfinite(model.payoff[x]).all():
             a, b = (int(v) for v in np.argwhere(~np.isfinite(model.payoff[x]))[0])
@@ -291,7 +296,6 @@ def validate_generator(model: GameModel) -> ValidationReport:
             violations.append(
                 Violation("not_conservative", x, int(a), int(b), None, float(rowsums[a, b]))
             )
-        q_star[x] = float(np.max(-q[:, :, x]))
         if q_star[x] < -tol:
             a, b = np.unravel_index(int(np.argmax(q[:, :, x])), q[:, :, x].shape)
             violations.append(Violation("not_stable", x, int(a), int(b), x, float(q_star[x])))
@@ -335,8 +339,7 @@ def check_assumptions(
     drift0_res = float(np.max(drift0_excess))
     drift1_res = float(np.max(drift1_excess))
     payoff_res = float(np.max(payoff_excess))
-    q_star = np.array([model.rate_out(x) for x in range(model.n_states)])
-    rate_res = float(np.max(q_star - cert.l0 * v0))
+    rate_res = float(np.max(model.q_star - cert.l0 * v0))
     squeeze_res = float(np.max(v0**2 - cert.m1 * v1))
 
     if np.all(model.terminal == 0.0):

@@ -1,4 +1,4 @@
-"""Monte Carlo simulation of the controlled jump process and value estimation.
+"""Monte Carlo simulation of the controlled jump process, and exact policy values.
 
 Paths are sampled by uniformization (thinning): candidate event times form a
 Poisson stream with the dominating rate Lambda = sup_x q*(x); a candidate at
@@ -28,6 +28,13 @@ rate. A jump's destination comes from a branchless log-step search of its
 cumulative row, ceil(log2(n_x + 1)) single-element gathers instead of a
 whole row. Per-path values are bitwise those of a full-width sampler that
 counts each row.
+
+``evaluate_policies`` computes the same expectation exactly in time, by
+uniformization of the linear ODE it solves on each grid interval, and
+``deviation_gain`` uses it to value a player's best response against the
+base pair. Both read the policies through one checked, per-shape-group
+mixing path, ``_checked_policies`` and ``_mix``, that the sampler's tables
+use too.
 """
 
 from __future__ import annotations
@@ -39,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelScaleError, NumericsError
-from .model import GameModel
-from .shapley import PolicyPair, best_response_sweep
-from .solver import default_initial_grid
+from .model import GameModel, _ShapeGroup
+from .shapley import PolicyPair, ValueGrid, best_response_sweep, boundary_row
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
 # Best-response sweeps stop once successive iterates differ by at most this
@@ -49,6 +55,8 @@ _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
 _BEST_RESPONSE_REL_TOL = 1e-12
 _BEST_RESPONSE_MAX_SWEEPS = 10_000
 _PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
+# The evaluator's series stops once its Poisson tail is below this (the unit roundoff).
+_SERIES_TAIL = 2.0**-53
 
 
 @dataclass
@@ -64,63 +72,102 @@ class McEstimate:
 
 @dataclass
 class DeviationReport:
-    """Estimated unilateral improvement of one player over a base policy pair.
+    """Exact unilateral improvement of one player over a base policy pair.
 
-    gain is the mean per-path value of the best response minus the base pair
-    (base minus best response for player 2), so gain > 0 is the deviator's
-    profit; both runs share the seed, and std_error is that difference's
-    standard error. n_candidates counts evaluated deviations (always 1).
+    gain is J(best response) - J(base) at (t0, x0) for player 1 and
+    J(base) - J(best response) for player 2, both from evaluate_policies, so
+    gain > 0 is the deviator's profit. base is J(base) at (t0, x0), std_error
+    is 0.0 (no sampling), and n_candidates counts evaluated deviations
+    (always 1).
     """
 
     gain: float
     std_error: float
     player: int
-    base: McEstimate
+    base: float
     best_response: PolicyPair
     n_candidates: int
+
+
+def _checked_policies(
+    model: GameModel, policies: PolicyPair
+) -> list[tuple[_ShapeGroup, np.ndarray, np.ndarray]]:
+    """Each shape group with its states' policy rows, stacked per player.
+
+    The pi1 rows stack to (k, n_t + 1, |A|), the pi2 rows to (k, n_t + 1, |B|).
+    Raises ValueError when the policy grid's horizon, the number of states or
+    a state's row shapes do not match the model, or when a row is not a
+    probability vector (an entry below -_PROBABILITY_TOL, or a sum more than
+    _PROBABILITY_TOL from 1; NaN fails both). The row test is one vectorized
+    check per group and its message names the player, the state and the row.
+    """
+    grid = policies.grid
+    if abs(grid.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
+        raise ValueError("policy grid horizon does not match the model")
+    n_t, n_x = grid.n_steps, model.n_states
+    if len(policies.pi1) != n_x or len(policies.pi2) != n_x:
+        raise ValueError(
+            f"policies cover {len(policies.pi1)}/{len(policies.pi2)} states; the model has {n_x}"
+        )
+    groups = []
+    for group in model._shape_groups:
+        _, na, nb = group.payoff.shape
+        want = ((n_t + 1, na), (n_t + 1, nb))
+        for x in group.states:
+            p1, p2 = policies.pi1[x], policies.pi2[x]
+            if (p1.shape, p2.shape) != want:
+                raise ValueError(
+                    f"policy shapes {p1.shape}, {p2.shape} at state {x} do not match "
+                    f"the model and grid: {want[0]}, {want[1]}"
+                )
+        p1 = np.stack([policies.pi1[x] for x in group.states])
+        p2 = np.stack([policies.pi2[x] for x in group.states])
+        for name, p in (("pi1", p1), ("pi2", p2)):
+            ok = (p >= -_PROBABILITY_TOL).all(axis=2)
+            ok &= np.abs(p.sum(axis=2) - 1.0) <= _PROBABILITY_TOL
+            if not ok.all():
+                j, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
+                raise ValueError(
+                    f"{name} at state {group.states[j]}, row {i} is not a probability vector: "
+                    f"{p[j, i].tolist()}"
+                )
+        groups.append((group, p1, p2))
+    return groups
+
+
+def _mix(
+    group: _ShapeGroup, p1: np.ndarray, p2: np.ndarray, rows: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """Policy-mixed payoff rate, (i, k), and generator, (k, i, n_x), of one shape group on `rows`.
+
+    p1 and p2 are the group's stacked policy rows from _checked_policies. These
+    einsums make the sampler's tables; a one-row slice gives the same values
+    up to rounding (on rps64 bit for bit, on a 2x3 group not always).
+    """
+    k, na, nb = group.payoff.shape
+    p1, p2 = p1[:, rows], p2[:, rows]
+    rbar = np.einsum("kia,kab,kib->ik", p1, group.payoff, p2)
+    G = group.generator.reshape(k, na, nb, -1)
+    return rbar, np.einsum("kia,kaby,kib->kiy", p1, G, p2)
 
 
 class _PolicyTables:
     """Per-interval policy-mixed payoff and rate tables used by the sampler."""
 
     def __init__(self, model: GameModel, policies: PolicyPair):
+        groups = _checked_policies(model, policies)
         grid = policies.grid
-        if abs(grid.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
-            raise ValueError("policy grid horizon does not match the model")
         n_t, n_x = grid.n_steps, model.n_states
-        if len(policies.pi1) != n_x or len(policies.pi2) != n_x:
-            raise ValueError(
-                f"policies cover {len(policies.pi1)}/{len(policies.pi2)} states; the model has {n_x}"
-            )
         self.grid = grid
         self.lam = model.norm_q  # dominating rate of the uniformized candidate stream
-        for x in range(n_x):
-            p1, p2 = policies.pi1[x], policies.pi2[x]
-            want = ((n_t + 1, model.n_actions_p1(x)), (n_t + 1, model.n_actions_p2(x)))
-            if (p1.shape, p2.shape) != want:
-                raise ValueError(
-                    f"policy shapes {p1.shape}, {p2.shape} at state {x} do not match "
-                    f"the model and grid: {want[0]}, {want[1]}"
-                )
-            for name, p in (("pi1", p1), ("pi2", p2)):
-                ok = (p >= -_PROBABILITY_TOL).all(axis=1)
-                ok &= np.abs(p.sum(axis=1) - 1.0) <= _PROBABILITY_TOL
-                if not ok.all():
-                    i = int(np.argmin(ok))
-                    raise ValueError(
-                        f"{name} at state {x}, row {i} is not a probability vector: {p[i].tolist()}"
-                    )
         self.rbar = np.empty((n_t + 1, n_x))
         self.qbar = np.empty((n_t + 1, n_x))
         self.dest_cum = np.empty((n_t + 1, n_x, n_x))
-        for group in model._shape_groups:
+        for group, p1, p2 in groups:
             states = group.states
-            k, na, nb = group.payoff.shape
-            p1 = np.stack([policies.pi1[x] for x in states])
-            p2 = np.stack([policies.pi2[x] for x in states])
-            self.rbar[:, states] = np.einsum("kia,kab,kib->ik", p1, group.payoff, p2)
-            G = group.generator.reshape(k, na, nb, n_x)
-            mixed = np.einsum("kia,kaby,kib->kiy", p1, G, p2)
+            k = len(states)
+            rbar, mixed = _mix(group, p1, p2, slice(None))
+            self.rbar[:, states] = rbar
             mixed[np.arange(k), :, states] = 0.0
             np.clip(mixed, 0.0, None, out=mixed)
             total = mixed.sum(axis=2)
@@ -227,6 +274,21 @@ def _simulate_batch(
         return np.exp(model.theta * acc)
 
 
+def _start_node(model: GameModel, policies: PolicyPair, x0: int, t0: float) -> int:
+    """Grid node index of t0.
+
+    Raises ValueError unless x0 is a state index and t0 a grid node in [0, horizon).
+    """
+    if not 0 <= x0 < model.n_states:
+        raise ValueError(f"x0={x0} is not a state index in [0, {model.n_states})")
+    node = round(t0 / policies.grid.dt)
+    if abs(t0 - node * policies.grid.dt) > 1e-9 * max(1.0, model.horizon) or not (
+        0.0 <= t0 < model.horizon
+    ):
+        raise ValueError("t0 must be a time-grid node in [0, horizon)")
+    return int(node)
+
+
 def estimate_value(
     model: GameModel,
     policies: PolicyPair,
@@ -247,12 +309,7 @@ def estimate_value(
     """
     if paths < 2:
         raise ValueError("need at least 2 paths to form a standard error")
-    if not 0 <= x0 < model.n_states:
-        raise ValueError(f"x0={x0} is not a state index in [0, {model.n_states})")
-    grid = policies.grid
-    nearest = round(t0 / grid.dt) * grid.dt
-    if abs(t0 - nearest) > 1e-9 * max(1.0, model.horizon) or not (0.0 <= t0 < model.horizon):
-        raise ValueError("t0 must be a time-grid node in [0, horizon)")
+    _start_node(model, policies, x0, t0)
     tables = _PolicyTables(model, policies)
 
     sizes = []
@@ -287,29 +344,113 @@ def estimate_value(
     )
 
 
+def evaluate_policies(model: GameModel, policies: PolicyPair) -> ValueGrid:
+    """Exact value J(pi1, pi2, t_i, x) of a grid policy pair at every grid node.
+
+    The pair is constant on each [t_i, t_{i+1}), so there J solves the linear
+    ODE w' = -A_i w with A_i = theta diag(rbar_i) + Qbar_i, and
+    w(t_i) = exp(A_i dt) w(t_{i+1}) from w(T) = exp(theta g). Each factor is
+    applied by uniformization: with c the smallest shift that makes
+    B_i = A_i + c I nonnegative,
+
+        exp(A_i dt) w = e^{-c dt} sum_k (B_i dt)^k / k! w,
+
+    a series of nonnegative terms, cut where the tail of a Poisson law with
+    parameter ||B_i dt||_inf falls below 2^-53. An interval whose parameter
+    exceeds 1 is split into equal sub-steps, so no partial sum overflows
+    before its scale e^{-c dt} is applied. rbar_i and Qbar_i are built one
+    interval at a time: only one n_x x n_x matrix is held.
+
+    The policies are checked as estimate_value checks them (ValueError); a
+    non-finite value raises ModelScaleError.
+    """
+    groups = _checked_policies(model, policies)
+    grid = policies.grid
+    n_x = model.n_states
+    values = np.empty((grid.n_steps + 1, n_x))
+    values[-1] = boundary_row(model)
+    B = np.empty((n_x, n_x))
+    diagonal = B.reshape(-1)[:: n_x + 1]  # a view
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps - 1, -1, -1):
+            for group, p1, p2 in groups:
+                rbar, mixed = _mix(group, p1, p2, slice(i, i + 1))
+                B[group.states] = mixed[:, 0]
+                diagonal[group.states] += model.theta * rbar[0]
+            c = max(0.0, -float(np.min(diagonal)))
+            diagonal += c
+            values[i] = _uniformized_step(B, c, grid.dt, values[i + 1])
+    if not np.isfinite(values).all():
+        raise ModelScaleError(
+            "policy value is not finite in double precision; rescale or truncate the model"
+        )
+    return ValueGrid(grid, values)
+
+
+def _uniformized_step(B: np.ndarray, c: float, dt: float, w: np.ndarray) -> np.ndarray:
+    """exp((B - c I) dt) w by the series of B's powers, in sub-steps of Poisson parameter <= 1.
+
+    B is scaled in place.
+    """
+    lam = dt * float(np.linalg.norm(B, np.inf))
+    if not math.isfinite(lam):
+        raise ModelScaleError("policy-mixed rates are not finite in double precision")
+    n_sub = max(1, math.ceil(lam))
+    h = dt / n_sub
+    n_terms = _series_terms(lam / n_sub)
+    B *= h
+    scale = math.exp(-c * h)
+    for _ in range(n_sub):
+        term = w
+        total = w.copy()
+        for k in range(1, n_terms + 1):
+            term = B @ term
+            term /= k
+            total += term
+        w = total * scale
+    return w
+
+
+def _series_terms(lam: float) -> int:
+    """Smallest K whose Poisson(lam) tail past K is below _SERIES_TAIL, for lam <= 1.
+
+    The tail past K is at most p_{K+1} / (1 - lam / (K + 2)), a geometric
+    bound on the terms after p_{K+1} = e^{-lam} lam^{K+1} / (K+1)!.
+    """
+    p, k = math.exp(-lam), 0
+    while True:
+        p *= lam / (k + 1)
+        if p / (1.0 - lam / (k + 2)) < _SERIES_TAIL:
+            return k
+        k += 1
+
+
 def deviation_gain(
     model: GameModel,
     base_policies: PolicyPair,
     deviating_player: int,
-    paths: int,
-    rng_seed: int,
+    *,
     x0: int,
     t0: float = 0.0,
-    threads: int = 1,
+    paths: int | None = None,
+    rng_seed: int | None = None,
+    threads: int | None = None,
 ) -> DeviationReport:
-    """Estimated improvement from the deviating player's exact best response.
+    """Exact improvement at (t0, x0) from the deviating player's best response.
 
-    best_response_sweep is iterated from the default initial grid until
-    successive iterates agree to _BEST_RESPONSE_REL_TOL of the largest value
-    (NumericsError past _BEST_RESPONSE_MAX_SWEEPS sweeps); the base pair
-    and the best response are then simulated with the same seed.
+    best_response_sweep is iterated from the base pair's exact value grid
+    until successive iterates agree to _BEST_RESPONSE_REL_TOL of the largest
+    value (NumericsError past _BEST_RESPONSE_MAX_SWEEPS sweeps); the base
+    pair and the best response are then both valued by evaluate_policies.
+    x0 and t0 are checked as estimate_value checks them (ValueError).
+    paths, rng_seed and threads are accepted and have no effect: nothing is
+    sampled, so std_error is 0.0.
     """
     if deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")
-    base = estimate_value(
-        model, base_policies, x0, t0, paths, rng_seed, retain_values=True, threads=threads
-    )
-    v = default_initial_grid(model, base_policies.grid.n_steps)
+    node = _start_node(model, base_policies, x0, t0)
+    base = evaluate_policies(model, base_policies)
+    v = base
     for sweep in range(1, _BEST_RESPONSE_MAX_SWEEPS + 1):
         v_next, response = best_response_sweep(model, v, base_policies, deviating_player)
         if not np.isfinite(v_next.values).all():
@@ -323,16 +464,13 @@ def deviation_gain(
             f"best response did not settle within {_BEST_RESPONSE_MAX_SWEEPS} sweeps "
             f"(last difference {diff:.3g})"
         )
-    dev = estimate_value(
-        model, response, x0, t0, paths, rng_seed, retain_values=True, threads=threads
-    )
-    assert base.values is not None and dev.values is not None
-    diffs = dev.values - base.values if deviating_player == 1 else base.values - dev.values
+    j_base = float(base.values[node, x0])
+    j_dev = float(evaluate_policies(model, response).values[node, x0])
     return DeviationReport(
-        gain=float(np.mean(diffs)),
-        std_error=float(np.std(diffs, ddof=1) / math.sqrt(paths)),
+        gain=j_dev - j_base if deviating_player == 1 else j_base - j_dev,
+        std_error=0.0,
         player=deviating_player,
-        base=base,
+        base=j_base,
         best_response=response,
         n_candidates=1,
     )

@@ -8,7 +8,8 @@ satisfy ||v_{n+1} - v_n|| <= l_tilde^n T^n / n! ||v_1 - v_0||. Stopping once
 
 guarantees the final grid is within epsilon/2 of the value function and the
 extracted policy pair is an epsilon-Nash equilibrium, both up to
-time-discretization error (grid refinement is the control for that gap).
+time-discretization error (ctsg.simulate.evaluate_policies values a policy
+pair exactly in time, which measures that gap).
 """
 
 from __future__ import annotations
@@ -198,14 +199,3 @@ def solve(
     )
     assert policies is not None
     return v, policies, report
-
-
-def grid_refinement_check(model: GameModel, config: SolverConfig) -> float:
-    """Sup change of the t = 0 value row when the time grid is doubled.
-
-    Diagnostic for the time-discretization gap the stopping rule cannot see.
-    """
-    coarse, _, _ = solve(model, config)
-    fine_cfg = SolverConfig(config.epsilon, 2 * config.n_t, config.max_iterations)
-    fine, _, _ = solve(model, fine_cfg)
-    return float(np.max(np.abs(fine.values[0] - coarse.values[0])))

@@ -136,6 +136,8 @@ def run_ladder(
 
     A level that fails to converge is recorded and the ladder continues.
     """
+    if not levels:
+        raise ValueError("levels must not be empty")
     if list(levels) != sorted(set(int(n) for n in levels)):
         raise ValueError("levels must be strictly increasing")
     if kind not in ("cap", "floor"):

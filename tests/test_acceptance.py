@@ -157,10 +157,9 @@ def test_criterion_5_stopping_rule_eps_nash(two_state_model):
     details = []
     ok = True
     for player in (1, 2):
-        rep = deviation_gain(two_state_model, policies, player, paths=100_000, rng_seed=7, x0=0)
-        bound = eps + 3.0 * rep.std_error
-        ok &= rep.gain <= bound
-        details.append(f"p{player} gain {rep.gain:+.4f} <= {bound:.4f}")
+        rep = deviation_gain(two_state_model, policies, player, x0=0)
+        ok &= rep.std_error == 0.0 and rep.gain <= eps
+        details.append(f"p{player} exact gain {rep.gain:+.3g} <= {eps}")
     _criterion("5", ok, "; ".join(details))
 
 

@@ -6,10 +6,15 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctsg
 from ctsg import io as artifacts
 from ctsg.cli import dispatch
 from ctsg.example_games import build_gaussian, build_rps
@@ -336,6 +341,19 @@ class TestCli:
         assert summary["worst_monotone_violation"] == 0.0
         assert [e["sup_diff_prev"] for e in summary["levels"]] == [None, 0.0, 0.0]
 
+    @pytest.mark.parametrize("levels", ["", "2,,4", "2,4,"])
+    def test_ladder_empty_level_field_exits_one(self, capsys, levels):
+        code = self.run(
+            "ladder",
+            "--model", str(FIXTURES / "two_state_model.json"),
+            "--cert", str(FIXTURES / "two_state_cert.json"),
+            "--levels", levels,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --levels {levels!r} has an empty field\n"
+
     @pytest.mark.parametrize(
         "params, message",
         [
@@ -511,6 +529,17 @@ class TestCli:
         assert code == 0
         without_env = json.loads(capsys.readouterr().out)
         assert with_env == without_env  # thread count never changes results
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(ctsg.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "ctsg", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ctsg")
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ from ctsg.shapley import verify_saddle
 from ctsg.simulate import estimate_value
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import mixed_shape_model
+from .conftest import mixed_shape_model, random_bounded_model
 
 
 def two_state(rows0, rows1, **kw) -> GameModel:
@@ -129,6 +129,26 @@ class TestModelInvariants:
         model.payoff[0][0, 0] = -3.0
         assert model.norm_q == 2.0
         assert model.norm_r == 3.0
+
+    @pytest.mark.parametrize("name", ["mixed_shapes", "random"])
+    def test_norms_equal_the_per_state_loop(self, name):
+        if name == "mixed_shapes":
+            model = mixed_shape_model()
+        else:
+            model = random_bounded_model(np.random.default_rng(5), 7, 3, rate_scale=3.0)
+        n = model.n_states
+        q_star = [float(np.max(-model.generator[x][:, :, x])) for x in range(n)]
+        assert model.q_star.tolist() == q_star
+        assert model.norm_q == max(q_star)
+        assert model.norm_r == max(float(np.max(np.abs(m))) for m in model.payoff)
+
+    def test_nan_in_second_state_propagates(self):
+        # Python's max(2.0, nan) is 2.0; the norms must not drop the NaN
+        model = two_state([-1.0, 1.0], [2.0, -2.0])
+        model.generator[1][0, 0, 1] = np.nan
+        model.payoff[1][0, 0] = np.nan
+        assert math.isnan(model.norm_q) and math.isnan(model.norm_r)
+        assert math.isnan(validate_generator(model).q_star[1])
 
 
 class TestShapeGroups:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from ctsg.errors import ModelScaleError, NumericsError
 from ctsg.example_games import build_rps
 from ctsg.model import GameModel
 from ctsg.shapley import PolicyPair, TimeGrid
-from ctsg.simulate import _destination, _PolicyTables, deviation_gain, estimate_value
+from ctsg.simulate import (
+    _destination,
+    _PolicyTables,
+    deviation_gain,
+    estimate_value,
+    evaluate_policies,
+)
 from ctsg.solver import SolverConfig, solve
 
 from .conftest import mixed_shape_model, single_state_model
@@ -191,6 +198,8 @@ class TestEstimateValue:
         rows[row] = entries
         with pytest.raises(ValueError, match=f"pi{player} at state {state}, row {row} "):
             estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=0)
+        with pytest.raises(ValueError, match=f"pi{player} at state {state}, row {row} "):
+            evaluate_policies(two_state_model, pol)
 
     def test_interior_start_matches_solver(self, two_state_model):
         v, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.01, n_t=64))
@@ -266,7 +275,7 @@ class TestDeviationGain:
     def test_zero_payoff_nash_gain_zero(self):
         model = two_state_chain(1.0, T=2.0)
         pol = uniform_policies(model, 4)
-        report = deviation_gain(model, pol, 1, paths=200, rng_seed=0, x0=0)
+        report = deviation_gain(model, pol, 1, x0=0)
         assert report.gain == pytest.approx(0.0, abs=1e-12)
         assert report.n_candidates == 1
 
@@ -286,14 +295,14 @@ class TestDeviationGain:
         equalizer = PolicyPair(
             grid, [np.tile([0.5, 0.5], (5, 1))], [np.tile([0.25, 0.75], (5, 1))]
         )
-        report = deviation_gain(model, equalizer, 1, paths=100, rng_seed=0, x0=0)
+        report = deviation_gain(model, equalizer, 1, x0=0)
         assert report.gain == pytest.approx(0.0, abs=1e-9)
 
         # swap player 2's weights: player 1 now profits by playing row 0
         perturbed = PolicyPair(
             grid, [np.tile([0.5, 0.5], (5, 1))], [np.tile([0.75, 0.25], (5, 1))]
         )
-        report = deviation_gain(model, perturbed, 1, paths=100, rng_seed=0, x0=0)
+        report = deviation_gain(model, perturbed, 1, x0=0)
         expected = math.exp(3.0 * 0.75 + 1.0 * 0.25) - math.exp(1.5)
         assert report.gain == pytest.approx(expected, rel=1e-9)
         np.testing.assert_array_equal(report.best_response.pi1[0], np.tile([1.0, 0.0], (5, 1)))
@@ -302,8 +311,8 @@ class TestDeviationGain:
     def test_solver_output_near_equilibrium(self, two_state_model):
         _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=64))
         for player in (1, 2):
-            report = deviation_gain(two_state_model, pol, player, paths=20_000, rng_seed=4, x0=0)
-            assert report.gain <= 0.05 + 3.0 * report.std_error
+            report = deviation_gain(two_state_model, pol, player, x0=0)
+            assert report.gain <= 0.05
             assert report.n_candidates == 1
             deviator, opponent = report.best_response.pi1, report.best_response.pi2
             if player == 2:
@@ -332,15 +341,12 @@ class TestDeviationGain:
             [np.full((3, n_act), 1.0 / n_act)] * 2,
             [np.ones((3, 1))] * 2,
         )
-        report = deviation_gain(model, pol, 1, paths=50, rng_seed=0, x0=0)
+        report = deviation_gain(model, pol, 1, x0=0)
         top = np.zeros((3, n_act))
         top[:, n_act - 1] = 1.0
         for rows in report.best_response.pi1:
             np.testing.assert_array_equal(rows, top)
-        # every path is the same without jumps; only the mean of 50 equal
-        # doubles rounds, so the standard error is 0 up to that rounding
         assert report.gain == pytest.approx(math.exp(0.5) - math.exp(0.25), rel=1e-12)
-        assert report.std_error <= 1e-15 * report.gain
 
     def test_time_varying_best_response(self):
         # player 2 plays column 0 on [0, 1/2) and column 1 after: matching it
@@ -356,10 +362,9 @@ class TestDeviationGain:
         )
         switch = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         pol = PolicyPair(TimeGrid(1.0, 2), [np.full((3, 2), 0.5)], [switch])
-        report = deviation_gain(model, pol, 1, paths=100, rng_seed=0, x0=0)
+        report = deviation_gain(model, pol, 1, x0=0)
         np.testing.assert_array_equal(report.best_response.pi1[0], switch)
         assert report.gain == pytest.approx(math.e - math.exp(0.5), rel=1e-12)
-        assert report.std_error <= 1e-15 * report.gain
 
     def test_unsettled_best_response_raises(self, monkeypatch):
         import ctsg.simulate as simulate_module
@@ -368,7 +373,141 @@ class TestDeviationGain:
         model = two_state_chain(1.0, T=2.0)
         model.payoff = [np.ones((1, 1))] * 2
         with pytest.raises(NumericsError, match="did not settle"):
-            deviation_gain(model, uniform_policies(model, 4), 2, paths=10, rng_seed=0, x0=0)
+            deviation_gain(model, uniform_policies(model, 4), 2, x0=0)
+
+    def test_start_off_grid_or_outside_states_rejected(self, two_state_model):
+        pol = uniform_policies(two_state_model, 4)
+        with pytest.raises(ValueError, match="t0 must be a time-grid node"):
+            deviation_gain(two_state_model, pol, 1, x0=0, t0=0.1234)
+        with pytest.raises(ValueError, match="t0 must be a time-grid node"):
+            deviation_gain(two_state_model, pol, 1, x0=0, t0=two_state_model.horizon)
+        for x0 in (-1, two_state_model.n_states):
+            with pytest.raises(ValueError, match="x0"):
+                deviation_gain(two_state_model, pol, 2, x0=x0)
+
+    def test_exact_gain_ignores_sampling_keywords(self, two_state_model):
+        # the benchmark still passes paths and rng_seed; they change nothing
+        _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=16))
+        j = evaluate_policies(two_state_model, pol).values[8, 1]  # t0 = 0.5 is node 8
+        for player in (1, 2):
+            plain = deviation_gain(two_state_model, pol, player, x0=1, t0=0.5)
+            sampled = deviation_gain(
+                two_state_model, pol, player, paths=4096, rng_seed=1, x0=1, t0=0.5, threads=2
+            )
+            assert plain.std_error == sampled.std_error == 0.0
+            assert (plain.gain, plain.base) == (sampled.gain, sampled.base)
+            assert plain.base == j
+
+
+def expm_taylor(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring a 30-term Taylor polynomial (numpy only)."""
+    s = max(0, math.ceil(math.log2(float(np.linalg.norm(A, np.inf)) + 1e-300)) + 1)
+    X = A / 2.0**s  # ||X||_inf <= 1/2
+    term = np.eye(len(A))
+    total = term.copy()
+    for k in range(1, 30):
+        term = term @ X / k
+        total += term
+    for _ in range(s):
+        total = total @ total
+    return total
+
+
+def expm_product_values(model: GameModel, pol: PolicyPair) -> np.ndarray:
+    """J on every grid node as a product of exp(A_i dt), each A_i built state by state."""
+    n, dt = model.n_states, pol.grid.dt
+    w = np.exp(model.theta * model.terminal)
+    rows = [w]
+    for i in range(pol.grid.n_steps - 1, -1, -1):
+        A = np.zeros((n, n))
+        for x in range(n):
+            a, b = pol.pi1[x][i], pol.pi2[x][i]
+            A[x] = np.einsum("a,aby,b->y", a, model.generator[x], b)
+            A[x, x] += model.theta * (a @ model.payoff[x] @ b)
+        w = expm_taylor(A * dt) @ w
+        rows.append(w)
+    return np.array(rows[::-1])
+
+
+def action_dependent_rps(n_x: int, T: float) -> GameModel:
+    """rps whose sojourn rate 2 f1[a] f2[b] depends on both actions."""
+    f1, f2 = (0.2, 0.6, 1.0), (1.0, 0.5, 0.25)
+    model, _ = build_rps(
+        0.35, lambda x, a, b: 2.0 * f1[a] * f2[b], lambda_bound=2.0,
+        x_max=8.0, n_x=n_x, theta=1.0, T=T,
+    )
+    return model
+
+
+def evaluated_model(name: str, two_state: GameModel) -> GameModel:
+    if name == "rps8":
+        return build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)[0]
+    if name == "mixed_shapes":
+        return mixed_shape_model()
+    if name == "action_dependent":
+        return action_dependent_rps(8, T=2.0)
+    return two_state
+
+
+class TestEvaluatePolicies:
+    def test_no_jumps_is_exp_of_payoff_integral(self):
+        # one state, q = 0: J(t_i) = exp(theta (sum_{j >= i} rbar_j dt + g))
+        model = GameModel(
+            actions_p1=[[0, 1]],
+            actions_p2=[[0, 1, 2]],
+            payoff=[np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])],
+            generator=[np.zeros((2, 3, 1))],
+            terminal=np.array([0.3]),
+            theta=1.7,
+            horizon=2.0,
+        )
+        pol = arithmetic_policies(model, 10)
+        rbar = np.einsum("ia,ab,ib->i", pol.pi1[0], model.payoff[0], pol.pi2[0])[:-1]
+        tail = np.append(np.cumsum((rbar * pol.grid.dt)[::-1])[::-1], 0.0)
+        expected = np.exp(model.theta * (tail + model.terminal[0]))
+        got = evaluate_policies(model, pol).values[:, 0]
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+    def test_boundary_row_is_exp_theta_g(self):
+        model, _ = build_rps(0.35, x_max=8.0, n_x=8, theta=1.3, T=1.0)
+        got = evaluate_policies(model, arithmetic_policies(model, 4)).values[-1]
+        assert got.tobytes() == np.exp(model.theta * model.terminal).tobytes()
+
+    @pytest.mark.parametrize("name", ["rps8", "mixed_shapes", "action_dependent"])
+    def test_matches_product_of_matrix_exponentials(self, two_state_model, name):
+        model = evaluated_model(name, two_state_model)
+        pol = arithmetic_policies(model, 6)
+        got = evaluate_policies(model, pol).values
+        np.testing.assert_allclose(got, expm_product_values(model, pol), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        ("name", "x0", "node"), [("rps8", 3, 0), ("two_state", 0, 4), ("action_dependent", 5, 2)]
+    )
+    def test_within_three_standard_errors_of_monte_carlo(self, two_state_model, name, x0, node):
+        model = evaluated_model(name, two_state_model)
+        pol = arithmetic_policies(model, 8)
+        exact = evaluate_policies(model, pol).values[node, x0]
+        est = estimate_value(model, pol, x0, node * pol.grid.dt, paths=40_000, rng_seed=17)
+        assert abs(est.mean - exact) <= 3.0 * est.std_error
+
+    def test_overflow_is_a_scale_error(self):
+        # payoff rate 800 over T = 1: J = e^800 has no double
+        model = single_state_model(r0=800.0)
+        with pytest.raises(ModelScaleError, match="not finite"):
+            evaluate_policies(model, uniform_policies(model, 4))
+
+    def test_holds_one_interval_at_a_time(self):
+        # an (n_t + 1) n_x^2 table of mixed generators would take 8.4 MB here
+        model, _ = build_rps(0.35, x_max=8.0, n_x=64, theta=1.0, T=1.0)
+        pol = arithmetic_policies(model, 256)
+        table = (pol.grid.n_steps + 1) * model.n_states**2 * 8
+        tracemalloc.start()
+        try:
+            evaluate_policies(model, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 4
 
 
 def arithmetic_policies(model: GameModel, n_t: int) -> PolicyPair:
@@ -389,12 +528,7 @@ def arithmetic_policies(model: GameModel, n_t: int) -> PolicyPair:
 def _pinned_model(name: str, two_state: GameModel) -> GameModel:
     if name == "rps64":
         # action-dependent sojourn rates, so acceptance depends on the policies
-        f1, f2 = (0.2, 0.6, 1.0), (1.0, 0.5, 0.25)
-        model, _ = build_rps(
-            0.35, lambda x, a, b: 2.0 * f1[a] * f2[b], lambda_bound=2.0,
-            x_max=8.0, n_x=64, theta=1.0, T=3.0,
-        )
-        return model
+        return action_dependent_rps(64, T=3.0)
     if name == "two_state":
         return two_state
     if name == "mixed_shapes":

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from ctsg.errors import ModelScaleError, NumericsError
 from ctsg.model import check_assumptions, compute_value_bounds
 from ctsg.shapley import verify_saddle
+from ctsg.simulate import evaluate_policies
 from ctsg.solver import (
     SolverConfig,
     contraction_constants,
     default_initial_grid,
-    grid_refinement_check,
     solve,
     stopping_threshold,
 )
@@ -181,9 +181,17 @@ def test_termination_on_random_models(seed):
     assert report.converged
 
 
-def test_grid_refinement_diagnostic(two_state_model):
-    change = grid_refinement_check(two_state_model, SolverConfig(epsilon=1e-5, n_t=32))
-    assert 0.0 <= change < 1e-3
+def test_policy_value_gap_falls_with_the_grid(two_state_model):
+    # max |v - J(pi)|, the solver's grid against its policies' exact value, is
+    # the time-discretization gap: about 1.3e-4 at n_t = 32, second order in dt
+    gaps = []
+    for n_t in (32, 64, 128, 256):
+        v, pol, report = solve(two_state_model, SolverConfig(epsilon=1e-5, n_t=n_t))
+        assert report.converged
+        exact = evaluate_policies(two_state_model, pol)
+        gaps.append(float(np.max(np.abs(v.values - exact.values))))
+    assert gaps[0] < 1e-3
+    assert all(fine * 3.0 <= coarse for coarse, fine in zip(gaps, gaps[1:]))
 
 
 @pytest.mark.parametrize("theta_k", [0.0, 0.5, 2.0, 5.0, 10.0, 20.0, 25.0, 30.0, 50.0, 100.0, 300.0])

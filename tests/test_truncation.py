@@ -170,3 +170,5 @@ class TestRunLadder:
             run_ladder(model, growing_cert(4), [4, 4], SolverConfig(epsilon=0.1, n_t=8))
         with pytest.raises(ValueError):
             run_ladder(model, growing_cert(4), [8, 4], SolverConfig(epsilon=0.1, n_t=8))
+        with pytest.raises(ValueError, match="must not be empty"):
+            run_ladder(model, growing_cert(4), [], SolverConfig(epsilon=0.1, n_t=8))
