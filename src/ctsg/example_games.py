@@ -8,8 +8,8 @@ Two families:
   v0 = 1 + x, v1 = (1+x)^2 with constants (rho0, l0, m0) = (1, L, 1) and
   (rho1, b1, m1) = (23 L, 1, 1), L the sojourn-rate bound.
 
-* a Gaussian-jump game on [x_min, x_max]: kernel N(x, sigma^2) scaled by a
-  state/action rate lambda <= M (1 + x^2). Certificate v0 = 1 + x^2,
+* a Gaussian-jump game on [x_min, x_max]: kernel N(x, sigma^2) scaled by the
+  sojourn rate lambda(x, a, b) = M (1 + x^2). Certificate v0 = 1 + x^2,
   v1 = 1 + x^4 with (rho0, l0) = (M sigma^2, M) and
   rho1 = 3780 M (sigma^8 + sigma^6 + sigma^4 + sigma^2), b1 = 1, m1 = 2.
 
@@ -36,6 +36,8 @@ _GAUSS_MASS_WARN = 0.999
 # Cyclic win pattern: row beats column for (scissors, paper), (paper, stone),
 # (stone, scissors); indices 0 = scissors, 1 = paper, 2 = stone.
 _RPS_SIGN = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+# Gaussian game's payoff pattern, scaled by payoff_bound x^2 / (1 + x^2).
+_GAUSS_PATTERN = np.array([[1.0, 0.2], [0.0, 0.8]])
 
 RateFn = Callable[[float, int, int], float]
 
@@ -134,19 +136,7 @@ def build_rps(
     return model, cert
 
 
-def _default_gaussian_payoff(payoff_bound: float) -> Callable[[float, int, int], float]:
-    base = np.array([[1.0, 0.2], [0.0, 0.8]])
-
-    def r_fn(x: float, a: int, b: int) -> float:
-        return payoff_bound * base[a, b] * (x * x / (1.0 + x * x))
-
-    return r_fn
-
-
 def build_gaussian(
-    lambda_fn: RateFn | None = None,
-    r_fn: Callable[[float, int, int], float] | None = None,
-    g_fn: Callable[[float], float] | None = None,
     *,
     sigma: float,
     rate_bound: float,
@@ -154,34 +144,21 @@ def build_gaussian(
     x_min: float,
     x_max: float,
     n_x: int,
-    n_actions_p1: int = 2,
-    n_actions_p2: int = 2,
     theta: float,
     T: float,
 ) -> tuple[GameModel, LyapunovCertificate]:
     """Gaussian-jump game discretized on [x_min, x_max] with its certificate.
 
-    Defaults: lambda(x, a, b) = rate_bound (1 + x^2) (attains the rate
-    hypothesis), a fixed 2x2 payoff pattern scaled by
-    payoff_bound x^2/(1+x^2), and g(x) = payoff_bound x^2 / (2 (1 + x^2)).
-    Supplied functions are validated against the standing hypotheses
-    0 < lambda <= rate_bound (1+x^2) and
-    |r|, |g| <= payoff_bound + (sqrt(2)/2) sqrt(ln(1+x^2)).
-    Rows whose truncated Gaussian mass falls below 0.999 trigger a warning
-    (drift checks degrade near the grid boundary).
+    lambda(x, a, b) = rate_bound (1 + x^2), which attains the rate hypothesis;
+    the payoff is a fixed 2x2 pattern scaled by payoff_bound x^2/(1+x^2), and
+    g(x) = payoff_bound x^2 / (2 (1 + x^2)). Rows whose truncated Gaussian
+    mass falls below 0.999 trigger a warning (drift checks degrade near the
+    grid boundary).
     """
-    if sigma <= 0 or rate_bound <= 0 or payoff_bound <= 0:
+    if not (sigma > 0 and rate_bound > 0 and payoff_bound > 0):  # NaN fails too
         raise ValueError("sigma, rate_bound and payoff_bound must be positive")
     if n_x < 2:
         raise ValueError("need at least two grid nodes")
-    if lambda_fn is None:
-        lambda_fn = lambda x, a, b: rate_bound * (1.0 + x * x)
-    if r_fn is None:
-        if (n_actions_p1, n_actions_p2) != (2, 2):
-            raise ValueError("default payoff pattern is 2x2; supply r_fn for other action counts")
-        r_fn = _default_gaussian_payoff(payoff_bound)
-    if g_fn is None:
-        g_fn = lambda x: 0.5 * payoff_bound * (x * x / (1.0 + x * x))
 
     grid = np.linspace(x_min, x_max, n_x)
     h = grid[1] - grid[0]
@@ -191,35 +168,14 @@ def build_gaussian(
     terminal = np.zeros(n_x)
     thin_rows = 0
     for ix, x in enumerate(grid):
-        r_bound = payoff_bound + (math.sqrt(2.0) / 2.0) * math.sqrt(math.log1p(x * x))
-        r_mat = np.empty((n_actions_p1, n_actions_p2))
-        for a in range(n_actions_p1):
-            for b in range(n_actions_p2):
-                r_mat[a, b] = float(r_fn(x, a, b))
-                if abs(r_mat[a, b]) > r_bound + 1e-12:
-                    raise ValueError(
-                        f"payoff {r_mat[a, b]} at (x={x}, a={a}, b={b}) violates the growth hypothesis"
-                    )
-        payoff.append(r_mat)
-        terminal[ix] = float(g_fn(x))
-        if abs(terminal[ix]) > r_bound + 1e-12:
-            raise ValueError(f"terminal reward {terminal[ix]} at x={x} violates the growth hypothesis")
-
+        share = x * x / (1.0 + x * x)
+        payoff.append((payoff_bound * _GAUSS_PATTERN) * share)
+        terminal[ix] = 0.5 * payoff_bound * share
         density = lambda y: norm * np.exp(-((y - x) ** 2) / (2.0 * sigma * sigma))
         if float(np.sum(density(grid)) * h) < _GAUSS_MASS_WARN:
             thin_rows += 1
         base = discretize_density(density, grid, 1.0, ix)
-        q = np.zeros((n_actions_p1, n_actions_p2, n_x))
-        lam_cap = rate_bound * (1.0 + x * x)
-        for a in range(n_actions_p1):
-            for b in range(n_actions_p2):
-                lam = float(lambda_fn(x, a, b))
-                if not 0.0 < lam <= lam_cap + 1e-12:
-                    raise ValueError(
-                        f"rate {lam} at (x={x}, a={a}, b={b}) outside (0, {lam_cap}]"
-                    )
-                q[a, b] = lam * base
-        generator.append(q)
+        generator.append(np.broadcast_to((rate_bound * (1.0 + x * x)) * base, (2, 2, n_x)))
     if thin_rows:
         logger.warning(
             "truncated Gaussian mass below %.3f at %d of %d grid nodes; "
@@ -230,8 +186,8 @@ def build_gaussian(
         )
 
     model = GameModel(
-        actions_p1=[list(range(n_actions_p1))] * n_x,
-        actions_p2=[list(range(n_actions_p2))] * n_x,
+        actions_p1=[[0, 1]] * n_x,
+        actions_p2=[[0, 1]] * n_x,
         payoff=payoff,
         generator=generator,
         terminal=terminal,

@@ -79,18 +79,27 @@ class GameModel:
             super().__setattr__(name, value)
 
     def __post_init__(self) -> None:
-        if self.theta <= 0:
+        # Written so that NaN fails: a NaN theta or horizon would spin the solver.
+        if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(
-                "theta must be strictly positive; model risk seeking by negating the payoff"
+                "theta must be finite and strictly positive; model risk seeking by negating the payoff"
             )
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and positive")
         self.terminal = np.asarray(self.terminal, dtype=float)
         if self.coords is not None:
             self.coords = np.asarray(self.coords, dtype=float)
         self._stack(self.payoff, self.generator)
+        n = self.n_states
         if not self.state_ids:
-            self.state_ids = list(range(self.n_states))
+            self.state_ids = list(range(n))
+        if len(self.state_ids) != n:
+            raise StructureError(f"{len(self.state_ids)} state ids for {n} states")
+        if len(set(self.state_ids)) != n:
+            repeated = next(s for s in self.state_ids if self.state_ids.count(s) > 1)
+            raise StructureError(f"state id {repeated} appears more than once")
+        if self.coords is not None and self.coords.shape != (n,):
+            raise StructureError(f"coords must have shape ({n},), got {self.coords.shape}")
 
     def _stack(self, payoff: Sequence, generator: Sequence) -> None:
         """Check the dimensions, then store the tensors as views into fresh shape-group stacks."""
@@ -266,7 +275,14 @@ def validate_generator(model: GameModel) -> ValidationReport:
     n = model.n_states
     if model.terminal.shape != (n,):
         raise StructureError(f"terminal must have shape ({n},), got {model.terminal.shape}")
-    max_abs = max((float(np.max(np.abs(g))) if g.size else 0.0) for g in model.generator)
+    # Over the finite rates only, so one NaN cannot make the tolerance NaN.
+    max_abs = max(
+        (
+            float(np.max(np.abs(g.generator), initial=0.0, where=np.isfinite(g.generator)))
+            for g in model._shape_groups
+        ),
+        default=0.0,
+    )
     tol = CONSERVATIVITY_REL_TOL * max(max_abs, 1.0)
 
     violations: list[Violation] = []

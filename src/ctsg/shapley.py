@@ -40,8 +40,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):  # NaN fails too
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.n_steps < 1:
             raise ValueError("need at least one time step")
 

@@ -236,20 +236,15 @@ def _simulate_batch(
     k = grid.interval_index(t)
     x = x_end.copy()
     integral = np.zeros(size)
-    if lam <= 0.0:  # no candidate events: every path stays in x0 until T
-        t_end = np.full(size, T)
-        k1 = grid.interval_index(t_end)
-        acc = tables.payoff_integral(t_end, k1, k1 * n_x + x) - tables.payoff_integral(
-            t, k, k * n_x + x
-        )
-        col = col[:0]
+    # With no candidate events (lam = 0) every gap is infinite: all paths end in round one.
+    mean_gap = 1.0 / lam if lam > 0.0 else math.inf
     while col.size:
         # Fixed draw pattern each round keeps the stream layout deterministic.
-        dt = gen.exponential(1.0 / lam, size=size)
+        dt = gen.exponential(mean_gap, size=size)
         u_accept = gen.random(size=size)
         u_dest = gen.random(size=size)
         t_next = t + dt[col]
-        done = t_next >= T
+        done = ~(t_next < T)  # at lam = 0 a zero draw gives a NaN gap (0 * inf); it ends too
         t_end = np.where(done, T, t_next)
         k1 = grid.interval_index(t_end)
         cell = k1 * n_x + x
@@ -303,12 +298,15 @@ def estimate_value(
 
     t0 must coincide with a policy grid node, x0 must be a state index and
     the policies must match the model's states and action sets (ValueError
-    otherwise). Batches are independent Philox streams, so threads only
-    changes wall time, never the result. Raises ModelScaleError when the
-    mean or standard error of the path functionals overflows.
+    otherwise). Batches are independent Philox streams run on a pool of
+    threads >= 1 workers, so threads only changes wall time, never the
+    result. Raises ModelScaleError when the mean or standard error of the
+    path functionals overflows.
     """
     if paths < 2:
         raise ValueError("need at least 2 paths to form a standard error")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     _start_node(model, policies, x0, t0)
     tables = _PolicyTables(model, policies)
 
@@ -322,13 +320,8 @@ def estimate_value(
         i, size = i_size
         return _simulate_batch(model, tables, x0, t0, size, rng_seed, i)
 
-    jobs = list(enumerate(sizes))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, jobs))
-    else:
-        chunks = [run(j) for j in jobs]
-    values = np.concatenate(chunks)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        values = np.concatenate(list(pool.map(run, enumerate(sizes))))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(values))
         std_error = float(np.std(values, ddof=1) / math.sqrt(paths))
@@ -434,7 +427,6 @@ def deviation_gain(
     t0: float = 0.0,
     paths: int | None = None,
     rng_seed: int | None = None,
-    threads: int | None = None,
 ) -> DeviationReport:
     """Exact improvement at (t0, x0) from the deviating player's best response.
 
@@ -443,8 +435,8 @@ def deviation_gain(
     value (NumericsError past _BEST_RESPONSE_MAX_SWEEPS sweeps); the base
     pair and the best response are then both valued by evaluate_policies.
     x0 and t0 are checked as estimate_value checks them (ValueError).
-    paths, rng_seed and threads are accepted and have no effect: nothing is
-    sampled, so std_error is 0.0.
+    paths and rng_seed are accepted and have no effect: nothing is sampled,
+    so std_error is 0.0.
     """
     if deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")

@@ -44,8 +44,8 @@ class SolverConfig:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):  # NaN fails too
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.n_t < 1:
             raise ValueError("n_t must be at least 1")
         if self.max_iterations < 1:
@@ -78,8 +78,9 @@ def stopping_threshold(
     limit of its derivation (the payoff envelope degenerates to T) is used
     instead and a loud warning is emitted.
     """
-    if epsilon <= 0 or theta <= 0 or T <= 0 or norm_r < 0 or norm_q < 0:
-        raise ValueError("threshold arguments must be positive (norms nonnegative)")
+    finite = all(math.isfinite(v) for v in (epsilon, theta, norm_r, norm_q, T))
+    if not (finite and epsilon > 0 and theta > 0 and T > 0 and norm_r >= 0 and norm_q >= 0):
+        raise ValueError("threshold arguments must be finite and positive (norms nonnegative)")
     if norm_r == 0.0:
         logger.warning(
             "degenerate: zero payoff norm; using the limit-form stopping threshold "
@@ -105,8 +106,9 @@ def contraction_constants(
     theta: float, norm_r: float, norm_q: float, T: float
 ) -> tuple[float, int, float]:
     """(l_tilde, k, beta): smallest k with beta = l_tilde^k T^k / k! < 1."""
-    if min(theta, norm_r, norm_q) < 0 or T <= 0:
-        raise ValueError("inputs must be nonnegative with T > 0")
+    finite = all(math.isfinite(v) for v in (theta, norm_r, norm_q, T))
+    if not (finite and theta >= 0 and norm_r >= 0 and norm_q >= 0 and T > 0):  # NaN would spin
+        raise ValueError("inputs must be finite and nonnegative with T > 0")
     l_tilde = theta * norm_r + 2.0 * norm_q
     term = 1.0
     k = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -112,7 +112,6 @@ class LadderReport:
     monotone_slack: float
     worst_monotone_violation: float
     diffs_decreasing: bool
-    grids: list[ValueGrid] = field(default_factory=list)
 
 
 def run_ladder(
@@ -155,7 +154,6 @@ def run_ladder(
             logger.info("cap ladder: lifted signed payoff by %d before truncation", shift)
 
     results: list[LadderLevelResult] = []
-    grids: list[ValueGrid] = []
     prev: ValueGrid | None = None
     worst_violation = -math.inf
     diffs: list[float] = []
@@ -193,7 +191,6 @@ def run_ladder(
                 sup_diff_prev=sup_diff,
             )
         )
-        grids.append(v)
         prev = v
 
     slack = 10.0 * max_threshold
@@ -207,5 +204,4 @@ def run_ladder(
         monotone_slack=slack,
         worst_monotone_violation=worst_violation if results else 0.0,
         diffs_decreasing=diffs_decreasing,
-        grids=grids,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import math
 
 import numpy as np
 import pytest
@@ -142,19 +144,33 @@ class TestBuildGaussian:
         assert errs[1] < 1e-2
         assert errs[1] < errs[0]
 
-    def test_hypothesis_violations_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
-            build_gaussian(
-                lambda_fn=lambda x, a, b: 10.0,
-                sigma=1.0, rate_bound=0.1, payoff_bound=1.0,
-                x_min=-2.0, x_max=2.0, n_x=8, theta=1.0, T=1.0,
-            )
-        with pytest.raises(ValueError, match="payoff"):
-            build_gaussian(
-                r_fn=lambda x, a, b: 50.0,
-                sigma=1.0, rate_bound=0.1, payoff_bound=1.0,
-                x_min=-2.0, x_max=2.0, n_x=8, theta=1.0, T=1.0,
-            )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"sigma": 0.0},
+            {"sigma": -1.0},
+            {"rate_bound": 0.0},
+            {"payoff_bound": -0.5},
+            {"sigma": math.nan},
+            {"n_x": 1},
+        ],
+        ids=["sigma_zero", "sigma_negative", "rate_bound_zero", "payoff_bound_negative", "sigma_nan", "n_x_one"],
+    )
+    def test_bad_scalars_rejected(self, bad):
+        params = dict(
+            sigma=1.0, rate_bound=0.1, payoff_bound=1.0,
+            x_min=-2.0, x_max=2.0, n_x=8, theta=1.0, T=1.0,
+        )
+        match = "grid nodes" if "n_x" in bad else "must be positive"
+        with pytest.raises(ValueError, match=match):
+            build_gaussian(**{**params, **bad})
+
+    def test_takes_only_the_cli_scalars(self):
+        # the builder is fixed by its scalars: no rate, payoff or terminal hooks
+        from ctsg.cli import _EXAMPLES
+
+        builder, defaults = _EXAMPLES["gaussian"]
+        assert set(inspect.signature(builder).parameters) == set(defaults)
 
     def test_thin_mass_warning(self, caplog):
         import logging

@@ -6,9 +6,11 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +291,54 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: stopping threshold ")
 
+    @pytest.mark.parametrize(
+        "field, value, extra",
+        [
+            ("horizon", math.nan, ()),
+            ("theta", math.nan, ()),
+            ("horizon", math.inf, ()),
+            (None, None, ("--eps", "nan")),
+            (None, None, ("--eps", "inf")),
+        ],
+        ids=["nan_horizon", "nan_theta", "inf_horizon", "nan_eps", "inf_eps"],
+    )
+    def test_solve_non_finite_scalar_exits_one_fast(self, tmp_path, capsys, field, value, extra):
+        # a NaN once made the contraction search spin, and --eps nan ran every iteration
+        model, _ = build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        payload = artifacts.model_to_dict(model)
+        if field is not None:
+            payload[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))  # writes NaN and Infinity as JSON accepts them
+        start = time.perf_counter()
+        code = self.run("solve", "--model", str(path), "--nt", "4", *extra)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["states"].pop(), "3 state ids for 4 states"),
+            (lambda d: d["states"][1].update(id=0), "state id 0 appears more than once"),
+        ],
+        ids=["one_dropped", "duplicate"],
+    )
+    def test_solve_state_ids_must_match_the_tensors(self, tmp_path, capsys, edit, message):
+        model, _ = build_rps(0.35, x_max=8.0, n_x=4, theta=1.0, T=1.0)
+        payload = artifacts.model_to_dict(model)
+        edit(payload)
+        path, value_csv = tmp_path / "m.json", tmp_path / "v.csv"
+        path.write_text(json.dumps(payload))
+        code = self.run("solve", "--model", str(path), "--nt", "4", "--out-value", str(value_csv))
+        assert code == 1 and not value_csv.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
     def test_missing_file_exits_two(self):
         assert self.run("solve", "--model", "/nonexistent.json") == 2
 
@@ -340,6 +390,21 @@ class TestCli:
         assert code == 0
         assert summary["worst_monotone_violation"] == 0.0
         assert [e["sup_diff_prev"] for e in summary["levels"]] == [None, 0.0, 0.0]
+
+    def test_ladder_invalid_model_exits_one(self, tmp_path, capsys):
+        model = artifacts.load_model(FIXTURES / "two_state_model.json")
+        model.generator[0][0, 0, 1] += 0.5  # break conservativity
+        bad = tmp_path / "bad.json"
+        artifacts.save_model(model, bad)
+        out = tmp_path / "ladder.csv"
+        code = self.run(
+            "ladder", "--model", str(bad), "--cert", str(FIXTURES / "two_state_cert.json"),
+            "--levels", "1,2", "--out", str(out),
+        )
+        assert code == 1 and not out.exists()
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["is_valid"]
+        assert [v["kind"] for v in payload["violations"]] == ["not_conservative"]
 
     @pytest.mark.parametrize("levels", ["", "2,,4", "2,4,"])
     def test_ladder_empty_level_field_exits_one(self, capsys, levels):

@@ -109,6 +109,15 @@ class TestValidateGenerator:
         report = validate_generator(model)
         assert any(v.kind == "not_finite" for v in report.violations)
 
+    def test_nan_rate_leaves_tolerance_finite(self):
+        # a NaN in state 0 must not hide state 1's non-conservative row
+        model = two_state([-1.0, 1.0], [1.0, -0.5])
+        model.generator[0][0, 0, 1] = np.nan
+        report = validate_generator(model)
+        assert math.isfinite(report.tolerance) and report.max_abs_rate == 1.0
+        witnesses = [(v.kind, v.x) for v in report.violations]
+        assert witnesses == [("not_finite", 0), ("not_conservative", 1)]
+
     def test_nonfinite_payoff_and_terminal_flagged(self):
         model = two_state([-1.0, 1.0], [1.0, -1.0])
         model.payoff[1][0, 0] = np.nan
@@ -123,6 +132,25 @@ class TestModelInvariants:
     def test_theta_must_be_positive(self):
         with pytest.raises(ValueError, match="theta"):
             two_state([-1.0, 1.0], [1.0, -1.0], theta=-0.5)
+
+    @pytest.mark.parametrize("name", ["theta", "horizon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_scalars_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            two_state([-1.0, 1.0], [1.0, -1.0], **{name: value})
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"state_ids": [7]}, "1 state ids for 2 states"),
+            ({"state_ids": [3, 3]}, "state id 3 appears more than once"),
+            ({"coords": np.zeros(3)}, r"coords must have shape \(2,\)"),
+        ],
+        ids=["short", "duplicate", "coords"],
+    )
+    def test_state_ids_and_coords_match_the_states(self, kw, message):
+        with pytest.raises(StructureError, match=message):
+            two_state([-1.0, 1.0], [1.0, -1.0], **kw)
 
     def test_norms(self):
         model = two_state([-1.0, 1.0], [2.0, -2.0])

@@ -38,6 +38,9 @@ class TestTimeGrid:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+        for horizon in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="horizon must be finite and positive"):
+                TimeGrid(horizon, 4)
 
 
 class TestWeightedPayoff:

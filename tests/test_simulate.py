@@ -165,6 +165,12 @@ class TestEstimateValue:
         with pytest.raises(ValueError):
             estimate_value(two_state_model, pol, 0, 0.0, paths=1, rng_seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, two_state_model, threads):
+        pol = uniform_policies(two_state_model, 4)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=0, threads=threads)
+
     def test_overflowing_estimate_is_a_scale_error(self):
         # payoff rate 800 over T = 1: every path's functional is e^800
         model = single_state_model(r0=800.0)
@@ -391,12 +397,22 @@ class TestDeviationGain:
         j = evaluate_policies(two_state_model, pol).values[8, 1]  # t0 = 0.5 is node 8
         for player in (1, 2):
             plain = deviation_gain(two_state_model, pol, player, x0=1, t0=0.5)
-            sampled = deviation_gain(
-                two_state_model, pol, player, paths=4096, rng_seed=1, x0=1, t0=0.5, threads=2
-            )
+            sampled = deviation_gain(two_state_model, pol, player, paths=4096, rng_seed=1, x0=1, t0=0.5)
             assert plain.std_error == sampled.std_error == 0.0
-            assert (plain.gain, plain.base) == (sampled.gain, sampled.base)
+            assert (plain.gain, plain.base, plain.player, plain.n_candidates) == (
+                sampled.gain, sampled.base, sampled.player, sampled.n_candidates
+            )
+            for a, b in zip(
+                plain.best_response.pi1 + plain.best_response.pi2,
+                sampled.best_response.pi1 + sampled.best_response.pi2,
+            ):
+                np.testing.assert_array_equal(a, b)
             assert plain.base == j
+
+    def test_threads_keyword_is_gone(self, two_state_model):
+        _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=16))
+        with pytest.raises(TypeError, match="threads"):
+            deviation_gain(two_state_model, pol, 1, x0=1, threads=2)
 
 
 def expm_taylor(A: np.ndarray) -> np.ndarray:

@@ -50,6 +50,14 @@ class TestStoppingThreshold:
         with pytest.raises(ValueError):
             stopping_threshold(-1.0, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, position, bad):
+        args = [0.01, 1.0, 1.0, 2.0, 1.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stopping_threshold(*args)
+
     def test_overflowing_exponent_is_a_scale_error(self):
         with pytest.raises(ModelScaleError, match="overflows"):
             stopping_threshold(1e-3, 1.0, 800.0, 0.0, 1.0)
@@ -69,6 +77,15 @@ class TestContractionConstants:
 
     def test_zero_operator(self):
         assert contraction_constants(1.0, 0.0, 0.0, 3.0) == (0.0, 1, 0.0)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, position, bad):
+        # a NaN term is never < 1 and never inf, so the search would not end
+        args = [1.0, 0.5, 0.5, 1.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            contraction_constants(*args)
 
     def test_overflowing_product_is_a_scale_error(self):
         with pytest.raises(ModelScaleError, match="overflows"):
@@ -166,6 +183,11 @@ class TestSolve:
             # %-style arguments: nothing is formatted unless INFO is on
             assert record.args[:3] == (n, diff, report.threshold) and record.args[3] >= 0.0
             assert f"diff {diff:.6g}, threshold {report.threshold:.6g}" in record.getMessage()
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-3])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            SolverConfig(epsilon=eps, n_t=4)
 
     def test_mismatched_v0_rejected(self, two_state_model):
         v0 = default_initial_grid(two_state_model, 16)
