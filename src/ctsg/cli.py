@@ -30,13 +30,6 @@ from .truncation import run_ladder
 logger = logging.getLogger(__name__)
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CTSG_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _valid_model(path: str) -> GameModel | None:
     """Load a model; print its validation report and return None if it is invalid."""
     model = artifacts.load_model(path)
@@ -109,7 +102,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         t0=args.t0,
         paths=args.paths,
         rng_seed=args.seed,
-        threads=_threads(args),
+        threads=args.threads,
     )
     payload = artifacts.estimate_to_dict(est)
     if args.out:
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("check", help="generator validation and certificate checks")

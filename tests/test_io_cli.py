@@ -22,6 +22,7 @@ from ctsg.cli import dispatch
 from ctsg.example_games import build_gaussian, build_rps
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma
 from ctsg.solver import SolverConfig, default_initial_grid, solve
+from ctsg.truncation import LadderLevelResult, LadderReport
 from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, single_state_model
 
 
@@ -57,6 +58,24 @@ class TestRoundTrips:
             for sid, v in zip([7, 3], row):
                 writer.writerow([repr(float(t)), sid, repr(float(v))])
         assert artifacts.value_grid_to_csv(grid, [7, 3]) == buf.getvalue()
+
+    def test_ladder_csv_matches_csv_module(self):
+        entries = [
+            LadderLevelResult(2, True, 5, 1e-6, np.array([-0.0, np.nan, 5e-324]), None),
+            LadderLevelResult(4, False, 9, 1e-6, np.array([np.inf, -np.inf, 0.1]), 0.5),
+        ]
+        report = LadderReport(
+            kind="cap", levels=entries, shift=0, monotone_ok=True, monotone_slack=1e-5,
+            worst_monotone_violation=0.0, diffs_decreasing=True,
+        )
+        state_ids = [9, 2, 5]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["level", "x_id", "value_t0"])
+        for entry in entries:
+            for x, sid in enumerate(state_ids):
+                writer.writerow([entry.level, sid, repr(float(entry.values_t0[x]))])
+        assert artifacts.ladder_to_csv(report, state_ids) == buf.getvalue()
 
     def test_policies(self, tmp_path):
         grid = TimeGrid(1.0, 2)
@@ -569,31 +588,62 @@ class TestCli:
             ("not_finite", 0, 1, 0)
         ]
 
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch, two_state_model):
-        from ctsg.solver import SolverConfig, solve
-
+    def _simulate_two_state(self, tmp_path, two_state_model, *extra: str) -> int:
         _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.1, n_t=8))
         policy_json = tmp_path / "policy.json"
         artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
-        monkeypatch.setenv("CTSG_THREADS", "3")
-        code = self.run(
+        return self.run(
             "simulate",
             "--model", str(FIXTURES / "two_state_model.json"),
             "--policy", str(policy_json),
-            "--x0", "0", "--paths", "2000", "--seed", "5",
+            "--x0", "0", "--paths", "2000", "--seed", "5", *extra,
         )
-        assert code == 0
-        with_env = json.loads(capsys.readouterr().out)
+
+    def test_simulate_threads_below_one_exits_one(self, tmp_path, capsys, two_state_model):
+        code = self._simulate_two_state(tmp_path, two_state_model, "--threads", "0")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: threads must be at least 1, got 0"]
+
+    def test_simulate_ignores_threads_environment(self, tmp_path, capsys, monkeypatch, two_state_model):
+        monkeypatch.setenv("CTSG_THREADS", "abc")
+        assert self._simulate_two_state(tmp_path, two_state_model) == 0
+        with_env = capsys.readouterr().out
         monkeypatch.delenv("CTSG_THREADS")
+        assert self._simulate_two_state(tmp_path, two_state_model) == 0
+        assert with_env == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["ladder", "check"])
+    def test_non_finite_certificate_weight_exits_one(self, tmp_path, capsys, command):
+        cert = json.loads((FIXTURES / "two_state_cert.json").read_text())
+        cert["v0"][1] = float("nan")
+        bad = tmp_path / "cert.json"
+        bad.write_text(json.dumps(cert))
+        extra = ["--levels", "2,4", "--nt", "8"] if command == "ladder" else []
         code = self.run(
-            "simulate",
-            "--model", str(FIXTURES / "two_state_model.json"),
-            "--policy", str(policy_json),
-            "--x0", "0", "--paths", "2000", "--seed", "5",
+            command, "--model", str(FIXTURES / "two_state_model.json"), "--cert", str(bad), *extra
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: v0 must be finite with v0(x) >= 1 everywhere"]
+
+    def test_solve_with_overflowing_rate_factor_bounds(self, tmp_path, capsys):
+        # e^{rho0 T} overflows at rho0 = 1000, which passes every certificate check
+        model, cert = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        cert.rho0 = 1000.0
+        model_json, cert_json, report = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "r.json"
+        artifacts.save_model(model, model_json)
+        artifacts.save_certificate(cert, cert_json)
+        code = self.run(
+            "solve", "--model", str(model_json), "--cert", str(cert_json),
+            "--nt", "16", "--report", str(report),
         )
         assert code == 0
-        without_env = json.loads(capsys.readouterr().out)
-        assert with_env == without_env  # thread count never changes results
+        bounds = json.loads(report.read_text())["value_bounds"]
+        assert bounds["lower"] == [0.0] * 8 and not bounds["representable"]
+        assert bounds["value_row_contained"] is True
 
 
 def test_python_dash_m_runs_the_cli():

@@ -253,7 +253,7 @@ class TestShapeGroups:
         gap = verify_saddle(model, v_old, pol_old)
         assert gap == verify_saddle(fresh, v_old, pol_old) and gap > 1e-3
         est, est_fresh = (
-            estimate_value(m, pol_fresh, x0=5, t0=0.0, paths=2000, rng_seed=7, retain_values=True)
+            estimate_value(m, pol_fresh, x0=5, t0=0.0, paths=2000, rng_seed=7)
             for m in (model, fresh)
         )
         np.testing.assert_array_equal(est.values, est_fresh.values)
@@ -312,6 +312,14 @@ class TestCheckAssumptions:
             check_assumptions(model, unit_cert(v0=np.array([0.5, 1.0])), tol=0.0)
         with pytest.raises(CertificateError):
             check_assumptions(model, unit_cert(rho0=0.0), tol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["v0", "v1", "rho0", "l0", "m0", "rho1", "b1", "m1"])
+    def test_non_finite_certificate_rejected(self, name, bad):
+        model = two_state([0.0, 0.0], [0.0, 0.0])
+        value = np.array([1.0, bad]) if name in ("v0", "v1") else bad
+        with pytest.raises(CertificateError, match="must be finite"):
+            check_assumptions(model, unit_cert(**{name: value}), tol=0.0)
 
 
 class TestValueBounds:

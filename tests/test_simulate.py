@@ -29,11 +29,11 @@ from .conftest import mixed_shape_model, single_state_model
 def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
     grid = TimeGrid(model.horizon, n_t)
     pi1 = [
-        np.full((n_t + 1, model.n_actions_p1(x)), 1.0 / model.n_actions_p1(x))
+        np.full((n_t + 1, len(model.actions_p1[x])), 1.0 / len(model.actions_p1[x]))
         for x in range(model.n_states)
     ]
     pi2 = [
-        np.full((n_t + 1, model.n_actions_p2(x)), 1.0 / model.n_actions_p2(x))
+        np.full((n_t + 1, len(model.actions_p2[x])), 1.0 / len(model.actions_p2[x]))
         for x in range(model.n_states)
     ]
     return PolicyPair(grid, pi1, pi2)
@@ -73,7 +73,7 @@ def absorbing_clock(q0: np.ndarray, T: float) -> GameModel:
 
 def first_jump_ks(model: GameModel, pol: PolicyPair, n: int, cdf) -> float:
     """Kolmogorov-Smirnov distance of the sampled first-jump times to cdf, censored at T."""
-    est = estimate_value(model, pol, 0, 0.0, paths=n, rng_seed=0, retain_values=True)
+    est = estimate_value(model, pol, 0, 0.0, paths=n, rng_seed=0)
     tau = np.log(est.values)
     xs = np.sort(tau[tau < model.horizon * (1.0 - 1e-12)])
     return float(np.max(np.abs(np.arange(1, len(xs) + 1) / n - cdf(xs))))
@@ -96,7 +96,7 @@ class TestSamplePath:
         model.terminal = np.array([0.0, 1.0])
         n = 1500
         pol = uniform_policies(model, 10)
-        est = estimate_value(model, pol, 0, 0.0, paths=n, rng_seed=0, retain_values=True)
+        est = estimate_value(model, pol, 0, 0.0, paths=n, rng_seed=0)
         freq = float(np.mean(np.log(est.values)))
         assert abs(freq - 0.5) <= 3.0 * 0.5 / math.sqrt(n)
 
@@ -128,11 +128,8 @@ class TestEstimateValue:
     def test_degenerate_single_state(self):
         # every path yields exp(theta r0 (T - t0) + theta g0) exactly
         model = single_state_model(r0=0.4, g0=0.3, theta=2.0, T=1.5)
-        est = estimate_value(
-            model, uniform_policies(model, 6), 0, 0.0, paths=100, rng_seed=1, retain_values=True
-        )
+        est = estimate_value(model, uniform_policies(model, 6), 0, 0.0, paths=100, rng_seed=1)
         expected = math.exp(2.0 * (0.4 * 1.5 + 0.3))
-        assert est.values is not None
         np.testing.assert_allclose(est.values, expected, rtol=1e-12)
         assert est.std_error <= 1e-12 * expected
 
@@ -153,10 +150,8 @@ class TestEstimateValue:
 
     def test_estimates_are_positive(self, two_state_model):
         _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=16))
-        est = estimate_value(
-            two_state_model, pol, 1, 0.0, paths=1000, rng_seed=3, retain_values=True
-        )
-        assert est.values is not None and np.all(est.values > 0.0)
+        est = estimate_value(two_state_model, pol, 1, 0.0, paths=1000, rng_seed=3)
+        assert est.values.shape == (1000,) and np.all(est.values > 0.0)
 
     def test_t0_must_be_grid_node(self, two_state_model):
         _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=16))
@@ -220,8 +215,8 @@ def test_policy_tables_match_per_state_einsum():
     model = mixed_shape_model()
     rng = np.random.default_rng(8)
     n_t = 7
-    pi1 = [rng.dirichlet(np.ones(model.n_actions_p1(x)), n_t + 1) for x in range(model.n_states)]
-    pi2 = [rng.dirichlet(np.ones(model.n_actions_p2(x)), n_t + 1) for x in range(model.n_states)]
+    pi1 = [rng.dirichlet(np.ones(len(model.actions_p1[x])), n_t + 1) for x in range(model.n_states)]
+    pi2 = [rng.dirichlet(np.ones(len(model.actions_p2[x])), n_t + 1) for x in range(model.n_states)]
     tables = _PolicyTables(model, PolicyPair(TimeGrid(model.horizon, n_t), pi1, pi2))
     for x in range(model.n_states):
         rbar = np.einsum("ia,ab,ib->i", pi1[x], model.payoff[x], pi2[x])
@@ -536,8 +531,8 @@ def arithmetic_policies(model: GameModel, n_t: int) -> PolicyPair:
         return w / w.sum(axis=1, keepdims=True)
 
     grid = TimeGrid(model.horizon, n_t)
-    pi1 = [rows(x, model.n_actions_p1(x), 1) for x in range(model.n_states)]
-    pi2 = [rows(x, model.n_actions_p2(x), 2) for x in range(model.n_states)]
+    pi1 = [rows(x, len(model.actions_p1[x]), 1) for x in range(model.n_states)]
+    pi2 = [rows(x, len(model.actions_p2[x]), 2) for x in range(model.n_states)]
     return PolicyPair(grid, pi1, pi2)
 
 
@@ -587,9 +582,6 @@ def test_per_path_values_pinned(two_state_model, name, x0, node, threads):
     model = _pinned_model(name, two_state_model)
     pol = arithmetic_policies(model, 16)
     t0 = node * pol.grid.dt
-    est = estimate_value(
-        model, pol, x0, t0, paths=20_000, rng_seed=31, retain_values=True, threads=threads
-    )
-    assert est.values is not None
+    est = estimate_value(model, pol, x0, t0, paths=20_000, rng_seed=31, threads=threads)
     digest = hashlib.sha256(est.values.tobytes()).hexdigest()
     assert digest == _PINNED_PATH_HASHES[(name, x0, node)]
