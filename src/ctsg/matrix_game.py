@@ -19,6 +19,19 @@ method returns for that LP: value min C (+0.0 for a zero game), both
 players on their first action, flagged degenerate. Such games fill the
 absorbing states of a truncation ladder.
 
+A non-constant 2x2 or 3x3 game is first tried by the Shapley-Snow kernel
+formula (Shapley and Snow, 1950), which gives a fully mixed optimum in
+closed form from the cofactors of the mapped game. It reads the tableau's
+own rounded game: the mapped entries minus 1, which is exact. The formula's
+answer is taken when it is certified: its round-off is bounded (the
+cofactor products do not cancel by more than a factor _KERNEL_CANCELLATION),
+the value lies in the mapped range, and every primal and dual LP variable
+exceeds the tableau's degeneracy tolerance. The equilibrium is then the
+game's only one (Kaplansky, 1945), the vertex Bland's method reaches with
+no alternate optima, so the game is flagged non-degenerate exactly as the
+tableau would flag it. Every other game (singular, tied, pure saddle,
+degenerate or ill-conditioned) goes to the tableau, bit for bit as before.
+
 The simplex is a dense primal tableau with Bland's anti-cycling rule
 (lowest-index entering variable, lowest-index basic variable on ratio
 ties), which makes the returned vertex deterministic across runs. Value
@@ -43,6 +56,9 @@ _DEGENERACY_TOL = 1e-9
 # Games per tableau block. Bounds the kernel's working memory; results do
 # not depend on it.
 _BLOCK_GAMES = 4096
+# Largest ratio of the summed cofactor products to the kernel sum for which
+# the closed form is used; its round-off then stays near 1e-14.
+_KERNEL_CANCELLATION = 100.0
 
 
 @dataclass
@@ -142,6 +158,58 @@ def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, y, degenerate
 
 
+def _completely_mixed(
+    D: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shapley-Snow kernel formula for a (B, m, m) stack, m in {2, 3}, with entries in [0, 1].
+
+    With cof the cofactor matrix of a game and total the sum of cof's
+    entries, a fully mixed optimum is p1 = (row sums of cof) / total,
+    p2 = (column sums of cof) / total, value det / total. Returns
+    (values (B,), p1 (B, m), p2 (B, m), certified (B,)). A game is
+    certified when
+    - the products that make up the cofactors add up, in absolute value, to
+      at most _KERNEL_CANCELLATION times |total|, which bounds the
+      formula's round-off at about that many units of double precision
+      (and rules out total = 0),
+    - 0 <= value <= 1, and
+    - every p1 / (1 + value) and p2 / (1 + value), the dual and primal
+      variables of the normalized LP, exceeds the tableau's degeneracy
+      tolerance.
+    The game's matrix is then nonsingular and both equalizing strategies
+    are positive, so they are its only optimum (Kaplansky): the vertex
+    Bland's method reaches, with no alternate optima.
+    """
+    a = D.transpose(1, 2, 0).copy()  # games last: a[i, j] is entry (i, j) of every game
+    cof = np.empty_like(a)
+    if D.shape[1] == 2:
+        cof[0, 0], cof[0, 1], cof[1, 0], cof[1, 1] = a[1, 1], -a[1, 0], -a[0, 1], a[0, 0]
+        magnitude = np.abs(cof).sum(axis=(0, 1))
+    else:
+        magnitude = np.zeros(D.shape[0])
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                plus, minus = a[i1, j1] * a[i2, j2], a[i1, j2] * a[i2, j1]
+                cof[i, j] = plus - minus
+                magnitude += plus + minus  # entries are >= 0
+    det = (a[0] * cof[0]).sum(axis=0)
+    rows = cof.sum(axis=1)
+    cols = cof.sum(axis=0)
+    total = rows.sum(axis=0)
+    # total = 0 makes the first ratio inf or NaN, which fails its test.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = det / total
+        p1 = rows / total
+        p2 = cols / total
+        certified = magnitude / np.abs(total) <= _KERNEL_CANCELLATION
+    certified &= (values >= 0.0) & (values <= 1.0)
+    floor = _DEGENERACY_TOL * (1.0 + values)
+    certified &= (p1 > floor).all(axis=0) & (p2 > floor).all(axis=0)
+    return values, p1.T, p2.T, certified
+
+
 def _solve_line_games(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Games with a single row (column): player 2 (1) picks the first best entry."""
     B, m, n = C.shape
@@ -205,6 +273,16 @@ def solve_matrix_games(
     for lo in range(0, varied.size, _BLOCK_GAMES):
         block = varied[lo : lo + _BLOCK_GAMES]
         scaled = (C[block] - low[block, None, None]) / span[block, None, None] + 1.0
+        if m == n <= 3:
+            # scaled - 1 is exact, so the formula reads the tableau's game
+            v, q1, q2, certified = _completely_mixed(scaled - 1.0)
+            done = block[certified]
+            values[done] = v[certified] * span[done] + low[done]
+            p1[done], p2[done] = q1[certified], q2[certified]
+            degenerate[done] = False
+            block, scaled = block[~certified], scaled[~certified]
+            if not block.size:
+                continue
         w, y, degenerate[block] = _simplex(scaled)
         total_w = w.sum(axis=1)
         total_y = y.sum(axis=1)

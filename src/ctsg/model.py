@@ -253,7 +253,6 @@ class LyapunovCertificate:
 class ValueBounds:
     """Per-state a-priori envelope for the game value at any (t, x)."""
 
-    upper_const: float  # the multiplicative constant on v0 in the upper bound
     lower: np.ndarray
     upper: np.ndarray
     representable: bool = True
@@ -403,16 +402,14 @@ def compute_value_bounds(model: GameModel, cert: LyapunovCertificate) -> ValueBo
     exponent = 2.0 * T * theta * (cert.m0 + T * theta) + 2.0 * theta * (cert.m0 + theta) + cert.rho0 * T
     representable = exponent <= _MAX_EXP_ARG
     if representable:
-        L = math.exp(exponent)
-        upper = L * cert.v0
+        upper = math.exp(exponent) * cert.v0
     else:
         logger.warning(
             "upper bound not representable: exponent %.3g exceeds %g", exponent, _MAX_EXP_ARG
         )
-        L = math.inf
         upper = np.full_like(cert.v0, math.inf)
     with np.errstate(over="ignore"):
         e_rho = float(np.exp(cert.rho0 * T))
     lower_const = T * e_rho + cert.m0 * T + e_rho + cert.m0
     lower = np.exp(-theta * lower_const * cert.v0)
-    return ValueBounds(upper_const=L, lower=lower, upper=upper, representable=representable)
+    return ValueBounds(lower=lower, upper=upper, representable=representable)

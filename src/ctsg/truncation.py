@@ -134,6 +134,8 @@ def run_ladder(
     no time-discretization error of a shift enters the ordering.
 
     A level that fails to converge is recorded and the ladder continues.
+    Either kind raises CertificateError up front if cert does not fit the
+    model, although the floor ladder reads none of its weights.
     """
     if not levels:
         raise ValueError("levels must not be empty")
@@ -141,6 +143,7 @@ def run_ladder(
         raise ValueError("levels must be strictly increasing")
     if kind not in ("cap", "floor"):
         raise ValueError("kind must be 'cap' or 'floor'")
+    cert.validate_shape(model.n_states)
 
     shift = 0
     base = model

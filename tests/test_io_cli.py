@@ -629,6 +629,32 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: v0 must be finite with v0(x) >= 1 everywhere"]
 
+    @pytest.mark.parametrize(
+        "v0, message",
+        [
+            ([1.0], "error: certificate weights must have shape (8,), got v0 (1,), v1 (8,)"),
+            ([float("nan")] + [1.0] * 7, "error: v0 must be finite with v0(x) >= 1 everywhere"),
+        ],
+        ids=["one-entry", "nan"],
+    )
+    def test_floor_ladder_checks_the_certificate(self, tmp_path, capsys, v0, message):
+        # the floor ladder reads no weight, but a certificate that does not fit the model is refused
+        model, cert = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        model_json, cert_json = tmp_path / "m.json", tmp_path / "c.json"
+        artifacts.save_model(model, model_json)
+        artifacts.save_certificate(cert, cert_json)
+        payload = json.loads(cert_json.read_text())
+        payload["v0"] = v0
+        cert_json.write_text(json.dumps(payload))
+        code = self.run(
+            "ladder", "--kind", "floor", "--model", str(model_json), "--cert", str(cert_json),
+            "--levels", "2,4", "--nt", "8",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
     def test_solve_with_overflowing_rate_factor_bounds(self, tmp_path, capsys):
         # e^{rho0 T} overflows at rho0 = 1000, which passes every certificate check
         model, cert = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)

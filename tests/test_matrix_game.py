@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from ctsg.matrix_game import _BLOCK_GAMES, _simplex, solve_matrix_game, solve_matrix_games
+from ctsg.matrix_game import (
+    _BLOCK_GAMES,
+    _completely_mixed,
+    _simplex,
+    solve_matrix_game,
+    solve_matrix_games,
+)
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 EQUALIZER = np.array([[3.0, 1.0], [0.0, 2.0]])  # value 3/2, p1 (1/2, 1/2), p2 (1/4, 3/4)
@@ -252,3 +258,95 @@ def test_stack_validation():
         solve_matrix_games(np.array([[[1.0, np.inf]]]))
     with pytest.raises(ValueError):
         solve_matrix_game(np.array([[1e308, -1e308], [0.0, 1.0]]))
+
+
+def mapped(C: np.ndarray) -> np.ndarray:
+    """The stack's non-constant games mapped into [1, 2], as solve_matrix_games maps them."""
+    low = C.min(axis=(1, 2))
+    span = C.max(axis=(1, 2)) - low
+    varied = span != 0.0
+    return (C[varied] - low[varied, None, None]) / span[varied, None, None] + 1.0
+
+
+def tableau_answer(C: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bland's answer for a stack of non-constant games, mapped back as solve_matrix_games does."""
+    low = C.min(axis=(1, 2))
+    span = C.max(axis=(1, 2)) - low
+    w, y, degenerate = _simplex(mapped(C))
+    total_w = w.sum(axis=1)
+    return (1.0 / total_w - 1.0) * span + low, y / y.sum(axis=1)[:, None], w / total_w[:, None], degenerate
+
+
+def square_stacks(elements):
+    return st.tuples(st.integers(1, 6), st.sampled_from([2, 3])).flatmap(
+        lambda shape: arrays(np.float64, (shape[0], shape[1], shape[1]), elements=elements)
+    )
+
+
+# Entries on a 1e-2 grid keep every game's structure on the scale of its
+# payoff range. A game whose optimum rests on entries many orders below that
+# range is ill-conditioned: there the formula and the tableau's
+# tolerance-bound pivots may part by more than 1e-13.
+continuous_games = square_stacks(st.floats(-10, 10, allow_nan=False).map(lambda v: round(v, 2)))
+integer_games = square_stacks(st.integers(-2, 2).map(float))  # ties, singular kernels, saddles
+
+
+@settings(max_examples=200, deadline=None)
+@given(continuous_games)
+def test_kernel_rule_matches_tableau_where_it_certifies(C):
+    K = mapped(C)
+    value, p1, p2, certified = _completely_mixed(K - 1.0)
+    w, y, degenerate = _simplex(K[certified])
+    # on the mapped stack: values in [1, 2], probabilities summing to 1
+    np.testing.assert_allclose(1.0 + value[certified], 1.0 / w.sum(axis=1), rtol=1e-13)
+    np.testing.assert_allclose(p1[certified], y / y.sum(axis=1)[:, None], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(p2[certified], w / w.sum(axis=1)[:, None], rtol=0, atol=1e-13)
+    assert not degenerate.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_games)
+def test_games_the_rule_declines_keep_the_tableau_answer_bitwise(C):
+    C = C[np.ptp(C, axis=(1, 2)) != 0.0]
+    declined = ~_completely_mixed(mapped(C) - 1.0)[3]
+    got = solve_matrix_games(C[declined])
+    for a, b in zip(got, tableau_answer(C[declined])):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "C, value, p1, p2",
+    [
+        (EQUALIZER, 1.5, [0.5, 0.5], [0.25, 0.75]),
+        (RPS, 0.0, [1 / 3] * 3, [1 / 3] * 3),
+        (1e30 * RPS, 0.0, [1 / 3] * 3, [1 / 3] * 3),
+        (1e-30 * RPS, 0.0, [1 / 3] * 3, [1 / 3] * 3),
+    ],
+    ids=["equalizer", "rps", "rps-1e30", "rps-1e-30"],
+)
+def test_kernel_rule_named_games(C, value, p1, p2):
+    assert _completely_mixed(mapped(C[None]) - 1.0)[3].all()
+    sol = solve_matrix_game(C)
+    assert sol.value == pytest.approx(value, rel=1e-15, abs=0.0)
+    np.testing.assert_allclose(sol.strategy_p1, p1, rtol=1e-15)
+    np.testing.assert_allclose(sol.strategy_p2, p2, rtol=1e-15)
+    assert sol.status == "optimal"
+
+
+def test_cancelling_kernel_goes_to_the_tableau():
+    # Fully mixed in exact arithmetic, but the cofactors of the mapped game
+    # cancel: the formula's strategies would miss the saddle by 1e-4 of the
+    # payoff range, so the game is declined and Bland's vertex returned.
+    C = np.array(
+        [
+            [-2.536034038298254e-19, -1.3913174506555114e-21, -2.8051243324023424e-17],
+            [-6.383328447425041e-16, 9.945934923354528e-13, -4.756049773287273e-19],
+            [4.5900826977289184e-08, -0.0008258053723581592, -2.9247662541194465e-15],
+        ]
+    )[None]
+    assert not _completely_mixed(mapped(C) - 1.0)[3].any()
+    got = solve_matrix_games(C)
+    for a, b in zip(got, tableau_answer(C)):
+        assert a.tobytes() == b.tobytes()
+    _, p1, p2, _ = got
+    assert np.max(C[0] @ p2[0]) - np.min(p1[0] @ C[0]) <= 1e-12 * np.ptp(C)

@@ -329,7 +329,7 @@ class TestValueBounds:
         cert = unit_cert(rho0=1e-12, m0=1e-12)
         cert = check_assumptions(model, cert, tol=1e-6)
         bounds = compute_value_bounds(model, cert)
-        assert bounds.upper_const == pytest.approx(math.exp(4.0), rel=1e-9)
+        np.testing.assert_allclose(bounds.upper / cert.v0, math.exp(4.0), rtol=1e-9)
         assert np.all(bounds.lower <= bounds.upper)
         assert np.all(bounds.lower > 0)
 

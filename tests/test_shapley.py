@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from ctsg import matrix_game
 from ctsg.errors import ModelScaleError
-from ctsg.example_games import build_rps
+from ctsg.example_games import build_gaussian, build_rps
 from ctsg.matrix_game import solve_matrix_game
 from ctsg.model import GameModel
 from ctsg.shapley import (
@@ -19,7 +20,7 @@ from ctsg.shapley import (
     verify_saddle,
     weighted_payoff,
 )
-from ctsg.solver import SolverConfig, solve
+from ctsg.solver import SolverConfig, default_initial_grid, solve
 
 from .conftest import mixed_shape_model, random_bounded_model, single_state_model
 
@@ -184,3 +185,49 @@ def test_monotone_in_time_for_nonnegative_model(two_state_model):
     assert report.converged
     increments = np.diff(v.values, axis=0)
     assert np.all(increments <= 1e-9)
+
+
+KERNEL_RULE_MODELS = {
+    "rps8": lambda: build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)[0],
+    "gaussian8": lambda: build_gaussian(
+        sigma=1.0, rate_bound=0.25, payoff_bound=1.0, x_min=-4.0, x_max=4.0, n_x=8, theta=1.0, T=1.0
+    )[0],
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_RULE_MODELS))
+def test_kernel_rule_answers_every_varied_game_of_a_sweep(name, monkeypatch):
+    """The closed form takes every non-constant game of a sweep; none reaches the tableau."""
+    model = KERNEL_RULE_MODELS[name]()
+    games: dict[str, int] = {"_completely_mixed": 0, "_simplex": 0}
+
+    def counted(name):
+        solver = getattr(matrix_game, name)
+
+        def count_games(stack):
+            games[name] += len(stack)
+            return solver(stack)
+
+        return count_games
+
+    for name in games:
+        monkeypatch.setattr(matrix_game, name, counted(name))
+    apply_gamma(model, default_initial_grid(model, 32))
+    assert games["_completely_mixed"] > 0 and games["_simplex"] == 0
+
+
+@pytest.mark.parametrize("name", list(KERNEL_RULE_MODELS))
+def test_kernel_rule_solve_matches_tableau_solve(name, monkeypatch):
+    """A solve through the closed form takes the tableau-only solve's iterations and values."""
+    model = KERNEL_RULE_MODELS[name]()
+    config = SolverConfig(epsilon=1e-3, n_t=32)
+    v, policies, report = solve(model, config)
+    rule = matrix_game._completely_mixed
+    monkeypatch.setattr(
+        matrix_game, "_completely_mixed", lambda D: (*rule(D)[:3], np.zeros(len(D), dtype=bool))
+    )
+    ref_v, ref_policies, ref_report = solve(model, config)
+    assert report.iterations == ref_report.iterations
+    np.testing.assert_allclose(v.values, ref_v.values, rtol=1e-13, atol=0.0)
+    for got, want in zip(policies.pi1 + policies.pi2, ref_policies.pi1 + ref_policies.pi2):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
