@@ -14,13 +14,16 @@ The boundary row v_next(T, x) = exp(theta g(x)) holds exactly by
 construction. Policies are attached to grid nodes and are interpreted as
 piecewise constant on [t_i, t_{i+1}) (left endpoint), the same convention
 the Monte Carlo simulator uses.
+
+The weighted payoff c is formed in one place, _payoff_stacks, on any array
+of value rows: the operator and verify_saddle read it on the whole grid,
+and ctsg.simulate.deviation_gain on one row per interval.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -106,43 +109,21 @@ def weighted_payoff(model: GameModel, v: ValueGrid, t_index: int, x: int) -> np.
     return model.theta * model.payoff[x] * row[x] + model.generator[x] @ row
 
 
-def _payoff_stacks(model: GameModel, v: ValueGrid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The weighted payoff of every grid cell, stacked by action-set shape.
+def _payoff_stacks(model: GameModel, V: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The weighted payoff at every row of the value array V, (rows, n_states), stacked by shape.
 
     Yields (states, C) for each distinct (|A|, |B|), where C has shape
-    (len(states), n_steps + 1, |A|, |B|) and C[k, i] is the weighted payoff
-    at (t_i, states[k]): weighted_payoff(model, v, i, states[k]) up to the
-    summation order of the generator product.
+    (len(states), rows, |A|, |B|) and C[k, i] is the weighted payoff of
+    states[k] on the values V[i]: weighted_payoff(model, v, i, states[k]) for
+    V = v.values, up to the summation order of the generator product.
     """
-    V = v.values
     for group in model._shape_groups:
         k, na, nb = group.payoff.shape
-        # c for all time rows of every state at once: (k, n_t+1, na*nb)
+        # c for all rows of every state at once: (k, rows, na*nb)
         gen_part = np.matmul(V, group.generator.transpose(0, 2, 1))
         pay = model.theta * group.payoff.reshape(k, 1, na * nb)
         C = gen_part + V[:, group.states].T[:, :, None] * pay
         yield group.states, C.reshape(k, -1, na, nb)
-
-
-def _solve_stacks(
-    model: GameModel, v: ValueGrid, reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Value field and per-state strategy rows of the games reduce(states, C), solved per stack."""
-    n_rows = v.grid.n_steps + 1
-    a_field = np.empty((n_rows, model.n_states))
-    pi1: list[np.ndarray] = [np.empty(0)] * model.n_states
-    pi2: list[np.ndarray] = [np.empty(0)] * model.n_states
-    for states, C in _payoff_stacks(model, v):
-        C = reduce(states, C)
-        k, _, na, nb = C.shape
-        values, p1, p2, _ = solve_matrix_games(C.reshape(k * n_rows, na, nb))
-        a_field[:, states] = values.reshape(k, n_rows).T
-        p1 = p1.reshape(k, n_rows, na)
-        p2 = p2.reshape(k, n_rows, nb)
-        for j, x in enumerate(states):
-            pi1[x] = p1[j]
-            pi2[x] = p2[j]
-    return a_field, pi1, pi2
 
 
 def _against(policies: PolicyPair, player: int, states: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -161,7 +142,19 @@ def game_value_field(
     the optimal mixed strategies of both players at each cell. All cells
     whose games share a shape are solved by one solve_matrix_games call.
     """
-    a_field, pi1, pi2 = _solve_stacks(model, v, lambda states, C: C)
+    n_rows = v.grid.n_steps + 1
+    a_field = np.empty((n_rows, model.n_states))
+    pi1: list[np.ndarray] = [np.empty(0)] * model.n_states
+    pi2: list[np.ndarray] = [np.empty(0)] * model.n_states
+    for states, C in _payoff_stacks(model, v.values):
+        k, _, na, nb = C.shape
+        values, p1, p2, _ = solve_matrix_games(C.reshape(k * n_rows, na, nb))
+        a_field[:, states] = values.reshape(k, n_rows).T
+        p1 = p1.reshape(k, n_rows, na)
+        p2 = p2.reshape(k, n_rows, nb)
+        for j, x in enumerate(states):
+            pi1[x] = p1[j]
+            pi2[x] = p2[j]
     return a_field, PolicyPair(v.grid, pi1, pi2)
 
 
@@ -189,23 +182,6 @@ def apply_gamma(model: GameModel, v: ValueGrid) -> tuple[ValueGrid, PolicyPair]:
     return integrate_backward(v.grid, a_field, boundary), policies
 
 
-def best_response_sweep(
-    model: GameModel, v: ValueGrid, policies: PolicyPair, player: int
-) -> tuple[ValueGrid, PolicyPair]:
-    """One backward sweep of `player`'s best response to the opponent's policy in `policies`.
-
-    Each cell's game is reduced by the opponent's mixed action and the
-    deviator takes the first best pure action. Returns the new value grid and
-    the pair of the deviator's one-hot rows and the opponent's rows; at the
-    fixed point this is an exact best response among grid Markov policies.
-    """
-    a_field, pi1, pi2 = _solve_stacks(model, v, partial(_against, policies, player))
-    v_next = integrate_backward(v.grid, a_field, boundary_row(model))
-    if player == 1:
-        return v_next, PolicyPair(v.grid, pi1, list(policies.pi2))
-    return v_next, PolicyPair(v.grid, list(policies.pi1), pi2)
-
-
 def verify_saddle(
     model: GameModel, v: ValueGrid, policies: PolicyPair
 ) -> float:
@@ -216,7 +192,7 @@ def verify_saddle(
     to LP tolerance. Returns the maximum over cells.
     """
     worst = -np.inf
-    for states, C in _payoff_stacks(model, v):
+    for states, C in _payoff_stacks(model, v.values):
         row_best = np.max(_against(policies, 1, states, C), axis=(-2, -1))
         col_best = np.min(_against(policies, 2, states, C), axis=(-2, -1))
         worst = max(worst, float(np.max(row_best - col_best)))

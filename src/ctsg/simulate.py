@@ -29,12 +29,16 @@ cumulative row, ceil(log2(n_x + 1)) single-element gathers instead of a
 whole row. Per-path values are bitwise those of a full-width sampler that
 counts each row.
 
-``evaluate_policies`` computes the same expectation exactly in time, by
-uniformization of the linear ODE it solves on each grid interval, and
-``deviation_gain`` uses it to value a player's best response against the
-base pair. Both read the policies through one checked, per-shape-group
-mixing path, ``_checked_policies`` and ``_mix``, that the sampler's tables
-use too.
+``evaluate_policies`` computes the same expectation exactly in time: going
+backward from exp(theta g), ``_interval_step`` applies each grid interval's
+exponential of the policy-mixed generator by uniformization.
+``deviation_gain`` makes the same backward pass for one deviating player.
+Before each interval's step it sets every state's row to the first pure
+action that is best against the opponent's row, for the weighted payoff at
+the deviation's own value at the interval's right end. One pass thus
+returns a concrete deviation and its exact value, and solves no matrix
+game. Both read the policies through one checked, per-shape-group mixing
+path, ``_checked_policies`` and ``_mix``, that the sampler's tables use too.
 """
 
 from __future__ import annotations
@@ -45,18 +49,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelScaleError, NumericsError
+from .errors import ModelScaleError
 from .model import GameModel, _ShapeGroup
-from .shapley import PolicyPair, ValueGrid, best_response_sweep, boundary_row
+from .shapley import PolicyPair, ValueGrid, _payoff_stacks, boundary_row
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
-# Best-response sweeps stop once successive iterates differ by at most this
-# fraction of the largest value; a stop at a few ulp stalls on some models.
-_BEST_RESPONSE_REL_TOL = 1e-12
-_BEST_RESPONSE_MAX_SWEEPS = 10_000
 _PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
 # The evaluator's series stops once its Poisson tail is below this (the unit roundoff).
 _SERIES_TAIL = 2.0**-53
+# Each shape group with its states' stacked pi1 and pi2 rows, from _checked_policies.
+_Groups = list[tuple[_ShapeGroup, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -77,11 +79,13 @@ class McEstimate:
 class DeviationReport:
     """Exact unilateral improvement of one player over a base policy pair.
 
-    gain is J(best response) - J(base) at (t0, x0) for player 1 and
-    J(base) - J(best response) for player 2, both from evaluate_policies, so
-    gain > 0 is the deviator's profit. base is J(base) at (t0, x0), std_error
-    is 0.0 (no sampling), and n_candidates counts evaluated deviations
-    (always 1).
+    best_response is deviation_gain's one-pass deviation: one-hot rows for
+    the deviator, the base pair's rows for the opponent. gain is
+    J(best_response) - J(base) at (t0, x0) for player 1 and
+    J(base) - J(best_response) for player 2, both exact in time, so gain > 0
+    is the deviator's profit and a lower bound on its best possible one.
+    base is J(base) at (t0, x0), std_error is 0.0 (no sampling), and
+    n_candidates counts evaluated deviations (always 1).
     """
 
     gain: float
@@ -92,9 +96,7 @@ class DeviationReport:
     n_candidates: int
 
 
-def _checked_policies(
-    model: GameModel, policies: PolicyPair
-) -> list[tuple[_ShapeGroup, np.ndarray, np.ndarray]]:
+def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
     """Each shape group with its states' policy rows, stacked per player.
 
     The pi1 rows stack to (k, n_t + 1, |A|), the pi2 rows to (k, n_t + 1, |B|).
@@ -339,8 +341,34 @@ def evaluate_policies(model: GameModel, policies: PolicyPair) -> ValueGrid:
 
     The pair is constant on each [t_i, t_{i+1}), so there J solves the linear
     ODE w' = -A_i w with A_i = theta diag(rbar_i) + Qbar_i, and
-    w(t_i) = exp(A_i dt) w(t_{i+1}) from w(T) = exp(theta g). Each factor is
-    applied by uniformization: with c the smallest shift that makes
+    w(t_i) = exp(A_i dt) w(t_{i+1}) from w(T) = exp(theta g); _interval_step
+    applies each factor.
+
+    The policies are checked as estimate_value checks them (ValueError); a
+    non-finite value raises ModelScaleError.
+    """
+    groups = _checked_policies(model, policies)
+    grid = policies.grid
+    values = np.empty((grid.n_steps + 1, model.n_states))
+    values[-1] = boundary_row(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps - 1, -1, -1):
+            values[i] = _interval_step(model, groups, i, grid.dt, values[i + 1])
+    _check_finite(values)
+    return ValueGrid(grid, values)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ModelScaleError(
+            "policy value is not finite in double precision; rescale or truncate the model"
+        )
+
+
+def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.ndarray) -> np.ndarray:
+    """exp(A_i dt) w, A_i = theta diag(rbar_i) + Qbar_i mixed from the policy rows i of groups.
+
+    Applied by uniformization: with c the smallest shift that makes
     B_i = A_i + c I nonnegative,
 
         exp(A_i dt) w = e^{-c dt} sum_k (B_i dt)^k / k! w,
@@ -348,40 +376,18 @@ def evaluate_policies(model: GameModel, policies: PolicyPair) -> ValueGrid:
     a series of nonnegative terms, cut where the tail of a Poisson law with
     parameter ||B_i dt||_inf falls below 2^-53. An interval whose parameter
     exceeds 1 is split into equal sub-steps, so no partial sum overflows
-    before its scale e^{-c dt} is applied. rbar_i and Qbar_i are built one
-    interval at a time: only one n_x x n_x matrix is held.
-
-    The policies are checked as estimate_value checks them (ValueError); a
-    non-finite value raises ModelScaleError.
+    before its scale e^{-c dt} is applied. Only this interval's n_x x n_x
+    matrix is held.
     """
-    groups = _checked_policies(model, policies)
-    grid = policies.grid
     n_x = model.n_states
-    values = np.empty((grid.n_steps + 1, n_x))
-    values[-1] = boundary_row(model)
     B = np.empty((n_x, n_x))
     diagonal = B.reshape(-1)[:: n_x + 1]  # a view
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.n_steps - 1, -1, -1):
-            for group, p1, p2 in groups:
-                rbar, mixed = _mix(group, p1, p2, slice(i, i + 1))
-                B[group.states] = mixed[:, 0]
-                diagonal[group.states] += model.theta * rbar[0]
-            c = max(0.0, -float(np.min(diagonal)))
-            diagonal += c
-            values[i] = _uniformized_step(B, c, grid.dt, values[i + 1])
-    if not np.isfinite(values).all():
-        raise ModelScaleError(
-            "policy value is not finite in double precision; rescale or truncate the model"
-        )
-    return ValueGrid(grid, values)
-
-
-def _uniformized_step(B: np.ndarray, c: float, dt: float, w: np.ndarray) -> np.ndarray:
-    """exp((B - c I) dt) w by the series of B's powers, in sub-steps of Poisson parameter <= 1.
-
-    B is scaled in place.
-    """
+    for group, p1, p2 in groups:
+        rbar, mixed = _mix(group, p1, p2, slice(i, i + 1))
+        B[group.states] = mixed[:, 0]
+        diagonal[group.states] += model.theta * rbar[0]
+    c = max(0.0, -float(np.min(diagonal)))
+    diagonal += c
     lam = dt * float(np.linalg.norm(B, np.inf))
     if not math.isfinite(lam):
         raise ModelScaleError("policy-mixed rates are not finite in double precision")
@@ -425,41 +431,50 @@ def deviation_gain(
     paths: int | None = None,
     rng_seed: int | None = None,
 ) -> DeviationReport:
-    """Exact improvement at (t0, x0) from the deviating player's best response.
+    """Exact improvement at (t0, x0) from the deviating player's one-pass best response.
 
-    best_response_sweep is iterated from the base pair's exact value grid
-    until successive iterates agree to _BEST_RESPONSE_REL_TOL of the largest
-    value (NumericsError past _BEST_RESPONSE_MAX_SWEEPS sweeps); the base
-    pair and the best response are then both valued by evaluate_policies.
-    x0 and t0 are checked as estimate_value checks them (ValueError).
-    paths and rng_seed are accepted and have no effect: nothing is sampled,
-    so std_error is 0.0.
+    One backward pass from exp(theta g) chooses the deviation and values it.
+    On each [t_i, t_{i+1}) every state plays the first pure action that is
+    best against the opponent's row i for the weighted payoff
+    theta r w_x + sum_y q(y|x) w_y at w = J(t_{i+1}) of the deviation itself
+    (max for player 1, min for player 2); the pass then steps w back by
+    _interval_step, as evaluate_policies does. Row n_t, in force on no
+    interval, is the choice at w = exp(theta g) against the opponent's row
+    n_t. The base pair is valued by evaluate_policies. x0 and t0 are checked
+    as estimate_value checks them (ValueError). paths and rng_seed are
+    accepted and have no effect: nothing is sampled, so std_error is 0.0.
     """
     if deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")
     node = _start_node(model, base_policies, x0, t0)
-    base = evaluate_policies(model, base_policies)
-    v = base
-    for sweep in range(1, _BEST_RESPONSE_MAX_SWEEPS + 1):
-        v_next, response = best_response_sweep(model, v, base_policies, deviating_player)
-        if not np.isfinite(v_next.values).all():
-            raise NumericsError(f"non-finite best-response value at sweep {sweep}")
-        diff = float(np.max(np.abs(v_next.values - v.values)))
-        v = v_next
-        if diff <= _BEST_RESPONSE_REL_TOL * float(np.max(np.abs(v.values))):
-            break
-    else:
-        raise NumericsError(
-            f"best response did not settle within {_BEST_RESPONSE_MAX_SWEEPS} sweeps "
-            f"(last difference {diff:.3g})"
-        )
-    j_base = float(base.values[node, x0])
-    j_dev = float(evaluate_policies(model, response).values[node, x0])
+    j_base = float(evaluate_policies(model, base_policies).values[node, x0])
+    groups = _checked_policies(model, base_policies)  # fresh stacks: the deviator's are rewritten
+    grid = base_policies.grid
+    n_t = grid.n_steps
+    values = np.empty((n_t + 1, model.n_states))
+    values[-1] = boundary_row(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_t, -1, -1):
+            w = values[min(i + 1, n_t)]
+            for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, w[None]), groups, strict=True):
+                if deviating_player == 1:
+                    pure, score = p1, (C[:, 0] @ p2[:, i, :, None])[:, :, 0]
+                else:  # player 2 minimizes: its first best action is the first max of -pi1' c
+                    pure, score = p2, -(p1[:, i, None, :] @ C[:, 0])[:, 0]
+                pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=1)]
+            if i < n_t:
+                values[i] = _interval_step(model, groups, i, grid.dt, values[i + 1])
+    _check_finite(values)
+    rows = [list(base_policies.pi1), list(base_policies.pi2)]
+    for group, *stacks in groups:
+        for j, x in enumerate(group.states):
+            rows[deviating_player - 1][x] = stacks[deviating_player - 1][j]
+    j_dev = float(values[node, x0])
     return DeviationReport(
         gain=j_dev - j_base if deviating_player == 1 else j_base - j_dev,
         std_error=0.0,
         player=deviating_player,
         base=j_base,
-        best_response=response,
+        best_response=PolicyPair(grid, *rows),
         n_candidates=1,
     )

@@ -14,6 +14,7 @@ pair exactly in time, which measures that gap).
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import time
@@ -140,10 +141,11 @@ def solve(
     game-value evaluation (the epsilon-Nash pair once converged), and a
     report. If max_iterations is exhausted the partial result is returned
     with converged = False. A non-finite v0 raises ModelScaleError; a
-    non-finite iterate raises NumericsError naming the iteration, and so does,
+    non-finite iterate raises NumericsError naming the iteration, and so do,
     before any iteration, a threshold below _RESOLUTION_FACTOR float spacings
-    of the largest boundary value exp(theta g). Each iteration logs its
-    difference at INFO level.
+    of the largest boundary value exp(theta g), and an iterate that repeats
+    an earlier one bit for bit: apply_gamma is deterministic, so the run
+    then cycles forever. Each iteration logs its difference at INFO level.
     """
     start = time.perf_counter()
     norm_r = model.norm_r
@@ -169,6 +171,8 @@ def solve(
     policies: PolicyPair | None = None
     converged = False
     iterations = 0
+    # Digests of iterates whose difference did not fall: a cycle repeats one within two periods.
+    seen: dict[bytes, int] = {}
     for iterations in range(1, config.max_iterations + 1):
         v_next, policies = apply_gamma(model, v)
         if not np.isfinite(v_next.values).all():
@@ -183,6 +187,14 @@ def solve(
         if diff < threshold:
             converged = True
             break
+        if len(diffs) > 1 and diff >= diffs[-2]:
+            first = seen.setdefault(hashlib.blake2b(v.values.tobytes()).digest(), iterations)
+            if first != iterations:
+                raise NumericsError(
+                    f"iteration {iterations} repeats the iterate of iteration {first} exactly "
+                    f"(difference {diff:.3g}, threshold {threshold:.3g}), so the iteration "
+                    "cycles and cannot converge; raise epsilon or refine n_t"
+                )
     if not converged:
         logger.warning("max_iterations=%d exhausted; returning partial result", config.max_iterations)
 

@@ -133,14 +133,18 @@ def run_ladder(
     directly: the discrete backward operator is monotone in the payoff, so
     no time-discretization error of a shift enters the ordering.
 
-    A level that fails to converge is recorded and the ladder continues.
-    Either kind raises CertificateError up front if cert does not fit the
-    model, although the floor ladder reads none of its weights.
+    Levels must be strictly increasing positive integers (ValueError up
+    front, for both kinds). A level that exhausts max_iterations is recorded
+    and the ladder continues; one whose iterates cycle raises NumericsError
+    (see solve). Either kind raises CertificateError up front if cert does
+    not fit the model, although the floor ladder reads none of its weights.
     """
     if not levels:
         raise ValueError("levels must not be empty")
     if list(levels) != sorted(set(int(n) for n in levels)):
         raise ValueError("levels must be strictly increasing")
+    if levels[0] < 1:
+        raise ValueError("truncation level must be a positive integer")
     if kind not in ("cap", "floor"):
         raise ValueError("kind must be 'cap' or 'floor'")
     cert.validate_shape(model.n_states)

@@ -410,6 +410,28 @@ class TestCli:
         assert summary["worst_monotone_violation"] == 0.0
         assert [e["sup_diff_prev"] for e in summary["levels"]] == [None, 0.0, 0.0]
 
+    @pytest.mark.parametrize("kind", ["cap", "floor"])
+    def test_ladder_level_below_one_exits_one(self, tmp_path, capsys, kind):
+        # a floor at level -3 would lift every payoff to +3; both kinds refuse it up front
+        model_json, cert_json = tmp_path / "g.json", tmp_path / "g_cert.json"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"n_x": 8}))
+        code = self.run(
+            "build-example", "--name", "gaussian", "--params", str(params),
+            "--out", str(model_json), "--out-cert", str(cert_json),
+        )
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "ladder.csv"
+        code = self.run(
+            "ladder", "--model", str(model_json), "--cert", str(cert_json),
+            "--kind", kind, "--levels=-3,0,2", "--nt", "8", "--out", str(out),
+        )
+        assert code == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: truncation level must be a positive integer"]
+
     def test_ladder_invalid_model_exits_one(self, tmp_path, capsys):
         model = artifacts.load_model(FIXTURES / "two_state_model.json")
         model.generator[0][0, 0, 1] += 0.5  # break conservativity

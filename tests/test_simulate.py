@@ -367,14 +367,78 @@ class TestDeviationGain:
         np.testing.assert_array_equal(report.best_response.pi1[0], switch)
         assert report.gain == pytest.approx(math.e - math.exp(0.5), rel=1e-12)
 
-    def test_unsettled_best_response_raises(self, monkeypatch):
-        import ctsg.simulate as simulate_module
+    def test_makes_no_matrix_game_call(self, monkeypatch, two_state_model):
+        import ctsg.matrix_game
+        import ctsg.shapley
 
-        monkeypatch.setattr(simulate_module, "_BEST_RESPONSE_MAX_SWEEPS", 1)
-        model = two_state_chain(1.0, T=2.0)
-        model.payoff = [np.ones((1, 1))] * 2
-        with pytest.raises(NumericsError, match="did not settle"):
-            deviation_gain(model, uniform_policies(model, 4), 2, x0=0)
+        _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=16))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("deviation_gain solved a matrix game")
+
+        monkeypatch.setattr(ctsg.matrix_game, "solve_matrix_games", refuse)
+        monkeypatch.setattr(ctsg.shapley, "solve_matrix_games", refuse)
+        for player in (1, 2):
+            deviation_gain(two_state_model, pol, player, x0=0)
+
+    @pytest.mark.parametrize("name", ["two_state", "action_dependent"])
+    @pytest.mark.parametrize("node", [0, 5])
+    def test_gain_is_the_exact_value_of_the_response(self, two_state_model, name, node):
+        model = evaluated_model(name, two_state_model)
+        _, pol, _ = solve(model, SolverConfig(epsilon=1e-3, n_t=16))
+        x0 = model.n_states - 1
+        t0 = float(pol.grid.nodes[node])
+        for player in (1, 2):
+            report = deviation_gain(model, pol, player, x0=x0, t0=t0)
+            j_dev = evaluate_policies(model, report.best_response).values[node, x0]
+            assert report.base == evaluate_policies(model, pol).values[node, x0]
+            assert report.gain == (j_dev - report.base if player == 1 else report.base - j_dev)
+
+    def test_choice_reads_the_deviations_own_values(self):
+        # state 0 pays 0.1 to stay (action 0) or jumps at rate 1 (action 1) to
+        # state 1, which pays 2: jumping wins once state 1's value has grown,
+        # though at the terminal values exp(theta g) = 1 staying scores higher
+        model = GameModel(
+            actions_p1=[[0, 1], [0]],
+            actions_p2=[[0], [0]],
+            payoff=[np.array([[0.1], [0.0]]), np.array([[2.0]])],
+            generator=[np.array([[[0.0, 0.0]], [[-1.0, 1.0]]]), np.zeros((1, 1, 2))],
+            terminal=np.zeros(2),
+            theta=1.0,
+            horizon=1.0,
+        )
+        n_t = 8
+        pol = PolicyPair(
+            TimeGrid(1.0, n_t),
+            [np.full((n_t + 1, 2), 0.5), np.ones((n_t + 1, 1))],
+            [np.ones((n_t + 1, 1))] * 2,
+        )
+        report = deviation_gain(model, pol, 1, x0=0)
+        rows = report.best_response.pi1[0]
+        assert rows[0, 1] == 1.0 and rows[n_t, 0] == 1.0
+        jump = PolicyPair(pol.grid, [np.tile([0.0, 1.0], (n_t + 1, 1)), pol.pi1[1]], pol.pi2)
+        j_jump = evaluate_policies(model, jump).values[0, 0]
+        assert report.gain > 0.99 * (j_jump - report.base)
+
+    def test_action_dependent_gain_beats_every_constant_deviation(self):
+        # the rates depend on the actions, so the time step leaves a profitable deviation
+        model = action_dependent_rps(8, T=2.0)
+        _, pol, _ = solve(model, SolverConfig(epsilon=1e-3, n_t=32))
+        x0 = 5
+        j_base = evaluate_policies(model, pol).values[0, x0]
+        for player in (1, 2):
+            report = deviation_gain(model, pol, player, x0=x0)
+            assert report.gain > 0.0
+            for action in range(3):
+                rows = [np.zeros_like(p) for p in pol.pi1]
+                for r in rows:
+                    r[:, action] = 1.0
+                if player == 1:
+                    constant = PolicyPair(pol.grid, rows, pol.pi2)
+                else:
+                    constant = PolicyPair(pol.grid, pol.pi1, rows)
+                j = evaluate_policies(model, constant).values[0, x0]
+                assert report.gain >= (j - j_base if player == 1 else j_base - j)
 
     def test_start_off_grid_or_outside_states_rejected(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)

@@ -22,7 +22,7 @@ from ctsg.solver import (
     stopping_threshold,
 )
 
-from .conftest import lifted_rps8, random_bounded_model, single_state_model
+from .conftest import lifted_rps8, mixed_shape_model, random_bounded_model, single_state_model
 
 
 class TestStoppingThreshold:
@@ -173,6 +173,18 @@ class TestSolve:
         for model, eps in ((lifted_rps8(100.0), 1e-3), (single_state_model(1.5e4, 700.0, T=0.01), 0.1)):
             with pytest.raises(NumericsError, match="below the float resolution"):
                 solve(model, SolverConfig(epsilon=eps, n_t=32))
+
+    @pytest.mark.parametrize("n_t, first, repeat", [(8, 82, 86), (16, 55, 57)])
+    def test_exact_float_cycle_fails_fast(self, n_t, first, repeat):
+        # the iterates repeat with period 4 (n_t 8) or 2 (n_t 16), a few hundred
+        # float spacings above the threshold; without the check both spin to max_iterations
+        message = f"iteration {repeat} repeats the iterate of iteration {first} "
+        with pytest.raises(NumericsError, match=message):
+            solve(mixed_shape_model(), SolverConfig(epsilon=1e-3, n_t=n_t, max_iterations=100))
+
+    def test_finer_grid_of_the_cycling_model_converges(self):
+        _, _, report = solve(mixed_shape_model(), SolverConfig(epsilon=1e-3, n_t=32))
+        assert report.converged and report.iterations == 44
 
     def test_logs_each_iteration(self, two_state_model, caplog):
         with caplog.at_level(logging.INFO, logger="ctsg.solver"):
