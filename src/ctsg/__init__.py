@@ -8,7 +8,7 @@ from .errors import (
     NumericsError,
     StructureError,
 )
-from .example_games import build_gaussian, build_rps, discretize_density
+from .example_games import build_gaussian, build_rps
 from .matrix_game import MatrixGameSolution, solve_matrix_game
 from .model import (
     GameModel,
@@ -77,7 +77,6 @@ __all__ = [
     "compute_value_bounds",
     "contraction_constants",
     "deviation_gain",
-    "discretize_density",
     "estimate_value",
     "evaluate_policies",
     "floor_and_shift",

@@ -53,8 +53,9 @@ import numpy as np
 
 _PIVOT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
-# Games per tableau block. Bounds the kernel's working memory; results do
-# not depend on it.
+# Games per tableau block. Bounds the kernel's working memory and keeps it in
+# cache: one whole rps64 sweep (16 448 games) as a single block is about 1.5x
+# slower than in blocks of 4096. Results do not depend on it.
 _BLOCK_GAMES = 4096
 # Largest ratio of the summed cofactor products to the kernel sum for which
 # the closed form is used; its round-off then stays near 1e-14.

@@ -129,7 +129,11 @@ class GameModel:
             group = _ShapeGroup(
                 states=np.array(states),
                 payoff=np.stack([payoff[x] for x in states]),
-                generator=np.stack([generator[x] for x in states]).reshape(len(states), na * nb, n),
+                # C order whatever the inputs' strides, as a loaded model has it: np.stack
+                # alone follows a broadcast input's layout, and products round by layout.
+                generator=np.stack(
+                    [generator[x] for x in states], out=np.empty((len(states), na, nb, n))
+                ).reshape(len(states), na * nb, n),
             )
             for k, x in enumerate(states):
                 payoff[x] = group.payoff[k]

@@ -94,6 +94,14 @@ def mixed_shape_model() -> GameModel:
     )
 
 
+def action_dependent_rps(n_x: int, T: float) -> GameModel:
+    """rps whose sojourn rate 2 f1[a] f2[b] depends on both actions."""
+    f1, f2 = np.array([0.2, 0.6, 1.0]), np.array([1.0, 0.5, 0.25])
+    rate = (2.0 * f1[:, None]) * f2[None, :]  # the product order of 2 f1[a] f2[b]
+    model, _ = build_rps(0.35, x_max=8.0, n_x=n_x, theta=1.0, T=T)
+    return dataclasses.replace(model, generator=[rate[:, :, None] * q for q in model.generator])
+
+
 def lifted_rps8(theta_k: float) -> GameModel:
     """rps on 8 states (the CLI's default parameters) with terminal raised by theta_k / theta."""
     model, _ = build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)

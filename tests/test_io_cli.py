@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ import pytest
 
 import ctsg
 from ctsg import io as artifacts
-from ctsg.cli import dispatch
+from ctsg.cli import build_parser, dispatch
 from ctsg.example_games import build_gaussian, build_rps
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma
 from ctsg.solver import SolverConfig, default_initial_grid, solve
@@ -482,6 +483,37 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("gaussian", {"sigma": 1e-300}, "certificate constant rho0 must be finite"),
+            ("rps", {"x_max": 1e-320}, "jump density from node 1 has grid mass inf"),
+            ("rps", {"x_max": -8}, "x_max must be positive"),
+            ("rps", {"x_max": 0}, "x_max must be positive"),
+            ("gaussian", {"sigma": 1e200}, "certificate constant rho0 must be finite"),
+            ("rps", {"x_max": 1e300}, "v1 must be finite"),
+            ("gaussian", {"sigma": 1e50}, "certificate constant rho1 must be finite"),
+        ],
+        ids=[
+            "sigma_tiny", "x_max_tiny", "x_max_negative", "x_max_zero", "sigma_huge", "x_max_huge",
+            "sigma_power_overflow",
+        ],
+    )
+    def test_build_example_meaningless_params_exit_one(self, tmp_path, capsys, name, params, message):
+        # each of these once wrote a NaN generator or an infinite certificate, or crashed
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out, out_cert = tmp_path / "m.json", tmp_path / "c.json"
+        code = self.run(
+            "build-example", "--name", name, "--params", str(path),
+            "--out", str(out), "--out-cert", str(out_cert),
+        )
+        assert code == 1 and not out.exists() and not out_cert.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
     def test_matrix_game_subcommand(self, tmp_path, capsys):
         csv_path = tmp_path / "C.csv"
         csv_path.write_text("3,1\n0,2\n")
@@ -703,6 +735,23 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: ctsg")
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The `ctsg` command lines of README's CLI block, with continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ctsg ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_cli_commands()
+    subcommands = ["build-example", "check", "solve", "simulate", "ladder", "matrix-game"]
+    assert [argv[0] for argv in commands] == subcommands
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0] and callable(args.func)
 
 
 class TestDeterminism:

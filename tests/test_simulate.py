@@ -23,7 +23,7 @@ from ctsg.simulate import (
 )
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import mixed_shape_model, single_state_model
+from .conftest import action_dependent_rps, mixed_shape_model, single_state_model
 
 
 def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
@@ -502,16 +502,6 @@ def expm_product_values(model: GameModel, pol: PolicyPair) -> np.ndarray:
         w = expm_taylor(A * dt) @ w
         rows.append(w)
     return np.array(rows[::-1])
-
-
-def action_dependent_rps(n_x: int, T: float) -> GameModel:
-    """rps whose sojourn rate 2 f1[a] f2[b] depends on both actions."""
-    f1, f2 = (0.2, 0.6, 1.0), (1.0, 0.5, 0.25)
-    model, _ = build_rps(
-        0.35, lambda x, a, b: 2.0 * f1[a] * f2[b], lambda_bound=2.0,
-        x_max=8.0, n_x=n_x, theta=1.0, T=T,
-    )
-    return model
 
 
 def evaluated_model(name: str, two_state: GameModel) -> GameModel:
