@@ -47,18 +47,15 @@ class TestDiscretizeDensity:
             _jump_rows(density, 0.5)
 
     def test_exponential_destination_mean(self):
-        grid = np.linspace(0.0, 20.0, 801)
+        grid = np.linspace(0.0, 20.0, 2001)
         cell = grid[1] - grid[0]
-        x = grid[1:, None]
-        kernel = np.zeros((801, 801))
-        kernel[1:] = np.exp(-grid[None, :] / x) / x
-        kernel[0, 0] = 1.0
-        kernel = _jump_rows(kernel, cell)
-        for ix in (40, 80):  # x = 1, 2; the grid holds ten means
+        mean = grid.copy()
+        mean[0] = 1.0  # placeholder row
+        kernel = _jump_rows(np.exp(-grid / mean[:, None]) / mean[:, None], cell)
+        for ix in (100, 200):  # x = 1, 2: the grid spans ten means or more
             dest = np.clip(kernel[ix], 0.0, None)
             dest[ix] = 0.0
-            mean = float(np.sum(grid * dest) / np.sum(dest))
-            assert abs(mean - grid[ix]) <= 2.0 * cell
+            assert abs(float(np.sum(grid * dest) / np.sum(dest)) - grid[ix]) <= 2.0 * cell
 
 
 class TestBuildRps:
