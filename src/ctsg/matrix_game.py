@@ -39,10 +39,18 @@ iteration solves one small game per grid cell, so the kernel works on a
 stack of equally shaped games at once: every step of the scalar method,
 including Bland's sequential scan of the ratio rows, is applied to all games
 of a block of up to _BLOCK_GAMES in lockstep, and a game leaves the block
-once it is optimal. The tableau is laid out (row, column, game), so every
-step reads and writes whole contiguous rows of games. Each game's
-arithmetic is exactly the scalar method's, so a result does not depend on
-the other games in the stack or on where block boundaries fall.
+once it is optimal. Each game's arithmetic is exactly the scalar method's,
+so a result does not depend on the other games in the stack or on where
+block boundaries fall.
+
+Stacks are games last, (m, n, games), from ctsg.shapley's payoff stack to
+the strategies (m, games) and (n, games) of the core, solve_games_last.
+Each game's min and max are elementwise over the m * n rows of games, and
+the map into [1, 2], the rule and the tableau, laid out (row, column,
+game), read and write whole contiguous rows of games. Blocks are slices of
+the stack; constant games ride through them and get their rule answer at
+the end. solve_matrix_games takes a games-first (B, m, n) stack and is a
+transpose into the core and back; solve_matrix_game is a stack of one.
 """
 
 from __future__ import annotations
@@ -53,9 +61,11 @@ import numpy as np
 
 _PIVOT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
-# Games per tableau block. Bounds the kernel's working memory and keeps it in
-# cache: one whole rps64 sweep (16 448 games) as a single block is about 1.5x
-# slower than in blocks of 4096. Results do not depend on it.
+# Games per block of the rule and of the tableau. Bounds the working memory
+# and keeps it in cache. On one rps64 sweep's stack (16 448 3x3 games, all
+# by rule) the core takes 3.0-3.3 ms in blocks of 4096 and 5.3-5.7 ms as one
+# block; on 16 448 random 4x4 games (all by tableau) 51-56 ms against
+# 52-61 ms. Results do not depend on it.
 _BLOCK_GAMES = 4096
 # Largest ratio of the summed cofactor products to the kernel sum for which
 # the closed form is used; its round-off then stays near 1e-14.
@@ -78,18 +88,18 @@ class MatrixGameSolution:
 
 
 def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve max 1'w s.t. C[g] w <= 1, w >= 0 for each game g of a (B, m, n) stack.
+    """Solve max 1'w s.t. C[:, :, g] w <= 1, w >= 0 for each game g of an (m, n, B) stack.
 
-    Entries must be >= 1. Returns (w (B, n), dual y (B, m), degenerate (B,)).
+    Entries must be >= 1. Returns (w (n, B), dual y (m, B), degenerate (B,)).
     Finite termination is guaranteed by Bland's rule; unboundedness is
     impossible because every column of C is strictly positive.
     """
-    B, m, n = C.shape
+    m, n, B = C.shape
     # Tableau (row, column, game), games on the last, contiguous axis. Rows:
     # 0 = objective (reduced costs, negated for max), 1..m constraints.
     tab = np.zeros((m + 1, n + m + 1, B))
     tab[0, :n] = -1.0
-    tab[1:, :n] = C.transpose(1, 2, 0)
+    tab[1:, :n] = C
     tab[1:, n : n + m] = np.eye(m)[:, :, None]
     tab[1:, -1] = 1.0
     basis = np.tile(np.arange(n, n + m)[:, None], (1, B))
@@ -147,11 +157,11 @@ def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         work_basis[leave, games] = enter
 
     games = np.arange(B)
-    w = np.zeros((B, n))
+    w = np.zeros((n, B))
     for i in range(m):
         structural = basis[i] < n
-        w[games[structural], basis[i, structural]] = tab[i + 1, -1, structural]
-    y = tab[0, n : n + m].T.copy()  # dual values sit in the slack reduced costs
+        w[basis[i, structural], games[structural]] = tab[i + 1, -1, structural]
+    y = tab[0, n : n + m]  # dual values sit in the slack reduced costs
 
     nonbasic = np.ones((n + m, B), dtype=bool)
     nonbasic[basis, games] = False
@@ -160,14 +170,14 @@ def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _completely_mixed(
-    D: np.ndarray,
+    a: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shapley-Snow kernel formula for a (B, m, m) stack, m in {2, 3}, with entries in [0, 1].
+    """Shapley-Snow kernel formula for an (m, m, B) stack, m in {2, 3}, with entries in [0, 1].
 
     With cof the cofactor matrix of a game and total the sum of cof's
     entries, a fully mixed optimum is p1 = (row sums of cof) / total,
     p2 = (column sums of cof) / total, value det / total. Returns
-    (values (B,), p1 (B, m), p2 (B, m), certified (B,)). A game is
+    (values (B,), p1 (m, B), p2 (m, B), certified (B,)). A game is
     certified when
     - the products that make up the cofactors add up, in absolute value, to
       at most _KERNEL_CANCELLATION times |total|, which bounds the
@@ -181,13 +191,12 @@ def _completely_mixed(
     are positive, so they are its only optimum (Kaplansky): the vertex
     Bland's method reaches, with no alternate optima.
     """
-    a = D.transpose(1, 2, 0).copy()  # games last: a[i, j] is entry (i, j) of every game
-    cof = np.empty_like(a)
-    if D.shape[1] == 2:
+    cof = np.empty_like(a)  # a[i, j] and cof[i, j] hold entry (i, j) of every game
+    if a.shape[0] == 2:
         cof[0, 0], cof[0, 1], cof[1, 0], cof[1, 1] = a[1, 1], -a[1, 0], -a[0, 1], a[0, 0]
         magnitude = np.abs(cof).sum(axis=(0, 1))
     else:
-        magnitude = np.zeros(D.shape[0])
+        magnitude = np.zeros(a.shape[2])
         for i in range(3):
             i1, i2 = (i + 1) % 3, (i + 2) % 3
             for j in range(3):
@@ -208,29 +217,101 @@ def _completely_mixed(
     certified &= (values >= 0.0) & (values <= 1.0)
     floor = _DEGENERACY_TOL * (1.0 + values)
     certified &= (p1 > floor).all(axis=0) & (p2 > floor).all(axis=0)
-    return values, p1.T, p2.T, certified
+    return values, p1, p2, certified
 
 
 def _solve_line_games(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Games with a single row (column): player 2 (1) picks the first best entry."""
-    B, m, n = C.shape
+    m, n, B = C.shape
     games = np.arange(B)
     if m == 1:
-        line = C[:, 0, :]
-        best = line.argmin(axis=1)
-        p1 = np.ones((B, 1))
-        p2 = np.zeros((B, n))
-        p2[games, best] = 1.0
+        line = C[0]
+        best = line.argmin(axis=0)
+        p1 = np.ones((1, B))
+        p2 = np.zeros((n, B))
+        p2[best, games] = 1.0
     else:
-        line = C[:, :, 0]
-        best = line.argmax(axis=1)
-        p1 = np.zeros((B, m))
-        p1[games, best] = 1.0
-        p2 = np.ones((B, 1))
-    values = line[games, best]
-    tol = _DEGENERACY_TOL * (1.0 + np.abs(C).max(axis=(1, 2)))
-    ties = np.sum(np.abs(line - values[:, None]) <= tol[:, None], axis=1)
+        line = C[:, 0]
+        best = line.argmax(axis=0)
+        p1 = np.zeros((m, B))
+        p1[best, games] = 1.0
+        p2 = np.ones((1, B))
+    values = line[best, games]
+    tol = _DEGENERACY_TOL * (1.0 + np.abs(C).max(axis=(0, 1)))
+    ties = np.sum(np.abs(line - values) <= tol, axis=0)
     return values, p1, p2, ties > 1
+
+
+def solve_games_last(
+    C: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the zero-sum matrix games of a games-last stack exactly.
+
+    C is a float array of shape (m, n, B) with m, n >= 1; game g has payoff
+    matrix C[:, :, g] with player 1 on rows (maximizing). Returns
+    (values (B,), strategies_p1 (m, B), strategies_p2 (n, B),
+    degenerate (B,) bool), where degenerate flags alternate optimal
+    vertices. Each game's result is bitwise the same whatever else is in
+    the stack.
+
+    Raises ValueError on a non-finite entry or a payoff range that overflows.
+    """
+    if not np.isfinite(C).all():
+        raise ValueError("payoff matrix contains a non-finite entry")
+    m, n, B = C.shape
+    if m == 1 or n == 1:
+        return _solve_line_games(C)
+
+    # Map every game into [1, 2]: a positive game value and a bounded
+    # normalized LP, the same LP whatever the payoffs' scale and offset.
+    flat = C.reshape(m * n, B)
+    low = flat.min(axis=0)
+    with np.errstate(over="ignore"):
+        span = flat.max(axis=0) - low
+    if not np.isfinite(span).all():
+        raise ValueError("payoff matrix range overflows double precision")
+    varied = span != 0.0
+    values = np.empty(B)
+    p1 = np.empty((m, B))
+    p2 = np.empty((n, B))
+    degenerate = np.empty(B, dtype=bool)
+    for lo in range(0, B, _BLOCK_GAMES):
+        block = slice(lo, lo + _BLOCK_GAMES)
+        # A constant game maps to 0 / 0 here; its answer is set by rule below.
+        with np.errstate(invalid="ignore"):
+            scaled = (C[:, :, block] - low[block]) / span[block] + 1.0
+        tableau = varied[block]
+        if m == n <= 3:
+            # scaled - 1 is exact, so the formula reads the tableau's game.
+            # A declined game's answer is overwritten by the tableau's below.
+            v, p1[:, block], p2[:, block], certified = _completely_mixed(scaled - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[block] = v * span[block] + low[block]
+            degenerate[block] = False
+            tableau = tableau & ~certified
+        if not tableau.any():
+            continue
+        rows = lo + np.flatnonzero(tableau)
+        w, y, degenerate[rows] = _simplex(np.compress(tableau, scaled, axis=2))
+        # Summed along each game's own contiguous row, as numpy sums a
+        # games-first stack (pairwise from 8 terms on), for the same bits.
+        total_w = w.T.copy().sum(axis=1)
+        total_y = y.T.copy().sum(axis=1)
+        p2[:, rows] = w / total_w
+        p1[:, rows] = y / total_y
+        values[rows] = (1.0 / total_w - 1.0) * span[rows] + low[rows]
+
+    constant = ~varied
+    if constant.any():
+        # A constant game maps to the all-ones LP. Bland's method solves that
+        # in one pivot to w = y = e0 with alternate optima, so its answer is
+        # set here by rule: value (1/1 - 1) * 1 + low, both players on their
+        # first action.
+        np.copyto(values, 0.0 + low, where=constant)
+        np.copyto(p1, np.eye(m, 1), where=constant)
+        np.copyto(p2, np.eye(n, 1), where=constant)
+        degenerate |= constant
+    return values, p1, p2, degenerate
 
 
 def solve_matrix_games(
@@ -242,55 +323,16 @@ def solve_matrix_games(
     rows (maximizing). Returns (values (B,), strategies_p1 (B, m),
     strategies_p2 (B, n), degenerate (B,) bool), where degenerate flags
     alternate optimal vertices. Each game's result is bitwise the same
-    whatever else is in the stack.
+    whatever else is in the stack. This is solve_games_last on the
+    transposed stack.
 
     Raises ValueError on a malformed or non-finite stack.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 3 or C.shape[1] == 0 or C.shape[2] == 0:
         raise ValueError("payoff stack must have shape (B, m, n) with m, n >= 1")
-    if not np.isfinite(C).all():
-        raise ValueError("payoff matrix contains a non-finite entry")
-    B, m, n = C.shape
-    if m == 1 or n == 1:
-        return _solve_line_games(C)
-
-    # Map every game into [1, 2]: a positive game value and a bounded
-    # normalized LP, the same LP whatever the payoffs' scale and offset.
-    low = C.min(axis=(1, 2))
-    with np.errstate(over="ignore"):
-        span = C.max(axis=(1, 2)) - low
-    if not np.isfinite(span).all():
-        raise ValueError("payoff matrix range overflows double precision")
-    # A constant game maps to the all-ones LP. Bland's method solves that in
-    # one pivot to w = y = e0 with alternate optima, so its answer is set
-    # here by rule: value (1/1 - 1) * 1 + low, both players on their first action.
-    values = 0.0 + low
-    p1 = np.zeros((B, m))
-    p2 = np.zeros((B, n))
-    p1[:, 0] = p2[:, 0] = 1.0
-    degenerate = np.ones(B, dtype=bool)
-    varied = np.flatnonzero(span != 0.0)
-    for lo in range(0, varied.size, _BLOCK_GAMES):
-        block = varied[lo : lo + _BLOCK_GAMES]
-        scaled = (C[block] - low[block, None, None]) / span[block, None, None] + 1.0
-        if m == n <= 3:
-            # scaled - 1 is exact, so the formula reads the tableau's game
-            v, q1, q2, certified = _completely_mixed(scaled - 1.0)
-            done = block[certified]
-            values[done] = v[certified] * span[done] + low[done]
-            p1[done], p2[done] = q1[certified], q2[certified]
-            degenerate[done] = False
-            block, scaled = block[~certified], scaled[~certified]
-            if not block.size:
-                continue
-        w, y, degenerate[block] = _simplex(scaled)
-        total_w = w.sum(axis=1)
-        total_y = y.sum(axis=1)
-        p2[block] = w / total_w[:, None]
-        p1[block] = y / total_y[:, None]
-        values[block] = (1.0 / total_w - 1.0) * span[block] + low[block]
-    return values, p1, p2, degenerate
+    values, p1, p2, degenerate = solve_games_last(np.ascontiguousarray(C.transpose(1, 2, 0)))
+    return values, p1.T, p2.T, degenerate
 
 
 def solve_matrix_game(C: np.ndarray) -> MatrixGameSolution:

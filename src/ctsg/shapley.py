@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelScaleError
-from .matrix_game import solve_matrix_games
+from .matrix_game import solve_games_last
 from .model import _MAX_EXP_ARG, GameModel
 
 
@@ -112,25 +112,21 @@ def weighted_payoff(model: GameModel, v: ValueGrid, t_index: int, x: int) -> np.
 def _payoff_stacks(model: GameModel, V: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The weighted payoff at every row of the value array V, (rows, n_states), stacked by shape.
 
-    Yields (states, C) for each distinct (|A|, |B|), where C has shape
-    (len(states), rows, |A|, |B|) and C[k, i] is the weighted payoff of
-    states[k] on the values V[i]: weighted_payoff(model, v, i, states[k]) for
-    V = v.values, up to the summation order of the generator product.
+    Yields (states, C) for each distinct (|A|, |B|), where C is a contiguous
+    games-last array of shape (|A|, |B|, len(states), rows) and C[:, :, k, i]
+    is the weighted payoff of states[k] on the values V[i]:
+    weighted_payoff(model, v, i, states[k]) for V = v.values, up to the
+    summation order of the generator product.
     """
     for group in model._shape_groups:
         k, na, nb = group.payoff.shape
-        # c for all rows of every state at once: (k, rows, na*nb)
-        gen_part = np.matmul(V, group.generator.transpose(0, 2, 1))
-        pay = model.theta * group.payoff.reshape(k, 1, na * nb)
-        C = gen_part + V[:, group.states].T[:, :, None] * pay
-        yield group.states, C.reshape(k, -1, na, nb)
-
-
-def _against(policies: PolicyPair, player: int, states: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """A payoff stack reduced by the opponent's mixed action: c pi2 for player 1, pi1' c for 2."""
-    if player == 1:
-        return C @ np.stack([policies.pi2[x] for x in states])[..., None]
-    return np.stack([policies.pi1[x] for x in states])[..., None, :] @ C
+        # c for all rows of every state at once, games last: (na*nb, k, rows).
+        # The generator product comes out (k, rows, na*nb) and is transposed
+        # as it is added; it is dropped before the stack is yielded.
+        pay = model.theta * group.payoff.reshape(k, na * nb).T
+        C = V[:, group.states].T * pay[:, :, None]
+        C += np.matmul(V, group.generator.transpose(0, 2, 1)).transpose(2, 0, 1)
+        yield group.states, C.reshape(na, nb, k, -1)
 
 
 def game_value_field(
@@ -140,21 +136,21 @@ def game_value_field(
 
     Returns the (n_steps + 1, n_states) field of game values together with
     the optimal mixed strategies of both players at each cell. All cells
-    whose games share a shape are solved by one solve_matrix_games call.
+    whose games share a shape are solved by one solve_games_last call.
     """
     n_rows = v.grid.n_steps + 1
     a_field = np.empty((n_rows, model.n_states))
     pi1: list[np.ndarray] = [np.empty(0)] * model.n_states
     pi2: list[np.ndarray] = [np.empty(0)] * model.n_states
     for states, C in _payoff_stacks(model, v.values):
-        k, _, na, nb = C.shape
-        values, p1, p2, _ = solve_matrix_games(C.reshape(k * n_rows, na, nb))
+        na, nb, k, _ = C.shape
+        values, p1, p2, _ = solve_games_last(C.reshape(na, nb, k * n_rows))
         a_field[:, states] = values.reshape(k, n_rows).T
-        p1 = p1.reshape(k, n_rows, na)
-        p2 = p2.reshape(k, n_rows, nb)
-        for j, x in enumerate(states):
-            pi1[x] = p1[j]
-            pi2[x] = p2[j]
+        p1 = p1.reshape(na, k, n_rows)
+        p2 = p2.reshape(nb, k, n_rows)
+        for j, x in enumerate(states):  # (n_rows, |A|) views of the games-last strategies
+            pi1[x] = p1[:, j].T
+            pi2[x] = p2[:, j].T
     return a_field, PolicyPair(v.grid, pi1, pi2)
 
 
@@ -193,7 +189,9 @@ def verify_saddle(
     """
     worst = -np.inf
     for states, C in _payoff_stacks(model, v.values):
-        row_best = np.max(_against(policies, 1, states, C), axis=(-2, -1))
-        col_best = np.min(_against(policies, 2, states, C), axis=(-2, -1))
+        p1 = np.stack([policies.pi1[x] for x in states])  # (k, rows, |A|)
+        p2 = np.stack([policies.pi2[x] for x in states])
+        row_best = np.einsum("abki,kib->aki", C, p2).max(axis=0)
+        col_best = np.einsum("abki,kia->bki", C, p1).min(axis=0)
         worst = max(worst, float(np.max(row_best - col_best)))
     return worst

@@ -281,10 +281,10 @@ def _start_node(model: GameModel, policies: PolicyPair, x0: int, t0: float) -> i
     """
     if not 0 <= x0 < model.n_states:
         raise ValueError(f"x0={x0} is not a state index in [0, {model.n_states})")
+    if not 0.0 <= t0 < model.horizon:  # NaN fails too, before round() could raise
+        raise ValueError("t0 must be a time-grid node in [0, horizon)")
     node = round(t0 / policies.grid.dt)
-    if abs(t0 - node * policies.grid.dt) > 1e-9 * max(1.0, model.horizon) or not (
-        0.0 <= t0 < model.horizon
-    ):
+    if abs(t0 - node * policies.grid.dt) > 1e-9 * max(1.0, model.horizon):
         raise ValueError("t0 must be a time-grid node in [0, horizon)")
     return int(node)
 
@@ -457,10 +457,12 @@ def deviation_gain(
         for i in range(n_t, -1, -1):
             w = values[min(i + 1, n_t)]
             for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, w[None]), groups, strict=True):
+                # (k, |A|, |B|): each state's game contiguous, as the batched matmul reads it
+                C = np.ascontiguousarray(C[..., 0].transpose(2, 0, 1))
                 if deviating_player == 1:
-                    pure, score = p1, (C[:, 0] @ p2[:, i, :, None])[:, :, 0]
+                    pure, score = p1, (C @ p2[:, i, :, None])[:, :, 0]
                 else:  # player 2 minimizes: its first best action is the first max of -pi1' c
-                    pure, score = p2, -(p1[:, i, None, :] @ C[:, 0])[:, 0]
+                    pure, score = p2, -(p1[:, i, None, :] @ C)[:, 0]
                 pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=1)]
             if i < n_t:
                 values[i] = _interval_step(model, groups, i, grid.dt, values[i + 1])

@@ -61,6 +61,22 @@ def test_traced_layer_functions_exist():
         assert callable(getattr(importlib.import_module(f"ctsg.{layer}"), func)), qualified
 
 
+def test_game_value_field_solves_through_a_traced_matrix_game_function():
+    """bench/spans.py charges LP time to the matrix_game layer by wrapping its public functions.
+
+    So the solver game_value_field hands its payoff stacks to must be one of them.
+    """
+    import ctsg.matrix_game
+    import ctsg.shapley
+
+    assert "matrix_game" in _bench_module("spans").LAYERS
+    used = [getattr(ctsg.shapley, name, None) for name in ctsg.shapley.game_value_field.__code__.co_names]
+    solvers = [fn for fn in used if inspect.isfunction(fn) and fn.__module__ == "ctsg.matrix_game"]
+    assert solvers
+    for fn in solvers:
+        assert not fn.__name__.startswith("_") and getattr(ctsg.matrix_game, fn.__name__) is fn
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -653,6 +653,14 @@ class TestCli:
             "--x0", "0", "--paths", "2000", "--seed", "5", *extra,
         )
 
+    @pytest.mark.parametrize("t0", ["inf", "nan"])
+    def test_simulate_non_finite_t0_exits_one(self, tmp_path, capsys, two_state_model, t0):
+        code = self._simulate_two_state(tmp_path, two_state_model, "--t0", t0)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: t0 must be a time-grid node in [0, horizon)"]
+
     def test_simulate_threads_below_one_exits_one(self, tmp_path, capsys, two_state_model):
         code = self._simulate_two_state(tmp_path, two_state_model, "--threads", "0")
         assert code == 1

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from ctsg import matrix_game
 from ctsg.matrix_game import (
     _BLOCK_GAMES,
     _completely_mixed,
     _simplex,
+    solve_games_last,
     solve_matrix_game,
     solve_matrix_games,
 )
@@ -235,7 +237,8 @@ def test_constant_game_rule_equals_tableau(shape, c):
         mixed.flat[::2] = -0.0
         games.append(mixed)
     C = np.stack(games)
-    w, y, degenerate = _simplex(np.ones(C.shape))
+    w, y, degenerate = _simplex(np.ones(C.shape[1:] + C.shape[:1]))
+    w, y = w.T, y.T
     total_w = w.sum(axis=1)
     low = C.min(axis=(1, 2))
     expected = (
@@ -261,11 +264,11 @@ def test_stack_validation():
 
 
 def mapped(C: np.ndarray) -> np.ndarray:
-    """The stack's non-constant games mapped into [1, 2], as solve_matrix_games maps them."""
+    """The stack's non-constant games mapped into [1, 2] as solve_matrix_games maps them, games last."""
     low = C.min(axis=(1, 2))
     span = C.max(axis=(1, 2)) - low
     varied = span != 0.0
-    return (C[varied] - low[varied, None, None]) / span[varied, None, None] + 1.0
+    return ((C[varied] - low[varied, None, None]) / span[varied, None, None] + 1.0).transpose(1, 2, 0)
 
 
 def tableau_answer(C: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -273,6 +276,7 @@ def tableau_answer(C: np.ndarray) -> tuple[np.ndarray, ...]:
     low = C.min(axis=(1, 2))
     span = C.max(axis=(1, 2)) - low
     w, y, degenerate = _simplex(mapped(C))
+    w, y = w.T, y.T
     total_w = w.sum(axis=1)
     return (1.0 / total_w - 1.0) * span + low, y / y.sum(axis=1)[:, None], w / total_w[:, None], degenerate
 
@@ -296,7 +300,9 @@ integer_games = square_stacks(st.integers(-2, 2).map(float))  # ties, singular k
 def test_kernel_rule_matches_tableau_where_it_certifies(C):
     K = mapped(C)
     value, p1, p2, certified = _completely_mixed(K - 1.0)
-    w, y, degenerate = _simplex(K[certified])
+    p1, p2 = p1.T, p2.T
+    w, y, degenerate = _simplex(K[:, :, certified])
+    w, y = w.T, y.T
     # on the mapped stack: values in [1, 2], probabilities summing to 1
     np.testing.assert_allclose(1.0 + value[certified], 1.0 / w.sum(axis=1), rtol=1e-13)
     np.testing.assert_allclose(p1[certified], y / y.sum(axis=1)[:, None], rtol=0, atol=1e-13)
@@ -350,3 +356,42 @@ def test_cancelling_kernel_goes_to_the_tableau():
         assert a.tobytes() == b.tobytes()
     _, p1, p2, _ = got
     assert np.max(C[0] @ p2[0]) - np.min(p1[0] @ C[0]) <= 1e-12 * np.ptp(C)
+
+
+def core_stack(size: int, rng: np.random.Generator) -> tuple[np.ndarray, list[str]]:
+    """A games-last (size, size, 28) stack cycling through seven kinds of game.
+
+    The cycle's length, 7, is coprime with the block length 5 used below, so
+    every kind lands on either side of several block boundaries.
+    """
+    kinds = ["zero", "fully-mixed", "integer", "minus-zero", "fully-mixed", "1e300", "integer"]
+    games = []
+    for g in range(28):
+        kind = kinds[g % 7]
+        if kind in ("zero", "minus-zero", "1e300"):
+            games.append(np.full((size, size), {"zero": 0.0, "minus-zero": -0.0, "1e300": 1e300}[kind]))
+        elif kind == "fully-mixed":  # a cyclic game with a unique, interior equilibrium
+            games.append(np.roll(np.eye(size), 1, axis=1) + 0.1 * rng.uniform(-1.0, 1.0, (size, size)))
+        else:  # ties: singular kernels and pure saddles
+            games.append(rng.integers(-2, 3, (size, size)).astype(float))
+    return np.stack(games, axis=2), [kinds[g % 7] for g in range(28)]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_core_blocks_mix_constant_certified_and_declined_games(size, monkeypatch):
+    """With blocks of 5, each game of a mixed games-last stack is bitwise its own solve."""
+    monkeypatch.setattr(matrix_game, "_BLOCK_GAMES", 5)
+    C, kinds = core_stack(size, np.random.default_rng(size))
+    if size <= 3:  # the stack holds games the rule certifies and games it declines
+        certified = np.zeros(len(kinds), dtype=bool)
+        certified[np.ptp(C, axis=(0, 1)) != 0.0] = _completely_mixed(mapped(C.transpose(2, 0, 1)) - 1.0)[3]
+        kind = np.array(kinds)
+        assert certified[kind == "fully-mixed"].all() and not certified[kind == "integer"].all()
+    values, p1, p2, degenerate = solve_games_last(C)
+    assert (values.shape, p1.shape, p2.shape, degenerate.shape) == ((28,), (size, 28), (size, 28), (28,))
+    for g in range(C.shape[2]):
+        one = solve_matrix_game(C[:, :, g])
+        assert values[g].tobytes() == np.float64(one.value).tobytes(), (g, kinds[g])
+        assert p1[:, g].tobytes() == one.strategy_p1.tobytes(), (g, kinds[g])
+        assert p2[:, g].tobytes() == one.strategy_p2.tobytes(), (g, kinds[g])
+        assert degenerate[g] == (one.status == "degenerate-optimal"), (g, kinds[g])

@@ -15,12 +15,14 @@ from ctsg.model import GameModel
 from ctsg.shapley import (
     TimeGrid,
     ValueGrid,
+    _payoff_stacks,
     apply_gamma,
     game_value_field,
     verify_saddle,
     weighted_payoff,
 )
 from ctsg.solver import SolverConfig, default_initial_grid, solve
+from ctsg.truncation import floor_and_shift, truncate_nonnegative
 
 from .conftest import mixed_shape_model, random_bounded_model, single_state_model
 
@@ -205,7 +207,7 @@ def test_kernel_rule_answers_every_varied_game_of_a_sweep(name, monkeypatch):
         solver = getattr(matrix_game, name)
 
         def count_games(stack):
-            games[name] += len(stack)
+            games[name] += stack.shape[-1]  # games last
             return solver(stack)
 
         return count_games
@@ -224,10 +226,37 @@ def test_kernel_rule_solve_matches_tableau_solve(name, monkeypatch):
     v, policies, report = solve(model, config)
     rule = matrix_game._completely_mixed
     monkeypatch.setattr(
-        matrix_game, "_completely_mixed", lambda D: (*rule(D)[:3], np.zeros(len(D), dtype=bool))
+        matrix_game, "_completely_mixed", lambda D: (*rule(D)[:3], np.zeros(D.shape[-1], dtype=bool))
     )
     ref_v, ref_policies, ref_report = solve(model, config)
     assert report.iterations == ref_report.iterations
     np.testing.assert_allclose(v.values, ref_v.values, rtol=1e-13, atol=0.0)
     for got, want in zip(policies.pi1 + policies.pi2, ref_policies.pi1 + ref_policies.pi2):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_game_value_field_on_a_cap_level_is_each_game_solved_alone(monkeypatch):
+    """A cap level's absorbing states give constant games; blocks of 7 cut across states.
+
+    Every cell's value and both strategy rows are bitwise the single-game
+    solve of the same payoff stack entry.
+    """
+    model, cert = build_gaussian(
+        sigma=1.0, rate_bound=0.25, payoff_bound=1.0, x_min=-4.0, x_max=4.0, n_x=8, theta=1.0, T=1.0
+    )
+    base, _ = floor_and_shift(model, 1)
+    level = truncate_nonnegative(base, cert, 4)
+    v = solve(level, SolverConfig(epsilon=1e-3, n_t=8))[0]
+    monkeypatch.setattr(matrix_game, "_BLOCK_GAMES", 7)
+    a_field, policies = game_value_field(level, v)
+    constant = 0
+    for states, C in _payoff_stacks(level, v.values):
+        for j, x in enumerate(states):
+            for i in range(v.grid.n_steps + 1):
+                game = C[:, :, j, i]
+                constant += np.ptp(game) == 0.0
+                sol = solve_matrix_game(game)
+                assert a_field[i, x].tobytes() == np.float64(sol.value).tobytes()
+                assert policies.pi1[x][i].tobytes() == sol.strategy_p1.tobytes()
+                assert policies.pi2[x][i].tobytes() == sol.strategy_p2.tobytes()
+    assert 0 < constant < a_field.size

@@ -153,6 +153,14 @@ class TestEstimateValue:
         est = estimate_value(two_state_model, pol, 1, 0.0, paths=1000, rng_seed=3)
         assert est.values.shape == (1000,) and np.all(est.values > 0.0)
 
+    @pytest.mark.parametrize("t0", [math.inf, math.nan])
+    def test_non_finite_t0_rejected(self, two_state_model, t0):
+        pol = uniform_policies(two_state_model, 4)
+        with pytest.raises(ValueError, match="t0 must be a time-grid node"):
+            estimate_value(two_state_model, pol, 0, t0, paths=10, rng_seed=0)
+        with pytest.raises(ValueError, match="t0 must be a time-grid node"):
+            deviation_gain(two_state_model, pol, 1, x0=0, t0=t0)
+
     def test_t0_must_be_grid_node(self, two_state_model):
         _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=16))
         with pytest.raises(ValueError):
@@ -377,7 +385,8 @@ class TestDeviationGain:
             raise AssertionError("deviation_gain solved a matrix game")
 
         monkeypatch.setattr(ctsg.matrix_game, "solve_matrix_games", refuse)
-        monkeypatch.setattr(ctsg.shapley, "solve_matrix_games", refuse)
+        monkeypatch.setattr(ctsg.matrix_game, "solve_games_last", refuse)
+        monkeypatch.setattr(ctsg.shapley, "solve_games_last", refuse)
         for player in (1, 2):
             deviation_gain(two_state_model, pol, player, x0=0)
 
