@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import io as artifacts
-from .errors import CtsgError
+from .errors import CtsgError, SchemaError
 from .example_games import build_gaussian, build_rps
 from .matrix_game import solve_matrix_game
 from .model import GameModel, check_assumptions, compute_value_bounds, validate_generator
@@ -258,7 +258,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CtsgError, ValueError) as exc:

@@ -5,6 +5,10 @@ class CtsgError(Exception):
     """Base class for package-specific errors."""
 
 
+class SchemaError(CtsgError):
+    """A JSON artifact's top level is not the object its schema describes."""
+
+
 class StructureError(CtsgError):
     """Model tensors are dimensionally inconsistent or structurally malformed."""
 

@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from .errors import SchemaError
 from .model import GameModel, LyapunovCertificate, ValidationReport
 from .shapley import PolicyPair, TimeGrid, ValueGrid
 from .simulate import McEstimate
@@ -27,8 +28,20 @@ def _dump_json(obj: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _load_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text())
+def _load_json(path: str | Path) -> dict:
+    """The JSON object in path; SchemaError if the top level is another JSON value."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: the top level must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def _number(d: dict, key: str, kind: type = float) -> Any:
+    """d[key] as kind; ValueError unless it is a JSON number, an integer for int (never a boolean)."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (kind, int)):
+        raise ValueError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
+    return kind(value)
 
 
 # -- model ---------------------------------------------------------------
@@ -64,8 +77,8 @@ def model_from_dict(d: dict) -> GameModel:
         payoff=[np.array(m, dtype=float) for m in d["payoff"]],
         generator=[np.array(g, dtype=float) for g in d["generator"]],
         terminal=np.array(d["terminal"], dtype=float),
-        theta=float(d["theta"]),
-        horizon=float(d["horizon"]),
+        theta=_number(d, "theta"),
+        horizon=_number(d, "horizon"),
         coords=coords,
         state_ids=[int(s["id"]) for s in states],
     )
@@ -99,12 +112,12 @@ def certificate_from_dict(d: dict) -> LyapunovCertificate:
     return LyapunovCertificate(
         v0=np.array(d["v0"], dtype=float),
         v1=np.array(d["v1"], dtype=float),
-        rho0=float(d["rho0"]),
-        l0=float(d["l0"]),
-        m0=float(d["m0"]),
-        rho1=float(d["rho1"]),
-        b1=float(d["b1"]),
-        m1=float(d["m1"]),
+        rho0=_number(d, "rho0"),
+        l0=_number(d, "l0"),
+        m0=_number(d, "m0"),
+        rho1=_number(d, "rho1"),
+        b1=_number(d, "b1"),
+        m1=_number(d, "m1"),
     )
 
 
@@ -162,7 +175,7 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
     Raises ValueError naming the state and ``t_index`` of a duplicate record,
     of one past ``n_steps`` or of one missing from ``0..n_steps``.
     """
-    grid = TimeGrid(horizon=float(d["horizon"]), n_steps=int(d["n_steps"]))
+    grid = TimeGrid(horizon=_number(d, "horizon"), n_steps=_number(d, "n_steps", int))
     n_steps = grid.n_steps
     by_state: dict[int, dict[int, tuple[list[float], list[float]]]] = {}
     for rec in d["records"]:

@@ -49,8 +49,7 @@ Each game's min and max are elementwise over the m * n rows of games, and
 the map into [1, 2], the rule and the tableau, laid out (row, column,
 game), read and write whole contiguous rows of games. Blocks are slices of
 the stack; constant games ride through them and get their rule answer at
-the end. solve_matrix_games takes a games-first (B, m, n) stack and is a
-transpose into the core and back; solve_matrix_game is a stack of one.
+the end. solve_matrix_game is a stack of one.
 """
 
 from __future__ import annotations
@@ -254,8 +253,11 @@ def solve_games_last(
     vertices. Each game's result is bitwise the same whatever else is in
     the stack.
 
-    Raises ValueError on a non-finite entry or a payoff range that overflows.
+    Raises ValueError on a malformed or non-finite stack or an overflowing payoff range.
     """
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 3 or C.shape[0] == 0 or C.shape[1] == 0:
+        raise ValueError("payoff stack must have shape (m, n, B) with m, n >= 1")
     if not np.isfinite(C).all():
         raise ValueError("payoff matrix contains a non-finite entry")
     m, n, B = C.shape
@@ -314,33 +316,12 @@ def solve_games_last(
     return values, p1, p2, degenerate
 
 
-def solve_matrix_games(
-    C: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a stack of equally shaped zero-sum matrix games exactly.
-
-    C has shape (B, m, n); game g has payoff matrix C[g] with player 1 on
-    rows (maximizing). Returns (values (B,), strategies_p1 (B, m),
-    strategies_p2 (B, n), degenerate (B,) bool), where degenerate flags
-    alternate optimal vertices. Each game's result is bitwise the same
-    whatever else is in the stack. This is solve_games_last on the
-    transposed stack.
-
-    Raises ValueError on a malformed or non-finite stack.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 3 or C.shape[1] == 0 or C.shape[2] == 0:
-        raise ValueError("payoff stack must have shape (B, m, n) with m, n >= 1")
-    values, p1, p2, degenerate = solve_games_last(np.ascontiguousarray(C.transpose(1, 2, 0)))
-    return values, p1.T, p2.T, degenerate
-
-
 def solve_matrix_game(C: np.ndarray) -> MatrixGameSolution:
     """Solve the zero-sum matrix game with payoff matrix C exactly.
 
     Player 1 (rows) maximizes, player 2 (columns) minimizes. Returns the
     game value and a pair of optimal mixed strategies satisfying the saddle
-    inequalities up to LP tolerance. This is solve_matrix_games on a stack
+    inequalities up to LP tolerance. This is solve_games_last on a stack
     of one.
 
     Raises ValueError on an empty or non-finite matrix.
@@ -348,6 +329,6 @@ def solve_matrix_game(C: np.ndarray) -> MatrixGameSolution:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.size == 0:
         raise ValueError("payoff matrix must be a nonempty 2-d array")
-    values, p1, p2, degenerate = solve_matrix_games(C[None])
+    values, p1, p2, degenerate = solve_games_last(np.ascontiguousarray(C[:, :, None]))
     status = "degenerate-optimal" if degenerate[0] else "optimal"
-    return MatrixGameSolution(float(values[0]), p1[0], p2[0], status)
+    return MatrixGameSolution(float(values[0]), p1[:, 0], p2[:, 0], status)

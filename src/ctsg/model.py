@@ -108,6 +108,8 @@ class GameModel:
         payoff = [np.asarray(m, dtype=float) for m in payoff]
         generator = [np.asarray(q, dtype=float) for q in generator]
         n = len(payoff)
+        if n == 0:
+            raise StructureError("a model needs at least one state")
         if not (len(self.actions_p1) == len(self.actions_p2) == len(generator) == n):
             raise StructureError("per-state lists have inconsistent lengths")
         if self.terminal.shape != (n,):
@@ -324,7 +326,8 @@ def check_assumptions(
     Fills the five boolean flags and records the worst residual per check
     (residual = left-hand side minus the tolerance-free bound; a check passes
     when its residual is <= tol). The tolerance is caller-supplied because
-    gridded continuous models perturb exact drift identities.
+    gridded continuous models perturb exact drift identities; ValueError
+    unless it is finite and >= 0.
 
     Checks:
         drift0:        sum_y v0(y) q(y|x,a,b) <= rho0 v0(x)
@@ -333,6 +336,9 @@ def check_assumptions(
         drift1:        sum_y v1(y)^2 q(y|x,a,b) <= rho1 v1(x)^2 + b1
         squeeze:       v0(x)^2 <= m1 v1(x)
     """
+    # Written so that NaN fails: an infinite tol passes every check, a NaN one fails them all.
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     cert.validate_shape(model.n_states)
     v0, v1 = cert.v0, cert.v1
 

@@ -29,16 +29,17 @@ cumulative row, ceil(log2(n_x + 1)) single-element gathers instead of a
 whole row. Per-path values are bitwise those of a full-width sampler that
 counts each row.
 
-``evaluate_policies`` computes the same expectation exactly in time: going
-backward from exp(theta g), ``_interval_step`` applies each grid interval's
-exponential of the policy-mixed generator by uniformization.
-``deviation_gain`` makes the same backward pass for one deviating player.
-Before each interval's step it sets every state's row to the first pure
-action that is best against the opponent's row, for the weighted payoff at
-the deviation's own value at the interval's right end. One pass thus
-returns a concrete deviation and its exact value, and solves no matrix
-game. Both read the policies through one checked, per-shape-group mixing
-path, ``_checked_policies`` and ``_mix``, that the sampler's tables use too.
+``evaluate_policies`` computes the same expectation exactly in time by one
+backward pass from exp(theta g), ``_backward_pass``: ``_interval_step``
+applies each grid interval's exponential of the policy-mixed generator by
+uniformization. ``deviation_gain`` runs that pass for the base pair, then
+again for one deviating player, setting before each interval's step every
+state's row to the first pure action that is best against the opponent's
+row, for the weighted payoff at the deviation's own value at the
+interval's right end. The second pass thus returns a concrete deviation and
+its exact value, and solves no matrix game. Both read the policies through
+one checked, per-shape-group mixing path, ``_checked_policies`` and
+``_mix``, that the sampler's tables use too.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import ModelScaleError
 from .model import GameModel, _ShapeGroup
-from .shapley import PolicyPair, ValueGrid, _payoff_stacks, boundary_row
+from .shapley import PolicyPair, TimeGrid, ValueGrid, _payoff_stacks, boundary_row
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
 _PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
@@ -348,21 +349,30 @@ def evaluate_policies(model: GameModel, policies: PolicyPair) -> ValueGrid:
     non-finite value raises ModelScaleError.
     """
     groups = _checked_policies(model, policies)
-    grid = policies.grid
-    values = np.empty((grid.n_steps + 1, model.n_states))
+    return ValueGrid(policies.grid, _backward_pass(model, groups, policies.grid))
+
+
+def _backward_pass(model: GameModel, groups: _Groups, grid: TimeGrid, choose=None) -> np.ndarray:
+    """J(t_i, x) at every grid node, stepped back by _interval_step from w(T) = exp(theta g).
+
+    choose(i, w), if given, runs before interval i's step at w = J(t_{i+1})
+    and may rewrite the rows i of groups; for row n_t it runs at w = exp(theta g).
+    Raises ModelScaleError on a non-finite value.
+    """
+    n_t = grid.n_steps
+    values = np.empty((n_t + 1, model.n_states))
     values[-1] = boundary_row(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.n_steps - 1, -1, -1):
-            values[i] = _interval_step(model, groups, i, grid.dt, values[i + 1])
-    _check_finite(values)
-    return ValueGrid(grid, values)
-
-
-def _check_finite(values: np.ndarray) -> None:
+        for i in range(n_t, -1, -1):
+            if choose is not None:
+                choose(i, values[min(i + 1, n_t)])
+            if i < n_t:
+                values[i] = _interval_step(model, groups, i, grid.dt, values[i + 1])
     if not np.isfinite(values).all():
         raise ModelScaleError(
             "policy value is not finite in double precision; rescale or truncate the model"
         )
+    return values
 
 
 def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.ndarray) -> np.ndarray:
@@ -440,38 +450,32 @@ def deviation_gain(
     (max for player 1, min for player 2); the pass then steps w back by
     _interval_step, as evaluate_policies does. Row n_t, in force on no
     interval, is the choice at w = exp(theta g) against the opponent's row
-    n_t. The base pair is valued by evaluate_policies. x0 and t0 are checked
+    n_t. The base pair is valued by the same pass. x0 and t0 are checked
     as estimate_value checks them (ValueError). paths and rng_seed are
     accepted and have no effect: nothing is sampled, so std_error is 0.0.
     """
     if deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")
     node = _start_node(model, base_policies, x0, t0)
-    j_base = float(evaluate_policies(model, base_policies).values[node, x0])
     groups = _checked_policies(model, base_policies)  # fresh stacks: the deviator's are rewritten
     grid = base_policies.grid
-    n_t = grid.n_steps
-    values = np.empty((n_t + 1, model.n_states))
-    values[-1] = boundary_row(model)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_t, -1, -1):
-            w = values[min(i + 1, n_t)]
-            for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, w[None]), groups, strict=True):
-                # (k, |A|, |B|): each state's game contiguous, as the batched matmul reads it
-                C = np.ascontiguousarray(C[..., 0].transpose(2, 0, 1))
-                if deviating_player == 1:
-                    pure, score = p1, (C @ p2[:, i, :, None])[:, :, 0]
-                else:  # player 2 minimizes: its first best action is the first max of -pi1' c
-                    pure, score = p2, -(p1[:, i, None, :] @ C)[:, 0]
-                pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=1)]
-            if i < n_t:
-                values[i] = _interval_step(model, groups, i, grid.dt, values[i + 1])
-    _check_finite(values)
+    j_base = float(_backward_pass(model, groups, grid)[node, x0])
+
+    def choose(i: int, w: np.ndarray) -> None:
+        for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, w[None]), groups, strict=True):
+            # (k, |A|, |B|): each state's game contiguous, as the batched matmul reads it
+            C = np.ascontiguousarray(C[..., 0].transpose(2, 0, 1))
+            if deviating_player == 1:
+                pure, score = p1, (C @ p2[:, i, :, None])[:, :, 0]
+            else:  # player 2 minimizes: its first best action is the first max of -pi1' c
+                pure, score = p2, -(p1[:, i, None, :] @ C)[:, 0]
+            pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=1)]
+
+    j_dev = float(_backward_pass(model, groups, grid, choose)[node, x0])
     rows = [list(base_policies.pi1), list(base_policies.pi2)]
     for group, *stacks in groups:
         for j, x in enumerate(group.states):
             rows[deviating_player - 1][x] = stacks[deviating_player - 1][j]
-    j_dev = float(values[node, x0])
     return DeviationReport(
         gain=j_dev - j_base if deviating_player == 1 else j_base - j_dev,
         std_error=0.0,

@@ -717,6 +717,68 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, command, tol):
+        # rate_bound's residual is 0.928 here and drift0's -1e-9: inf would pass
+        # the one, -1 fail the other, and nan fail every check
+        model, cert = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        cert.l0 = cert.rho0 = 1e-9
+        model_json, cert_json, report = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "r.json"
+        artifacts.save_model(model, model_json)
+        artifacts.save_certificate(cert, cert_json)
+        extra = ["--nt", "8", "--report", str(report)] if command == "solve" else []
+        code = self.run(
+            command, "--model", str(model_json), "--cert", str(cert_json), "--tol", tol, *extra
+        )
+        assert code == 1 and not report.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: tol must be finite and >= 0, got {float(tol)}"]
+
+    @pytest.mark.parametrize("top", [[1, 2], "x"], ids=["array", "string"])
+    @pytest.mark.parametrize("artifact", ["model", "cert", "policy"])
+    def test_artifact_that_is_not_an_object_exits_two(self, tmp_path, capsys, artifact, top):
+        bad = tmp_path / f"{artifact}.json"
+        bad.write_text(json.dumps(top))
+        model = bad if artifact == "model" else FIXTURES / "two_state_model.json"
+        cert = bad if artifact == "cert" else FIXTURES / "two_state_cert.json"
+        if artifact == "policy":
+            argv = ["simulate", "--model", str(model), "--policy", str(bad), "--x0", "0"]
+        else:
+            argv = ["check", "--model", str(model), "--cert", str(cert)]
+        assert self.run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {bad}: the top level must be a JSON object, not {type(top).__name__}"
+        ]
+
+    @pytest.mark.parametrize(
+        "value, spelled", [(None, "null"), ([1], "[1]"), (True, "true"), ("abc", '"abc"')]
+    )
+    def test_certificate_constant_that_is_not_a_number_exits_one(self, tmp_path, capsys, value, spelled):
+        cert = json.loads((FIXTURES / "two_state_cert.json").read_text())
+        cert["rho0"] = value
+        bad = tmp_path / "cert.json"
+        bad.write_text(json.dumps(cert))
+        code = self.run("check", "--model", str(FIXTURES / "two_state_model.json"), "--cert", str(bad))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: rho0 must be float, got {spelled}"]
+
+    def test_solve_model_with_no_states_exits_one(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({
+            "states": [], "actions_p1": [], "actions_p2": [], "payoff": [], "generator": [],
+            "terminal": [], "theta": 1.0, "horizon": 1.0,
+        }))
+        assert self.run("solve", "--model", str(empty), "--nt", "4") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: a model needs at least one state"]
+
     def test_solve_with_overflowing_rate_factor_bounds(self, tmp_path, capsys):
         # e^{rho0 T} overflows at rho0 = 1000, which passes every certificate check
         model, cert = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
@@ -760,6 +822,21 @@ def test_readme_command_lines_parse():
     for argv in commands:
         args = build_parser().parse_args(argv)
         assert args.command == argv[0] and callable(args.func)
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    """README's Python block runs as written, and both players' deviation gains stay within epsilon."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    reports = []
+    deviation_gain = ctsg.deviation_gain
+    monkeypatch.setattr(
+        ctsg, "deviation_gain", lambda *a, **k: reports.append(deviation_gain(*a, **k)) or reports[-1]
+    )
+    exec(block, {})
+    assert [r.player for r in reports] == [1, 2]
+    for report in reports:
+        assert report.gain <= 0.01 and report.std_error == 0.0  # the example solves at epsilon 0.01
 
 
 class TestDeterminism:

@@ -15,7 +15,6 @@ from ctsg.matrix_game import (
     _simplex,
     solve_games_last,
     solve_matrix_game,
-    solve_matrix_games,
 )
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -162,11 +161,17 @@ def test_offset_equivariance_at_large_offsets(C, value, offset):
     np.testing.assert_array_equal(moved.strategy_p2, base.strategy_p2)
 
 
+def solve_games_first(C: np.ndarray) -> tuple[np.ndarray, ...]:
+    """solve_games_last on a games-first (B, m, n) stack, with the strategies games first."""
+    values, p1, p2, degenerate = solve_games_last(np.ascontiguousarray(C.transpose(1, 2, 0)))
+    return values, p1.T, p2.T, degenerate
+
+
 def assert_batch_matches_singles(C: np.ndarray) -> None:
     """Every game of the stack solves bit for bit as it does on its own."""
-    values, p1, p2, degenerate = solve_matrix_games(C)
+    values, p1, p2, degenerate = solve_games_first(C)
     for g in range(C.shape[0]):
-        one = solve_matrix_games(C[g : g + 1])
+        one = solve_games_first(C[g : g + 1])
         assert values[g : g + 1].tobytes() == one[0].tobytes()
         assert p1[g : g + 1].tobytes() == one[1].tobytes()
         assert p2[g : g + 1].tobytes() == one[2].tobytes()
@@ -197,7 +202,7 @@ def test_batch_equals_single_bitwise(C):
 def test_result_independent_of_neighbours_and_block_boundaries(B):
     rng = np.random.default_rng(B)
     probe = rng.uniform(-1.0, 1.0, size=(3, 3))
-    alone = solve_matrix_games(probe[None])
+    alone = solve_games_first(probe[None])
     # B varied games with a constant one after every fourth; constant games
     # are answered by rule and kept out of the tableau blocks
     constant = np.zeros(B + B // 4, dtype=bool)
@@ -211,7 +216,7 @@ def test_result_independent_of_neighbours_and_block_boundaries(B):
     # side of the first block boundary
     offsets = [varied[i] for i in sorted({0, B // 2, B - 1, _BLOCK_GAMES - 1, _BLOCK_GAMES}) if i < B]
     C[offsets] = probe
-    values, p1, p2, degenerate = solve_matrix_games(C)
+    values, p1, p2, degenerate = solve_games_first(C)
     for g in offsets:
         assert values[g : g + 1].tobytes() == alone[0].tobytes()
         assert p1[g : g + 1].tobytes() == alone[1].tobytes()
@@ -220,7 +225,7 @@ def test_result_independent_of_neighbours_and_block_boundaries(B):
     # and every other game, constant ones included, matches its own solo solve on a sample
     sample = np.concatenate([rng.choice(varied, 30, replace=False), np.flatnonzero(constant)[:10]])
     for g in sample:
-        one = solve_matrix_games(C[g : g + 1])
+        one = solve_games_first(C[g : g + 1])
         assert values[g : g + 1].tobytes() == one[0].tobytes()
         assert p1[g : g + 1].tobytes() == one[1].tobytes()
         assert p2[g : g + 1].tobytes() == one[2].tobytes()
@@ -247,24 +252,27 @@ def test_constant_game_rule_equals_tableau(shape, c):
         w / total_w[:, None],
         degenerate,
     )
-    got = solve_matrix_games(C)
+    got = solve_games_first(C)
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
 
 
 def test_stack_validation():
+    shape = r"payoff stack must have shape \(m, n, B\) with m, n >= 1"
+    with pytest.raises(ValueError, match=shape):
+        solve_games_last(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=shape):
+        solve_games_last(np.zeros((0, 2, 3)))
+    with pytest.raises(ValueError, match=shape):
+        solve_games_last(np.zeros((2, 0, 3)))
     with pytest.raises(ValueError):
-        solve_matrix_games(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        solve_matrix_games(np.zeros((3, 0, 2)))
-    with pytest.raises(ValueError):
-        solve_matrix_games(np.array([[[1.0, np.inf]]]))
+        solve_games_first(np.array([[[1.0, np.inf]]]))
     with pytest.raises(ValueError):
         solve_matrix_game(np.array([[1e308, -1e308], [0.0, 1.0]]))
 
 
 def mapped(C: np.ndarray) -> np.ndarray:
-    """The stack's non-constant games mapped into [1, 2] as solve_matrix_games maps them, games last."""
+    """The stack's non-constant games mapped into [1, 2] as solve_games_last maps them, games last."""
     low = C.min(axis=(1, 2))
     span = C.max(axis=(1, 2)) - low
     varied = span != 0.0
@@ -272,7 +280,7 @@ def mapped(C: np.ndarray) -> np.ndarray:
 
 
 def tableau_answer(C: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Bland's answer for a stack of non-constant games, mapped back as solve_matrix_games does."""
+    """Bland's answer for a stack of non-constant games, mapped back as solve_games_last does."""
     low = C.min(axis=(1, 2))
     span = C.max(axis=(1, 2)) - low
     w, y, degenerate = _simplex(mapped(C))
@@ -315,7 +323,7 @@ def test_kernel_rule_matches_tableau_where_it_certifies(C):
 def test_games_the_rule_declines_keep_the_tableau_answer_bitwise(C):
     C = C[np.ptp(C, axis=(1, 2)) != 0.0]
     declined = ~_completely_mixed(mapped(C) - 1.0)[3]
-    got = solve_matrix_games(C[declined])
+    got = solve_games_first(C[declined])
     for a, b in zip(got, tableau_answer(C[declined])):
         assert a.tobytes() == b.tobytes()
 
@@ -351,7 +359,7 @@ def test_cancelling_kernel_goes_to_the_tableau():
         ]
     )[None]
     assert not _completely_mixed(mapped(C) - 1.0)[3].any()
-    got = solve_matrix_games(C)
+    got = solve_games_first(C)
     for a, b in zip(got, tableau_answer(C)):
         assert a.tobytes() == b.tobytes()
     _, p1, p2, _ = got

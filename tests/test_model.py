@@ -103,6 +103,10 @@ class TestValidateGenerator:
                 generator=[np.zeros((0, 1, 2)), np.array([[[1.0, -1.0]]])],
             )
 
+    def test_a_model_needs_a_state(self):
+        with pytest.raises(StructureError, match="a model needs at least one state"):
+            GameModel([], [], [], [], np.zeros(0), theta=1.0, horizon=1.0)
+
     def test_nonfinite_entry_flagged(self):
         model = two_state([-1.0, 1.0], [1.0, -1.0])
         model.generator[1][0, 0, 0] = np.inf
@@ -312,6 +316,13 @@ class TestCheckAssumptions:
             check_assumptions(model, unit_cert(v0=np.array([0.5, 1.0])), tol=0.0)
         with pytest.raises(CertificateError):
             check_assumptions(model, unit_cert(rho0=0.0), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # inf would pass every check and NaN fail them all; -1 fails a residual of exactly 0
+        model = two_state([0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check_assumptions(model, unit_cert(), tol=tol)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["v0", "v1", "rho0", "l0", "m0", "rho1", "b1", "m1"])

@@ -209,6 +209,9 @@ class TestEstimateValue:
             estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=0)
         with pytest.raises(ValueError, match=f"pi{player} at state {state}, row {row} "):
             evaluate_policies(two_state_model, pol)
+        for deviator in (1, 2):
+            with pytest.raises(ValueError, match=f"pi{player} at state {state}, row {row} "):
+                deviation_gain(two_state_model, pol, deviator, x0=0)
 
     def test_interior_start_matches_solver(self, two_state_model):
         v, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.01, n_t=64))
@@ -384,7 +387,6 @@ class TestDeviationGain:
         def refuse(*args, **kwargs):
             raise AssertionError("deviation_gain solved a matrix game")
 
-        monkeypatch.setattr(ctsg.matrix_game, "solve_matrix_games", refuse)
         monkeypatch.setattr(ctsg.matrix_game, "solve_games_last", refuse)
         monkeypatch.setattr(ctsg.shapley, "solve_games_last", refuse)
         for player in (1, 2):
@@ -569,6 +571,9 @@ class TestEvaluatePolicies:
         model = single_state_model(r0=800.0)
         with pytest.raises(ModelScaleError, match="not finite"):
             evaluate_policies(model, uniform_policies(model, 4))
+        for player in (1, 2):
+            with pytest.raises(ModelScaleError, match="not finite"):
+                deviation_gain(model, uniform_policies(model, 4), player, x0=0)
 
     def test_holds_one_interval_at_a_time(self):
         # an (n_t + 1) n_x^2 table of mixed generators would take 8.4 MB here
