@@ -179,17 +179,7 @@ def _cmd_matrix_game(args: argparse.Namespace) -> int:
         if line.strip()
     ]
     sol = solve_matrix_game(np.array(rows))
-    print(
-        json.dumps(
-            {
-                "value": sol.value,
-                "strategy_p1": sol.strategy_p1.tolist(),
-                "strategy_p2": sol.strategy_p2.tolist(),
-                "status": sol.status,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(artifacts.as_json_dict(sol), sort_keys=True))
     return 0
 
 

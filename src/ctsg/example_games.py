@@ -14,11 +14,12 @@ Each generator is q(y|x,a,b) = lambda(x) k_x(y): the sojourn rate times one
   v1 = 1 + x^4 with (rho0, l0) = (M sigma^2, M) and
   rho1 = 3780 M (sigma^8 + sigma^6 + sigma^4 + sigma^2), b1 = 1, m1 = 2.
 
-The kernel discretizes the jump density by deterministic midpoint cell
-integration with the self-cell mass folded into the diagonal, so every row
-sums to zero exactly and the outputs pass generator validation as-is. The
-model receives the generator as a read-only broadcast over the action pairs,
-so its shape-group stack is the only full copy.
+The kernel discretizes the jump density by a rectangle rule: every node, end
+nodes included, carries the full cell width. The self-cell mass is folded
+into the diagonal, so every row sums to zero exactly and the outputs pass
+generator validation as-is. The model receives the generator as a read-only
+broadcast over the action pairs, so its shape-group stack is the only full
+copy.
 """
 
 from __future__ import annotations

@@ -12,12 +12,18 @@ import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import SchemaError
-from .model import GameModel, LyapunovCertificate, ValidationReport
+from .model import (
+    CERTIFICATE_CHECKS,
+    CERTIFICATE_CONSTANTS,
+    GameModel,
+    LyapunovCertificate,
+    ValidationReport,
+)
 from .shapley import PolicyPair, TimeGrid, ValueGrid
 from .simulate import McEstimate
 from .solver import SolverReport
@@ -28,12 +34,20 @@ def _dump_json(obj: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _load_json(path: str | Path) -> dict:
-    """The JSON object in path; SchemaError if the top level is another JSON value."""
+def _load_json(path: str | Path, from_dict: Callable[[dict], Any]) -> Any:
+    """from_dict of the JSON object in path.
+
+    SchemaError naming the file if the top level is another JSON value, or if
+    a nested field has the wrong JSON type (say null or a number where a list
+    or an object belongs), which from_dict meets as a TypeError.
+    """
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: the top level must be a JSON object, not {type(obj).__name__}")
-    return obj
+    try:
+        return from_dict(obj)
+    except TypeError as exc:
+        raise SchemaError(f"{path}: a field has the wrong JSON type: {exc}") from None
 
 
 def _number(d: dict, key: str, kind: type = float) -> Any:
@@ -89,35 +103,22 @@ def save_model(model: GameModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GameModel:
-    return model_from_dict(_load_json(path))
+    return _load_json(path, model_from_dict)
 
 
 # -- certificate ----------------------------------------------------------
 
 
 def certificate_to_dict(cert: LyapunovCertificate) -> dict:
-    return {
-        "v0": cert.v0.tolist(),
-        "v1": cert.v1.tolist(),
-        "rho0": cert.rho0,
-        "l0": cert.l0,
-        "m0": cert.m0,
-        "rho1": cert.rho1,
-        "b1": cert.b1,
-        "m1": cert.m1,
-    }
+    constants = {name: getattr(cert, name) for name in CERTIFICATE_CONSTANTS}
+    return {"v0": cert.v0.tolist(), "v1": cert.v1.tolist(), **constants}
 
 
 def certificate_from_dict(d: dict) -> LyapunovCertificate:
     return LyapunovCertificate(
         v0=np.array(d["v0"], dtype=float),
         v1=np.array(d["v1"], dtype=float),
-        rho0=_number(d, "rho0"),
-        l0=_number(d, "l0"),
-        m0=_number(d, "m0"),
-        rho1=_number(d, "rho1"),
-        b1=_number(d, "b1"),
-        m1=_number(d, "m1"),
+        **{name: _number(d, name) for name in CERTIFICATE_CONSTANTS},
     )
 
 
@@ -126,7 +127,7 @@ def save_certificate(cert: LyapunovCertificate, path: str | Path) -> None:
 
 
 def load_certificate(path: str | Path) -> LyapunovCertificate:
-    return certificate_from_dict(_load_json(path))
+    return _load_json(path, certificate_from_dict)
 
 
 # -- value grid CSV --------------------------------------------------------
@@ -239,10 +240,19 @@ def save_policies(policies: PolicyPair, state_ids: list[int], path: str | Path) 
 
 
 def load_policies(path: str | Path) -> tuple[PolicyPair, list[int]]:
-    return policies_from_dict(_load_json(path))
+    return _load_json(path, policies_from_dict)
 
 
 # -- reports ---------------------------------------------------------------
+
+
+def _lists_for_arrays(items: list[tuple[str, Any]]) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
+
+
+def as_json_dict(obj: Any) -> dict:
+    """dataclasses.asdict(obj) with every array field written as a list."""
+    return asdict(obj, dict_factory=_lists_for_arrays)
 
 
 def solver_report_to_dict(report: SolverReport) -> dict:
@@ -259,24 +269,12 @@ def estimate_to_dict(est: McEstimate) -> dict:
 
 
 def validation_report_to_dict(report: ValidationReport) -> dict:
-    return {
-        "is_valid": report.is_valid,
-        "tolerance": report.tolerance,
-        "max_abs_rate": report.max_abs_rate,
-        "q_star": report.q_star.tolist(),
-        "violations": [asdict(v) for v in report.violations],
-    }
+    return {**as_json_dict(report), "is_valid": report.is_valid}
 
 
 def certificate_checks_to_dict(cert: LyapunovCertificate) -> dict:
-    return {
-        "drift0_ok": cert.drift0_ok,
-        "rate_bound_ok": cert.rate_bound_ok,
-        "payoff_bound_ok": cert.payoff_bound_ok,
-        "drift1_ok": cert.drift1_ok,
-        "squeeze_ok": cert.squeeze_ok,
-        "residuals": dict(cert.residuals),
-    }
+    flags = {f"{name}_ok": getattr(cert, f"{name}_ok") for name in CERTIFICATE_CHECKS}
+    return {**flags, "residuals": dict(cert.residuals)}
 
 
 def ladder_to_csv(report: LadderReport, state_ids: list[int]) -> str:
@@ -290,21 +288,8 @@ def ladder_to_csv(report: LadderReport, state_ids: list[int]) -> str:
 
 
 def ladder_summary_to_dict(report: LadderReport) -> dict:
-    return {
-        "kind": report.kind,
-        "shift": report.shift,
-        "monotone_ok": report.monotone_ok,
-        "monotone_slack": report.monotone_slack,
-        "worst_monotone_violation": report.worst_monotone_violation,
-        "diffs_decreasing": report.diffs_decreasing,
-        "levels": [
-            {
-                "level": e.level,
-                "converged": e.converged,
-                "iterations": e.iterations,
-                "threshold": e.threshold,
-                "sup_diff_prev": e.sup_diff_prev,
-            }
-            for e in report.levels
-        ],
-    }
+    """The report without each level's values_t0, which ladder_to_csv writes."""
+    summary = asdict(report)
+    for level in summary["levels"]:
+        del level["values_t0"]
+    return summary

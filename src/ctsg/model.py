@@ -197,6 +197,12 @@ class ValidationReport:
         return not self.violations
 
 
+# The certificate's drift constants and its checks: each check <name> fills the
+# flag <name>_ok and the residual key <name> (see check_assumptions).
+CERTIFICATE_CONSTANTS = ("rho0", "l0", "m0", "rho1", "b1", "m1")
+CERTIFICATE_CHECKS = ("drift0", "rate_bound", "payoff_bound", "drift1", "squeeze")
+
+
 @dataclass
 class LyapunovCertificate:
     """Candidate Lyapunov weights and drift constants, with check results.
@@ -236,7 +242,7 @@ class LyapunovCertificate:
             raise CertificateError("v0 must be finite with v0(x) >= 1 everywhere")
         if not np.all(np.isfinite(self.v1) & (self.v1 >= 1.0)):
             raise CertificateError("v1 must be finite with v1(x) >= 1 everywhere")
-        for name in ("rho0", "l0", "m0", "rho1", "b1", "m1"):
+        for name in CERTIFICATE_CONSTANTS:
             c = getattr(self, name)
             if not (math.isfinite(c) and c > 0):
                 raise CertificateError(
@@ -245,14 +251,7 @@ class LyapunovCertificate:
 
     @property
     def all_ok(self) -> bool:
-        checks = (
-            self.drift0_ok,
-            self.rate_bound_ok,
-            self.payoff_bound_ok,
-            self.drift1_ok,
-            self.squeeze_ok,
-        )
-        return all(c is True for c in checks)
+        return all(getattr(self, f"{name}_ok") is True for name in CERTIFICATE_CHECKS)
 
 
 @dataclass
@@ -355,13 +354,6 @@ def check_assumptions(
         payoff_excess.append(float(np.max(np.abs(model.payoff[x]))) - bound)
         payoff_excess.append(abs(float(model.terminal[x])) - bound)
 
-    # Unlike max(), np.max keeps a NaN, so a NaN entry fails its check.
-    drift0_res = float(np.max(drift0_excess))
-    drift1_res = float(np.max(drift1_excess))
-    payoff_res = float(np.max(payoff_excess))
-    rate_res = float(np.max(model.q_star - cert.l0 * v0))
-    squeeze_res = float(np.max(v0**2 - cert.m1 * v1))
-
     if np.all(model.terminal == 0.0):
         # Weaker logarithmic payoff bound available when g vanishes; informational only.
         weak = max(
@@ -374,22 +366,22 @@ def check_assumptions(
             weak,
         )
 
-    out = replace(
-        cert,
-        drift0_ok=bool(drift0_res <= tol),
-        rate_bound_ok=bool(rate_res <= tol),
-        payoff_bound_ok=bool(payoff_res <= tol),
-        drift1_ok=bool(drift1_res <= tol),
-        squeeze_ok=bool(squeeze_res <= tol),
+    # In CERTIFICATE_CHECKS order. Unlike max(), np.max keeps a NaN, and a NaN
+    # residual fails its check.
+    excess = (
+        drift0_excess,
+        model.q_star - cert.l0 * v0,
+        payoff_excess,
+        drift1_excess,
+        v0**2 - cert.m1 * v1,
     )
-    out.residuals = {
-        "drift0": float(drift0_res),
-        "rate_bound": float(rate_res),
-        "payoff_bound": float(payoff_res),
-        "drift1": float(drift1_res),
-        "squeeze": float(squeeze_res),
+    residuals = {
+        name: float(np.max(e)) for name, e in zip(CERTIFICATE_CHECKS, excess, strict=True)
     }
-    return out
+    flags = {f"{name}_ok": bool(r <= tol) for name, r in residuals.items()}
+    return replace(cert, residuals=residuals, **flags)
+
+
 def compute_value_bounds(model: GameModel, cert: LyapunovCertificate) -> ValueBounds:
     """Explicit per-state envelope for the risk-sensitive value.
 

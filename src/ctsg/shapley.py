@@ -76,9 +76,6 @@ class ValueGrid:
                 f"values must have {self.grid.n_steps + 1} time rows, got shape {self.values.shape}"
             )
 
-    def copy(self) -> "ValueGrid":
-        return ValueGrid(self.grid, self.values.copy())
-
 
 @dataclass
 class PolicyPair:

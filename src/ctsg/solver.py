@@ -132,20 +132,19 @@ def default_initial_grid(model: GameModel, n_t: int) -> ValueGrid:
     return ValueGrid(grid, np.tile(row, (n_t + 1, 1)))
 
 
-def solve(
-    model: GameModel, config: SolverConfig, v0: ValueGrid | None = None
-) -> tuple[ValueGrid, PolicyPair, SolverReport]:
-    """Iterate the backward operator from v0 until the stopping rule fires.
+def solve(model: GameModel, config: SolverConfig) -> tuple[ValueGrid, PolicyPair, SolverReport]:
+    """Iterate the backward operator until the stopping rule fires.
 
-    Returns the last iterate, the policies extracted from the final
-    game-value evaluation (the epsilon-Nash pair once converged), and a
-    report. If max_iterations is exhausted the partial result is returned
-    with converged = False. A non-finite v0 raises ModelScaleError; a
-    non-finite iterate raises NumericsError naming the iteration, and so do,
-    before any iteration, a threshold below _RESOLUTION_FACTOR float spacings
-    of the largest boundary value exp(theta g), and an iterate that repeats
-    an earlier one bit for bit: apply_gamma is deterministic, so the run
-    then cycles forever. Each iteration logs its difference at INFO level.
+    The iteration starts from default_initial_grid, the boundary row
+    exp(theta g) on every time row. Returns the last iterate, the policies
+    extracted from the final game-value evaluation (the epsilon-Nash pair
+    once converged), and a report. If max_iterations is exhausted the partial
+    result is returned with converged = False. A non-finite iterate raises
+    NumericsError naming the iteration, and so do, before any iteration, a
+    threshold below _RESOLUTION_FACTOR float spacings of the largest
+    boundary value exp(theta g), and an iterate that repeats an earlier one
+    bit for bit: apply_gamma is deterministic, so the run then cycles
+    forever. Each iteration logs its difference at INFO level.
     """
     start = time.perf_counter()
     norm_r = model.norm_r
@@ -160,13 +159,7 @@ def solve(
             "terminal (v(g + K) = e^(theta K) v(g))"
         )
 
-    if v0 is None:
-        v = default_initial_grid(model, config.n_t)
-    else:
-        if v0.grid.n_steps != config.n_t or v0.grid.horizon != model.horizon:
-            raise ValueError("v0 grid does not match the solver configuration")
-        v = v0.copy()
-
+    v = default_initial_grid(model, config.n_t)
     diffs: list[float] = []
     policies: PolicyPair | None = None
     converged = False

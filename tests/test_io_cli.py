@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import ctsg
 from ctsg import io as artifacts
 from ctsg.cli import build_parser, dispatch
 from ctsg.example_games import build_gaussian, build_rps
+from ctsg.model import CERTIFICATE_CONSTANTS
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma
 from ctsg.solver import SolverConfig, default_initial_grid, solve
 from ctsg.truncation import LadderLevelResult, LadderReport
@@ -39,6 +41,13 @@ class TestRoundTrips:
         artifacts.save_certificate(two_state_cert, path)
         loaded = artifacts.load_certificate(path)
         assert artifacts.certificate_to_dict(loaded) == artifacts.certificate_to_dict(two_state_cert)
+
+    def test_certificate_constants_by_name(self, two_state_cert):
+        distinct = {name: 1.5 + i for i, name in enumerate(CERTIFICATE_CONSTANTS)}
+        d = artifacts.certificate_to_dict(replace(two_state_cert, **distinct))
+        assert set(d) == {"v0", "v1", *CERTIFICATE_CONSTANTS}
+        loaded = artifacts.certificate_from_dict(json.loads(json.dumps(d)))
+        assert {name: getattr(loaded, name) for name in CERTIFICATE_CONSTANTS} == distinct
 
     def test_value_grid_csv(self, tmp_path):
         grid = ValueGrid(TimeGrid(1.0, 3), np.array([[1.0, 2.0], [0.3, 0.7], [1e-17, 3.0], [1.5, 2.5]]))
@@ -201,6 +210,46 @@ class TestPolicyLoader:
         assert ids == two_state_model.state_ids
         for got, want in zip(loaded.pi1 + loaded.pi2, expected.pi1 + expected.pi2, strict=True):
             np.testing.assert_array_equal(got, want)
+
+
+# case: (artifact, edit of a valid artifact's JSON object, error after the file name)
+MALFORMED_ARTIFACTS = {
+    **{
+        f"{artifact}-{kind}": (
+            artifact,
+            lambda d, top=top: top,
+            f"the top level must be a JSON object, not {type(top).__name__}",
+        )
+        for artifact in ("model", "cert", "policy")
+        for kind, top in (("array", [1, 2]), ("string", "x"))
+    },
+    "model-states-not-objects": (
+        "model",
+        lambda d: {**d, "states": [1] * len(d["states"])},
+        "a field has the wrong JSON type: argument of type 'int' is not iterable",
+    ),
+    "model-payoff-null": (
+        "model",
+        lambda d: {**d, "payoff": None},
+        "a field has the wrong JSON type: 'NoneType' object is not iterable",
+    ),
+    "cert-v0-object": (
+        "cert",
+        lambda d: {**d, "v0": {"a": 1}},
+        "a field has the wrong JSON type: "
+        "float() argument must be a string or a real number, not 'dict'",
+    ),
+    "policy-record-array": (
+        "policy",
+        lambda d: {**d, "records": [[1], *d["records"][1:]]},
+        "a field has the wrong JSON type: list indices must be integers or slices, not str",
+    ),
+    "policy-records-null": (
+        "policy",
+        lambda d: {**d, "records": None},
+        "a field has the wrong JSON type: 'NoneType' object is not iterable",
+    ),
+}
 
 
 class TestCli:
@@ -736,11 +785,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: tol must be finite and >= 0, got {float(tol)}"]
 
-    @pytest.mark.parametrize("top", [[1, 2], "x"], ids=["array", "string"])
-    @pytest.mark.parametrize("artifact", ["model", "cert", "policy"])
-    def test_artifact_that_is_not_an_object_exits_two(self, tmp_path, capsys, artifact, top):
+    @pytest.mark.parametrize("case", list(MALFORMED_ARTIFACTS))
+    def test_artifact_that_is_not_an_object_exits_two(self, tmp_path, capsys, two_state_model, case):
+        artifact, edit, message = MALFORMED_ARTIFACTS[case]
+        if artifact == "policy":
+            good = _policy_payload(two_state_model)
+        else:
+            good = json.loads((FIXTURES / f"two_state_{artifact}.json").read_text())
         bad = tmp_path / f"{artifact}.json"
-        bad.write_text(json.dumps(top))
+        bad.write_text(json.dumps(edit(good)))
         model = bad if artifact == "model" else FIXTURES / "two_state_model.json"
         cert = bad if artifact == "cert" else FIXTURES / "two_state_cert.json"
         if artifact == "policy":
@@ -750,9 +803,7 @@ class TestCli:
         assert self.run(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: {bad}: the top level must be a JSON object, not {type(top).__name__}"
-        ]
+        assert captured.err.splitlines() == [f"error: {bad}: {message}"]
 
     @pytest.mark.parametrize(
         "value, spelled", [(None, "null"), ([1], "[1]"), (True, "true"), ("abc", '"abc"')]

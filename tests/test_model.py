@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ import pytest
 from ctsg.errors import CertificateError, StructureError
 from ctsg.example_games import build_rps
 from ctsg.model import (
+    CERTIFICATE_CHECKS,
     GameModel,
     LyapunovCertificate,
     check_assumptions,
@@ -283,6 +284,24 @@ class TestCheckAssumptions:
         out = check_assumptions(model, cert, tol=1e-9)
         assert out.drift0_ok is False
         assert out.residuals["drift0"] == pytest.approx(5.0 * 10 - 5.0 * 1 - 1.0)
+
+    def test_every_check_fills_its_flag_and_residual(self):
+        # rate 5 out of state 0 against v0 = (1, 10) fails drift0 and drift1 only
+        model = two_state([-5.0, 5.0], [0.0, 0.0])
+        cert = unit_cert(
+            v0=np.array([1.0, 10.0]), v1=np.array([1.0, 100.0]), l0=5.0, rho1=100.0, m1=100.0
+        )
+        out = check_assumptions(model, cert, tol=1e-9)
+        declared = {f.name for f in fields(LyapunovCertificate)}
+        assert {f"{name}_ok" for name in CERTIFICATE_CHECKS} <= declared
+        assert list(out.residuals) == list(CERTIFICATE_CHECKS)
+        for name in CERTIFICATE_CHECKS:
+            assert type(out.residuals[name]) is float
+            assert getattr(out, f"{name}_ok") is (out.residuals[name] <= 1e-9)
+            assert getattr(cert, f"{name}_ok") is None
+        failed = {name for name in CERTIFICATE_CHECKS if not getattr(out, f"{name}_ok")}
+        assert failed == {"drift0", "drift1"}
+        assert cert.residuals == {} and out.residuals is not cert.residuals
 
     def test_monotone_in_tol(self):
         model = two_state([-5.0, 5.0], [0.0, 0.0])
