@@ -6,7 +6,7 @@ class CtsgError(Exception):
 
 
 class SchemaError(CtsgError):
-    """A JSON artifact's top level is not the object its schema describes."""
+    """A JSON artifact lacks a field, or has a field or top level of the wrong JSON type."""
 
 
 class StructureError(CtsgError):

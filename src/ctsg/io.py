@@ -35,19 +35,27 @@ def _dump_json(obj: Any, path: str | Path) -> None:
 
 
 def _load_json(path: str | Path, from_dict: Callable[[dict], Any]) -> Any:
-    """from_dict of the JSON object in path.
+    """from_dict of the JSON object in path; every error it raises names the file.
 
-    SchemaError naming the file if the top level is another JSON value, or if
-    a nested field has the wrong JSON type (say null or a number where a list
-    or an object belongs), which from_dict meets as a TypeError.
+    SchemaError if the top level is another JSON value, if a field is missing
+    (a KeyError in from_dict) or if a nested field has the wrong JSON type
+    (say null or a number where a list or an object belongs), which from_dict
+    meets as a TypeError. A ValueError (a field that is not a number, or an
+    array that is ragged or holds a non-number) stays a ValueError.
     """
     obj = json.loads(Path(path).read_text())
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: the top level must be a JSON object, not {type(obj).__name__}")
     try:
+        if not isinstance(obj, dict):
+            raise SchemaError(f"the top level must be a JSON object, not {type(obj).__name__}")
         return from_dict(obj)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing field {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     except TypeError as exc:
         raise SchemaError(f"{path}: a field has the wrong JSON type: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _number(d: dict, key: str, kind: type = float) -> Any:
@@ -56,6 +64,14 @@ def _number(d: dict, key: str, kind: type = float) -> Any:
     if isinstance(value, bool) or not isinstance(value, (kind, int)):
         raise ValueError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
     return kind(value)
+
+
+def _floats(value: Any, name: str) -> np.ndarray:
+    """value as a float array; ValueError naming the field if it is ragged or holds a non-number."""
+    try:
+        return np.array(value, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{name} is not an array of numbers: {exc}") from None
 
 
 # -- model ---------------------------------------------------------------
@@ -82,15 +98,21 @@ def model_to_dict(model: GameModel) -> dict:
 
 def model_from_dict(d: dict) -> GameModel:
     states = d["states"]
+    has_coord = ["coord" in s for s in states]
     coords = None
-    if states and "coord" in states[0]:
-        coords = np.array([s["coord"] for s in states], dtype=float)
+    if any(has_coord):
+        if not all(has_coord):
+            raise SchemaError(
+                f"states[{has_coord.index(False)}] has no coord, "
+                f"but states[{has_coord.index(True)}] has one"
+            )
+        coords = _floats([s["coord"] for s in states], "coord")
     return GameModel(
         actions_p1=[list(a) for a in d["actions_p1"]],
         actions_p2=[list(b) for b in d["actions_p2"]],
-        payoff=[np.array(m, dtype=float) for m in d["payoff"]],
-        generator=[np.array(g, dtype=float) for g in d["generator"]],
-        terminal=np.array(d["terminal"], dtype=float),
+        payoff=[_floats(m, f"payoff[{x}]") for x, m in enumerate(d["payoff"])],
+        generator=[_floats(g, f"generator[{x}]") for x, g in enumerate(d["generator"])],
+        terminal=_floats(d["terminal"], "terminal"),
         theta=_number(d, "theta"),
         horizon=_number(d, "horizon"),
         coords=coords,
@@ -116,8 +138,8 @@ def certificate_to_dict(cert: LyapunovCertificate) -> dict:
 
 def certificate_from_dict(d: dict) -> LyapunovCertificate:
     return LyapunovCertificate(
-        v0=np.array(d["v0"], dtype=float),
-        v1=np.array(d["v1"], dtype=float),
+        v0=_floats(d["v0"], "v0"),
+        v1=_floats(d["v1"], "v1"),
         **{name: _number(d, name) for name in CERTIFICATE_CONSTANTS},
     )
 
@@ -197,8 +219,8 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
         if len(rows) <= n_steps:
             t = next(i for i in range(n_steps + 1) if i not in rows)
             raise ValueError(f"policy file has no record for state {sid} at t_index {t}")
-        pi1.append(np.array([rows[i][0] for i in range(n_steps + 1)], dtype=float))
-        pi2.append(np.array([rows[i][1] for i in range(n_steps + 1)], dtype=float))
+        pi1.append(_floats([rows[i][0] for i in range(n_steps + 1)], f"pi1 of state {sid}"))
+        pi2.append(_floats([rows[i][1] for i in range(n_steps + 1)], f"pi2 of state {sid}"))
     return PolicyPair(grid, pi1, pi2), list(by_state)
 
 

@@ -40,7 +40,7 @@ class _ShapeGroup:
     generator: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameModel:
     """Two-player zero-sum game on a controlled continuous-time Markov chain.
 
@@ -60,7 +60,8 @@ class GameModel:
 
     Construction checks the dimensions (StructureError); payoff and generator
     become tuples of views into one stack per action-set shape, so an in-place
-    edit of r[x] or q[x] is seen everywhere. Rebinding either restacks both.
+    edit of r[x] or q[x] is seen everywhere. Fields are frozen:
+    dataclasses.replace re-checks and restacks.
     """
 
     actions_p1: list[list[int]]
@@ -74,12 +75,6 @@ class GameModel:
     state_ids: list[int] = field(default_factory=list)
     _shape_groups: list[_ShapeGroup] = field(init=False, repr=False, compare=False)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        if name in ("payoff", "generator") and "_shape_groups" in self.__dict__:
-            self._stack(**{"payoff": self.payoff, "generator": self.generator, name: value})
-        else:
-            super().__setattr__(name, value)
-
     def __post_init__(self) -> None:
         # Written so that NaN fails: a NaN theta or horizon would spin the solver.
         if not (math.isfinite(self.theta) and self.theta > 0):
@@ -88,32 +83,16 @@ class GameModel:
             )
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and positive")
-        self.terminal = np.asarray(self.terminal, dtype=float)
-        if self.coords is not None:
-            self.coords = np.asarray(self.coords, dtype=float)
-        self._stack(self.payoff, self.generator)
-        n = self.n_states
-        if not self.state_ids:
-            self.state_ids = list(range(n))
-        if len(self.state_ids) != n:
-            raise StructureError(f"{len(self.state_ids)} state ids for {n} states")
-        if len(set(self.state_ids)) != n:
-            repeated = next(s for s in self.state_ids if self.state_ids.count(s) > 1)
-            raise StructureError(f"state id {repeated} appears more than once")
-        if self.coords is not None and self.coords.shape != (n,):
-            raise StructureError(f"coords must have shape ({n},), got {self.coords.shape}")
-
-    def _stack(self, payoff: Sequence, generator: Sequence) -> None:
-        """Check the dimensions, then store the tensors as views into fresh shape-group stacks."""
-        payoff = [np.asarray(m, dtype=float) for m in payoff]
-        generator = [np.asarray(q, dtype=float) for q in generator]
+        terminal = np.asarray(self.terminal, dtype=float)
+        payoff = [np.asarray(m, dtype=float) for m in self.payoff]
+        generator = [np.asarray(q, dtype=float) for q in self.generator]
         n = len(payoff)
         if n == 0:
             raise StructureError("a model needs at least one state")
         if not (len(self.actions_p1) == len(self.actions_p2) == len(generator) == n):
             raise StructureError("per-state lists have inconsistent lengths")
-        if self.terminal.shape != (n,):
-            raise StructureError(f"terminal must have shape ({n},), got {self.terminal.shape}")
+        if terminal.shape != (n,):
+            raise StructureError(f"terminal must have shape ({n},), got {terminal.shape}")
         states_by_shape: dict[tuple[int, int], list[int]] = {}
         for x in range(n):
             na, nb = len(self.actions_p1[x]), len(self.actions_p2[x])
@@ -141,7 +120,19 @@ class GameModel:
                 payoff[x] = group.payoff[k]
                 generator[x] = group.generator[k].reshape(na, nb, n)
             groups.append(group)
-        self.__dict__.update(payoff=tuple(payoff), generator=tuple(generator), _shape_groups=groups)
+        state_ids = self.state_ids or list(range(n))
+        if len(state_ids) != n:
+            raise StructureError(f"{len(state_ids)} state ids for {n} states")
+        if len(set(state_ids)) != n:
+            repeated = next(s for s in state_ids if state_ids.count(s) > 1)
+            raise StructureError(f"state id {repeated} appears more than once")
+        coords = None if self.coords is None else np.asarray(self.coords, dtype=float)
+        if coords is not None and coords.shape != (n,):
+            raise StructureError(f"coords must have shape ({n},), got {coords.shape}")
+        self.__dict__.update(
+            payoff=tuple(payoff), generator=tuple(generator), terminal=terminal,
+            coords=coords, state_ids=state_ids, _shape_groups=groups,
+        )
 
     def __reduce__(self) -> tuple:
         """Pickles and deep copies rebuild through the constructor, so their views share stacks."""
@@ -266,14 +257,12 @@ class ValueBounds:
 def validate_generator(model: GameModel) -> ValidationReport:
     """Check off-diagonal nonnegativity, conservativity and stability of the rates.
 
-    Dimensions are checked when the model is built and the terminal reward's
-    shape again here (StructureError: it may have been rebound); rate-invariant
-    violations are collected with an (x, a, b, y) witness and a residual;
-    non-finite payoff and terminal entries are not_finite at (x, a, b) and x.
+    Dimensions are checked when the model is built, and its fields are
+    frozen; rate-invariant violations are collected with an (x, a, b, y)
+    witness and a residual; non-finite payoff and terminal entries are
+    not_finite at (x, a, b) and x.
     """
     n = model.n_states
-    if model.terminal.shape != (n,):
-        raise StructureError(f"terminal must have shape ({n},), got {model.terminal.shape}")
     # Over the finite rates only, so one NaN cannot make the tolerance NaN.
     max_abs = max(
         (

@@ -32,7 +32,7 @@ from .matrix_game import solve_games_last
 from .model import _MAX_EXP_ARG, GameModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < ... < t_{n_steps} = horizon."""
 
@@ -61,7 +61,7 @@ class TimeGrid:
         return np.clip(np.asarray(t) / self.dt, 0, self.n_steps - 1).astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueGrid:
     """A function v(t, x) sampled on a shared time grid and state set."""
 
@@ -69,12 +69,12 @@ class ValueGrid:
     values: np.ndarray  # shape (n_steps + 1, n_states)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.n_steps + 1,)
-        if self.values.ndim != 2 or self.values.shape[0] != expected[0]:
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != self.grid.n_steps + 1:
             raise ValueError(
-                f"values must have {self.grid.n_steps + 1} time rows, got shape {self.values.shape}"
+                f"values must have {self.grid.n_steps + 1} time rows, got shape {values.shape}"
             )
+        object.__setattr__(self, "values", values)
 
 
 @dataclass

@@ -278,8 +278,11 @@ def _simulate_batch(
 def _start_node(model: GameModel, policies: PolicyPair, x0: int, t0: float) -> int:
     """Grid node index of t0.
 
-    Raises ValueError unless x0 is a state index and t0 a grid node in [0, horizon).
+    Raises ValueError unless x0 is a state index (a Python or numpy integer,
+    not a bool or a float) and t0 a grid node in [0, horizon).
     """
+    if isinstance(x0, bool) or not isinstance(x0, (int, np.integer)):
+        raise ValueError(f"x0={x0!r} is not an integer state index")
     if not 0 <= x0 < model.n_states:
         raise ValueError(f"x0={x0} is not a state index in [0, {model.n_states})")
     if not 0.0 <= t0 < model.horizon:  # NaN fails too, before round() could raise

@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 _RESOLUTION_FACTOR = 16.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Accuracy target and grid resolution for one solve."""
 

@@ -212,13 +212,14 @@ class TestPolicyLoader:
             np.testing.assert_array_equal(got, want)
 
 
-# case: (artifact, edit of a valid artifact's JSON object, error after the file name)
+# case: (artifact, edit of a valid artifact's JSON object, error after the file name, exit code)
 MALFORMED_ARTIFACTS = {
     **{
         f"{artifact}-{kind}": (
             artifact,
             lambda d, top=top: top,
             f"the top level must be a JSON object, not {type(top).__name__}",
+            2,
         )
         for artifact in ("model", "cert", "policy")
         for kind, top in (("array", [1, 2]), ("string", "x"))
@@ -227,27 +228,72 @@ MALFORMED_ARTIFACTS = {
         "model",
         lambda d: {**d, "states": [1] * len(d["states"])},
         "a field has the wrong JSON type: argument of type 'int' is not iterable",
+        2,
     ),
     "model-payoff-null": (
         "model",
         lambda d: {**d, "payoff": None},
         "a field has the wrong JSON type: 'NoneType' object is not iterable",
+        2,
     ),
     "cert-v0-object": (
         "cert",
         lambda d: {**d, "v0": {"a": 1}},
         "a field has the wrong JSON type: "
         "float() argument must be a string or a real number, not 'dict'",
+        2,
     ),
     "policy-record-array": (
         "policy",
         lambda d: {**d, "records": [[1], *d["records"][1:]]},
         "a field has the wrong JSON type: list indices must be integers or slices, not str",
+        2,
     ),
     "policy-records-null": (
         "policy",
         lambda d: {**d, "records": None},
         "a field has the wrong JSON type: 'NoneType' object is not iterable",
+        2,
+    ),
+    "model-states-missing": (
+        "model",
+        lambda d: {k: v for k, v in d.items() if k != "states"},
+        "missing field 'states'",
+        2,
+    ),
+    "model-coord-on-some-states": (
+        "model",
+        lambda d: {**d, "states": [d["states"][0], *({**s, "coord": 1.0} for s in d["states"][1:])]},
+        "states[0] has no coord, but states[1] has one",
+        2,
+    ),
+    "cert-rho0-missing": (
+        "cert",
+        lambda d: {k: v for k, v in d.items() if k != "rho0"},
+        "missing field 'rho0'",
+        2,
+    ),
+    "model-terminal-ragged": (
+        "model",
+        lambda d: {**d, "terminal": [[1.0, 2.0], [3.0]]},
+        "terminal is not an array of numbers: setting an array element with a sequence. "
+        "The requested array has an inhomogeneous shape after 1 dimensions. "
+        "The detected shape was (2,) + inhomogeneous part.",
+        1,
+    ),
+    "model-payoff-ragged": (
+        "model",
+        lambda d: {**d, "payoff": [[[1.0, 2.0], [3.0]], *d["payoff"][1:]]},
+        "payoff[0] is not an array of numbers: setting an array element with a sequence. "
+        "The requested array has an inhomogeneous shape after 1 dimensions. "
+        "The detected shape was (2,) + inhomogeneous part.",
+        1,
+    ),
+    "cert-v0-strings": (
+        "cert",
+        lambda d: {**d, "v0": ["a"] * len(d["v0"])},
+        "v0 is not an array of numbers: could not convert string to float: 'a'",
+        1,
     ),
 }
 
@@ -785,9 +831,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: tol must be finite and >= 0, got {float(tol)}"]
 
-    @pytest.mark.parametrize("case", list(MALFORMED_ARTIFACTS))
+    @pytest.mark.parametrize("case", [c for c, v in MALFORMED_ARTIFACTS.items() if v[3] == 2])
     def test_artifact_that_is_not_an_object_exits_two(self, tmp_path, capsys, two_state_model, case):
-        artifact, edit, message = MALFORMED_ARTIFACTS[case]
+        self.check_malformed_artifact(tmp_path, capsys, two_state_model, case)
+
+    @pytest.mark.parametrize("case", [c for c, v in MALFORMED_ARTIFACTS.items() if v[3] == 1])
+    def test_artifact_with_a_non_numeric_array_exits_one(self, tmp_path, capsys, two_state_model, case):
+        self.check_malformed_artifact(tmp_path, capsys, two_state_model, case)
+
+    def check_malformed_artifact(self, tmp_path, capsys, two_state_model, case):
+        artifact, edit, message, code = MALFORMED_ARTIFACTS[case]
         if artifact == "policy":
             good = _policy_payload(two_state_model)
         else:
@@ -800,7 +853,7 @@ class TestCli:
             argv = ["simulate", "--model", str(model), "--policy", str(bad), "--x0", "0"]
         else:
             argv = ["check", "--model", str(model), "--cert", str(cert)]
-        assert self.run(*argv) == 2
+        assert self.run(*argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {bad}: {message}"]
@@ -817,7 +870,7 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: rho0 must be float, got {spelled}"]
+        assert captured.err.splitlines() == [f"error: {bad}: rho0 must be float, got {spelled}"]
 
     def test_solve_model_with_no_states_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

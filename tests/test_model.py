@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from ctsg.model import (
     compute_value_bounds,
     validate_generator,
 )
-from ctsg.shapley import verify_saddle
+from ctsg.shapley import TimeGrid, ValueGrid, verify_saddle
 from ctsg.simulate import estimate_value
 from ctsg.solver import SolverConfig, solve
 
@@ -89,10 +89,6 @@ class TestValidateGenerator:
         for bad, match in cases:
             with pytest.raises(StructureError, match=match):
                 two_state([-1.0, 1.0], [1.0, -1.0], **bad)
-        model = two_state([-1.0, 1.0], [1.0, -1.0])
-        model.terminal = np.zeros(3)
-        with pytest.raises(StructureError, match="terminal"):
-            validate_generator(model)
 
     def test_empty_action_set_is_structural(self):
         with pytest.raises(StructureError, match="state 0 has an empty action set"):
@@ -124,9 +120,8 @@ class TestValidateGenerator:
         assert witnesses == [("not_finite", 0), ("not_conservative", 1)]
 
     def test_nonfinite_payoff_and_terminal_flagged(self):
-        model = two_state([-1.0, 1.0], [1.0, -1.0])
+        model = two_state([-1.0, 1.0], [1.0, -1.0], terminal=np.array([-np.inf, 0.0]))
         model.payoff[1][0, 0] = np.nan
-        model.terminal = np.array([-np.inf, 0.0])
         report = validate_generator(model)
         assert not report.is_valid
         witnesses = {(v.kind, v.x, v.a, v.b, v.y) for v in report.violations}
@@ -223,21 +218,22 @@ class TestShapeGroups:
             np.testing.assert_array_equal(clone.generator[3], model.generator[3])
             assert not np.shares_memory(clone.generator[3], model.generator[3])
 
-    def test_rebinding_a_tensor_sequence_restacks(self):
+    def test_replacing_a_tensor_sequence_restacks(self):
         model = mixed_shape_model()
         source = model._shape_groups
-        model.generator = [2.0 * q for q in model.generator]
-        assert model._shape_groups is not source
-        for g, old in zip(model._shape_groups, source):
+        doubled = replace(model, generator=[2.0 * q for q in model.generator])
+        assert model._shape_groups is source
+        for g, old in zip(doubled._shape_groups, source):
             np.testing.assert_array_equal(g.generator, 2.0 * old.generator)
-            for k, x in enumerate(g.states):
-                assert np.shares_memory(model.generator[x], g.generator)
-                assert np.shares_memory(model.payoff[x], g.payoff)
-        stacks = model._shape_groups
+            np.testing.assert_array_equal(g.payoff, old.payoff)
+            assert not np.shares_memory(g.payoff, old.payoff)
+            for x in g.states:
+                assert np.shares_memory(doubled.generator[x], g.generator)
+                assert np.shares_memory(doubled.payoff[x], g.payoff)
         with pytest.raises(StructureError, match=r"payoff\[0\]"):
-            model.payoff = [np.zeros((4, 4))] * model.n_states
-        assert model._shape_groups is stacks
-        assert np.shares_memory(model.payoff[0], stacks[0].payoff)
+            replace(model, payoff=[np.zeros((4, 4))] * model.n_states)
+        assert model._shape_groups is source
+        assert np.shares_memory(model.payoff[0], source[0].payoff)
 
     @pytest.mark.parametrize("tensor", ["payoff", "generator"])
     def test_in_place_edit_after_a_solve_is_seen(self, tensor):
@@ -266,6 +262,33 @@ class TestShapeGroups:
         np.testing.assert_array_equal(v.values, v_fresh.values)
         for mine, theirs in zip(pol.pi1 + pol.pi2, pol_fresh.pi1 + pol_fresh.pi2):
             np.testing.assert_array_equal(mine, theirs)
+
+
+# One instance of each frozen class, built fresh per test.
+FROZEN = {
+    GameModel: mixed_shape_model,
+    TimeGrid: lambda: TimeGrid(1.0, 4),
+    ValueGrid: lambda: ValueGrid(TimeGrid(1.0, 4), np.ones((5, 2))),
+    SolverConfig: lambda: SolverConfig(epsilon=0.1, n_t=4),
+}
+FROZEN_FIELDS = [(cls, f.name) for cls in FROZEN for f in fields(cls) if f.init]
+
+
+class TestFrozenFields:
+    @pytest.mark.parametrize(
+        ("cls", "name"), FROZEN_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FROZEN_FIELDS]
+    )
+    def test_rebinding_a_field_is_refused(self, cls, name):
+        obj = FROZEN[cls]()
+        groups = getattr(obj, "_shape_groups", None)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+        assert getattr(obj, "_shape_groups", None) is groups
+
+    def test_replacing_the_action_sets_rechecks_the_tensors(self):
+        model, _ = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        with pytest.raises(StructureError, match=r"payoff\[0\] must have shape \(1, 3\)"):
+            replace(model, actions_p1=[[0]] * model.n_states)
 
 
 class TestCheckAssumptions:
@@ -318,7 +341,7 @@ class TestCheckAssumptions:
         if field == "payoff":
             model.payoff[0][0, 0] = np.nan
         else:
-            model.terminal = np.array([0.0, np.nan])
+            model = replace(model, terminal=np.array([0.0, np.nan]))
         out = check_assumptions(model, unit_cert(), tol=0.0)
         assert out.payoff_bound_ok is False
         assert math.isnan(out.residuals["payoff_bound"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,14 +51,14 @@ class TestWeightedPayoff:
     def test_constant_grid_annihilated(self):
         # conservative rows annihilate constants; r = 0 gives c = 0
         model = random_bounded_model(np.random.default_rng(0), n_states=3)
-        model.payoff = [np.zeros_like(p) for p in model.payoff]
+        model = replace(model, payoff=[np.zeros_like(p) for p in model.payoff])
         v = constant_grid(4, np.ones(3))
         for x in range(3):
             np.testing.assert_allclose(weighted_payoff(model, v, 2, x), 0.0, atol=1e-14)
 
     def test_constant_payoff(self):
         model = random_bounded_model(np.random.default_rng(1), n_states=2)
-        model.payoff = [np.full_like(p, 2.0) for p in model.payoff]
+        model = replace(model, payoff=[np.full_like(p, 2.0) for p in model.payoff])
         v = constant_grid(4, np.ones(2))
         np.testing.assert_allclose(weighted_payoff(model, v, 0, 0), 2.0, atol=1e-14)
 
@@ -82,7 +83,7 @@ class TestWeightedPayoff:
 class TestGameValueField:
     def test_zero_payoff_zero_field(self):
         model = random_bounded_model(np.random.default_rng(2), n_states=2)
-        model.payoff = [np.zeros_like(p) for p in model.payoff]
+        model = replace(model, payoff=[np.zeros_like(p) for p in model.payoff])
         v = constant_grid(4, np.ones(2))
         a_field, _ = game_value_field(model, v)
         np.testing.assert_allclose(a_field, 0.0, atol=1e-12)
@@ -138,8 +139,7 @@ def test_verify_saddle_matches_per_cell_loop(game, two_state_model):
 class TestApplyGamma:
     def test_fixed_point_of_trivial_model(self):
         model = random_bounded_model(np.random.default_rng(3), n_states=2)
-        model.payoff = [np.zeros_like(p) for p in model.payoff]
-        model.terminal = np.zeros(2)
+        model = replace(model, payoff=[np.zeros_like(p) for p in model.payoff], terminal=np.zeros(2))
         v = constant_grid(6, np.ones(2))
         v_next, _ = apply_gamma(model, v)
         np.testing.assert_allclose(v_next.values, 1.0, atol=1e-14)

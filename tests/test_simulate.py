@@ -93,7 +93,7 @@ class TestSamplePath:
     def test_symmetric_chain_occupation(self):
         # terminal [0, 1] makes log(value) the indicator of ending in state 1
         model = two_state_chain(1.0, T=20.0)
-        model.terminal = np.array([0.0, 1.0])
+        model = dataclasses.replace(model, terminal=np.array([0.0, 1.0]))
         n = 1500
         pol = uniform_policies(model, 10)
         est = estimate_value(model, pol, 0, 0.0, paths=n, rng_seed=0)
@@ -182,9 +182,13 @@ class TestEstimateValue:
 
     def test_x0_outside_states_rejected(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)
-        for x0 in (-1, two_state_model.n_states):
+        for x0 in (-1, two_state_model.n_states, 1.9, 1.0, True, np.bool_(True), np.float64(1.0)):
             with pytest.raises(ValueError, match="x0"):
                 estimate_value(two_state_model, pol, x0, 0.0, paths=10, rng_seed=0)
+        est = estimate_value(two_state_model, pol, 1, 0.0, paths=10, rng_seed=0)
+        for x0 in (np.int64(1), np.int32(1), np.uint8(1)):
+            same = estimate_value(two_state_model, pol, x0, 0.0, paths=10, rng_seed=0)
+            np.testing.assert_array_equal(same.values, est.values)
 
     def test_policy_shape_mismatch_rejected(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)
@@ -457,9 +461,13 @@ class TestDeviationGain:
             deviation_gain(two_state_model, pol, 1, x0=0, t0=0.1234)
         with pytest.raises(ValueError, match="t0 must be a time-grid node"):
             deviation_gain(two_state_model, pol, 1, x0=0, t0=two_state_model.horizon)
-        for x0 in (-1, two_state_model.n_states):
+        for x0 in (-1, two_state_model.n_states, 1.9, 1.0, True, np.bool_(True), np.float64(1.0)):
             with pytest.raises(ValueError, match="x0"):
                 deviation_gain(two_state_model, pol, 2, x0=x0)
+        report = deviation_gain(two_state_model, pol, 2, x0=1)
+        for x0 in (np.int64(1), np.int32(1), np.uint8(1)):
+            same = deviation_gain(two_state_model, pol, 2, x0=x0)
+            assert (same.gain, same.base) == (report.gain, report.base)
 
     def test_exact_gain_ignores_sampling_keywords(self, two_state_model):
         # the benchmark still passes paths and rng_seed; they change nothing

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ def nonneg_model(
         np.random.default_rng(seed), n_states=n_states,
         rate_scale=rate_scale, payoff_scale=payoff_scale,
     )
-    model.payoff = [np.abs(p) for p in model.payoff]
-    model.terminal = np.abs(model.terminal)
-    return model
+    return replace(
+        model, payoff=[np.abs(p) for p in model.payoff], terminal=np.abs(model.terminal)
+    )
 
 
 def growing_cert(n_states: int) -> LyapunovCertificate:
@@ -157,7 +158,7 @@ class TestRunLadder:
 
     def test_floor_ladder_nonincreasing(self):
         model = random_bounded_model(np.random.default_rng(12), n_states=3)
-        model.payoff = [p - 4.0 for p in model.payoff]  # deeply negative payoffs
+        model = replace(model, payoff=[p - 4.0 for p in model.payoff])  # deeply negative payoffs
         cert = growing_cert(3)
         report = run_ladder(model, cert, [1, 2, 4, 8], SolverConfig(epsilon=0.02, n_t=24), kind="floor")
         assert report.monotone_ok
