@@ -91,9 +91,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if model is None:
         return 1
     policies, order = artifacts.load_policies(args.policy)
-    if order != model.state_ids:
+    if tuple(order) != model.state_ids:
         raise ValueError(
-            f"policy file {args.policy} covers states {order}, not the model's {model.state_ids}"
+            f"policy file {args.policy} covers states {order}, not the model's {list(model.state_ids)}"
         )
     est = estimate_value(
         model,

@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -67,11 +67,20 @@ def _number(d: dict, key: str, kind: type = float) -> Any:
 
 
 def _floats(value: Any, name: str) -> np.ndarray:
-    """value as a float array; ValueError naming the field if it is ragged or holds a non-number."""
+    """value as a float array; ValueError naming the field if it is ragged or holds a non-number.
+
+    A JSON string is refused even where it spells a number, as _number refuses one.
+    """
     try:
-        return np.array(value, dtype=float)
+        array = np.array(value)
+        if array.dtype.kind not in "UO":  # numbers (or booleans) only
+            return array.astype(float, copy=False)
+        floats = np.array(value, dtype=float)  # a string that spells no number fails here
     except ValueError as exc:
         raise ValueError(f"{name} is not an array of numbers: {exc}") from None
+    if any(isinstance(v, str) for v in array.flat):
+        raise ValueError(f"{name} is not an array of numbers: it holds a string")
+    return floats
 
 
 # -- model ---------------------------------------------------------------
@@ -155,7 +164,7 @@ def load_certificate(path: str | Path) -> LyapunovCertificate:
 # -- value grid CSV --------------------------------------------------------
 
 
-def value_grid_to_csv(grid: ValueGrid, state_ids: list[int]) -> str:
+def value_grid_to_csv(grid: ValueGrid, state_ids: Sequence[int]) -> str:
     # No field holds a comma, quote or line break, so csv.writer would write
     # these lines unquoted; each time node is formatted once per row.
     lines = ["t,x_id,value"]
@@ -165,7 +174,7 @@ def value_grid_to_csv(grid: ValueGrid, state_ids: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_value_grid(grid: ValueGrid, state_ids: list[int], path: str | Path) -> None:
+def save_value_grid(grid: ValueGrid, state_ids: Sequence[int], path: str | Path) -> None:
     Path(path).write_text(value_grid_to_csv(grid, state_ids))
 
 
@@ -224,7 +233,7 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
     return PolicyPair(grid, pi1, pi2), list(by_state)
 
 
-def save_policies(policies: PolicyPair, state_ids: list[int], path: str | Path) -> None:
+def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Path) -> None:
     """Write ``{horizon, n_steps, records}``, one record per (t_index, state).
 
     The bytes are those of ``json.dumps(..., sort_keys=True)`` on a dict per
@@ -299,7 +308,7 @@ def certificate_checks_to_dict(cert: LyapunovCertificate) -> dict:
     return {**flags, "residuals": dict(cert.residuals)}
 
 
-def ladder_to_csv(report: LadderReport, state_ids: list[int]) -> str:
+def ladder_to_csv(report: LadderReport, state_ids: Sequence[int]) -> str:
     # Unquoted lines, as in value_grid_to_csv.
     lines = ["level,x_id,value_t0"]
     for entry in report.levels:

@@ -58,21 +58,23 @@ class GameModel:
         coords: optional real coordinate per state (gridded continuous models).
         state_ids: external state identifiers, defaults to 0..n_states-1.
 
-    Construction checks the dimensions (StructureError); payoff and generator
-    become tuples of views into one stack per action-set shape, so an in-place
-    edit of r[x] or q[x] is seen everywhere. Fields are frozen:
-    dataclasses.replace re-checks and restacks.
+    Construction checks the dimensions (StructureError). The action sets
+    become tuples of tuples and state_ids a tuple, so no in-place edit can
+    change them; payoff and generator become tuples of views into one stack
+    per action-set shape, so an in-place edit of r[x] or q[x] is seen
+    everywhere. Fields are frozen: dataclasses.replace re-checks and
+    restacks.
     """
 
-    actions_p1: list[list[int]]
-    actions_p2: list[list[int]]
+    actions_p1: Sequence[Sequence[int]]
+    actions_p2: Sequence[Sequence[int]]
     payoff: Sequence[np.ndarray]
     generator: Sequence[np.ndarray]
     terminal: np.ndarray
     theta: float
     horizon: float
     coords: np.ndarray | None = None
-    state_ids: list[int] = field(default_factory=list)
+    state_ids: Sequence[int] = ()
     _shape_groups: list[_ShapeGroup] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -83,19 +85,21 @@ class GameModel:
             )
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and positive")
+        actions_p1 = tuple(map(tuple, self.actions_p1))
+        actions_p2 = tuple(map(tuple, self.actions_p2))
         terminal = np.asarray(self.terminal, dtype=float)
         payoff = [np.asarray(m, dtype=float) for m in self.payoff]
         generator = [np.asarray(q, dtype=float) for q in self.generator]
         n = len(payoff)
         if n == 0:
             raise StructureError("a model needs at least one state")
-        if not (len(self.actions_p1) == len(self.actions_p2) == len(generator) == n):
+        if not (len(actions_p1) == len(actions_p2) == len(generator) == n):
             raise StructureError("per-state lists have inconsistent lengths")
         if terminal.shape != (n,):
             raise StructureError(f"terminal must have shape ({n},), got {terminal.shape}")
         states_by_shape: dict[tuple[int, int], list[int]] = {}
         for x in range(n):
-            na, nb = len(self.actions_p1[x]), len(self.actions_p2[x])
+            na, nb = len(actions_p1[x]), len(actions_p2[x])
             if na == 0 or nb == 0:
                 raise StructureError(f"state {x} has an empty action set")
             if payoff[x].shape != (na, nb):
@@ -120,7 +124,7 @@ class GameModel:
                 payoff[x] = group.payoff[k]
                 generator[x] = group.generator[k].reshape(na, nb, n)
             groups.append(group)
-        state_ids = self.state_ids or list(range(n))
+        state_ids = tuple(self.state_ids) or tuple(range(n))
         if len(state_ids) != n:
             raise StructureError(f"{len(state_ids)} state ids for {n} states")
         if len(set(state_ids)) != n:
@@ -130,6 +134,7 @@ class GameModel:
         if coords is not None and coords.shape != (n,):
             raise StructureError(f"coords must have shape ({n},), got {coords.shape}")
         self.__dict__.update(
+            actions_p1=actions_p1, actions_p2=actions_p2,
             payoff=tuple(payoff), generator=tuple(generator), terminal=terminal,
             coords=coords, state_ids=state_ids, _shape_groups=groups,
         )

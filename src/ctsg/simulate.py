@@ -32,14 +32,19 @@ counts each row.
 ``evaluate_policies`` computes the same expectation exactly in time by one
 backward pass from exp(theta g), ``_backward_pass``: ``_interval_step``
 applies each grid interval's exponential of the policy-mixed generator by
-uniformization. ``deviation_gain`` runs that pass for the base pair, then
+uniformization, in equal sub-steps while the interval's Poisson parameter
+is at most the number of states and by squaring one sub-step's series
+matrix past that, so its cost grows like the log of the rates. ``_mix``
+mixes one interval's rows by batched matmuls with the joint action law;
+the sampler's tables keep their einsum, whose rounding their pinned paths
+depend on. ``deviation_gain`` runs that pass for the base pair, then
 again for one deviating player, setting before each interval's step every
 state's row to the first pure action that is best against the opponent's
 row, for the weighted payoff at the deviation's own value at the
 interval's right end. The second pass thus returns a concrete deviation and
-its exact value, and solves no matrix game. Both read the policies through
-one checked, per-shape-group mixing path, ``_checked_policies`` and
-``_mix``, that the sampler's tables use too.
+its exact value, and solves no matrix game. The sampler and the evaluator
+read the policies through one check, ``_checked_policies``, that stacks
+them per shape group.
 """
 
 from __future__ import annotations
@@ -141,22 +146,6 @@ def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
     return groups
 
 
-def _mix(
-    group: _ShapeGroup, p1: np.ndarray, p2: np.ndarray, rows: slice
-) -> tuple[np.ndarray, np.ndarray]:
-    """Policy-mixed payoff rate, (i, k), and generator, (k, i, n_x), of one shape group on `rows`.
-
-    p1 and p2 are the group's stacked policy rows from _checked_policies. These
-    einsums make the sampler's tables; a one-row slice gives the same values
-    up to rounding (on rps64 bit for bit, on a 2x3 group not always).
-    """
-    k, na, nb = group.payoff.shape
-    p1, p2 = p1[:, rows], p2[:, rows]
-    rbar = np.einsum("kia,kab,kib->ik", p1, group.payoff, p2)
-    G = group.generator.reshape(k, na, nb, -1)
-    return rbar, np.einsum("kia,kaby,kib->kiy", p1, G, p2)
-
-
 class _PolicyTables:
     """Per-interval policy-mixed payoff and rate tables used by the sampler."""
 
@@ -171,9 +160,10 @@ class _PolicyTables:
         self.dest_cum = np.empty((n_t + 1, n_x, n_x))
         for group, p1, p2 in groups:
             states = group.states
-            k = len(states)
-            rbar, mixed = _mix(group, p1, p2, slice(None))
-            self.rbar[:, states] = rbar
+            k, na, nb = group.payoff.shape
+            self.rbar[:, states] = np.einsum("kia,kab,kib->ik", p1, group.payoff, p2)
+            G = group.generator.reshape(k, na, nb, n_x)
+            mixed = np.einsum("kia,kaby,kib->kiy", p1, G, p2)
             mixed[np.arange(k), :, states] = 0.0
             np.clip(mixed, 0.0, None, out=mixed)
             total = mixed.sum(axis=2)
@@ -378,45 +368,79 @@ def _backward_pass(model: GameModel, groups: _Groups, grid: TimeGrid, choose=Non
     return values
 
 
-def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.ndarray) -> np.ndarray:
-    """exp(A_i dt) w, A_i = theta diag(rbar_i) + Qbar_i mixed from the policy rows i of groups.
+def _mix(groups: _Groups, i: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Policy-mixed payoff rate rbar_i, (n_x,), and generator Qbar_i, (n_x, n_x), of the rows i.
 
-    Applied by uniformization: with c the smallest shift that makes
+    Each shape group mixes its states through the joint law of the action
+    pairs, pi1_i(x) pi2_i(x)^T flattened to |A||B| entries: one batched
+    matmul with the stacked generator rows, one with the payoffs.
+    """
+    rbar = np.empty(n_x)
+    qbar = np.empty((n_x, n_x))
+    for group, p1, p2 in groups:
+        k, na, nb = group.payoff.shape
+        joint = (p1[:, i, :, None] * p2[:, i, None, :]).reshape(k, 1, na * nb)
+        qbar[group.states] = (joint @ group.generator)[:, 0]
+        rbar[group.states] = (joint @ group.payoff.reshape(k, na * nb, 1))[:, 0, 0]
+    return rbar, qbar
+
+
+def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.ndarray) -> np.ndarray:
+    """exp(A_i dt) w, A_i = theta diag(rbar_i) + Qbar_i mixed by _mix from the policy rows i.
+
+    A_i is applied by uniformization: with c the smallest shift that makes
     B_i = A_i + c I nonnegative,
 
-        exp(A_i dt) w = e^{-c dt} sum_k (B_i dt)^k / k! w,
+        exp(A_i dt) = e^{-c dt} sum_k (B_i dt)^k / k!,
 
     a series of nonnegative terms, cut where the tail of a Poisson law with
-    parameter ||B_i dt||_inf falls below 2^-53. An interval whose parameter
-    exceeds 1 is split into equal sub-steps, so no partial sum overflows
-    before its scale e^{-c dt} is applied. Only this interval's n_x x n_x
-    matrix is held.
+    parameter lam = dt ||B_i||_inf (the largest row sum) falls below 2^-53.
+    An interval with lam > 1 is split into equal steps of parameter at most
+    1, so no partial sum overflows before its scale is applied. While
+    ceil(lam) <= n_x, each of ceil(lam) sub-steps stacks w, B w, B^2 w, ...
+    and sums them in one product with the weights e^{-c h} / k!, about
+    lam n_terms n_x^2 flops in all. Past that, the series matrix of one step
+    dt / 2^j, j the exponent that puts lam / 2^j in [1/2, 1), is squared j
+    times and applied once, about (n_terms + j) n_x^3 flops, so the cost
+    grows like log lam. A product of nonnegative matrices cancels nothing:
+    each squaring doubles its entries' relative error and adds n_x u, so
+    the squared matrix is within about 2^j (2 n_x + n_terms + 4) u of
+    exp(A_i dt), u = 2^-53, entry by entry; the sub-steps' error grows
+    like lam too. Only this interval's n_x x n_x matrices are held.
     """
     n_x = model.n_states
-    B = np.empty((n_x, n_x))
+    rbar, B = _mix(groups, i, n_x)
     diagonal = B.reshape(-1)[:: n_x + 1]  # a view
-    for group, p1, p2 in groups:
-        rbar, mixed = _mix(group, p1, p2, slice(i, i + 1))
-        B[group.states] = mixed[:, 0]
-        diagonal[group.states] += model.theta * rbar[0]
-    c = max(0.0, -float(np.min(diagonal)))
+    diagonal += model.theta * rbar
+    c = max(0.0, -float(diagonal.min()))
     diagonal += c
-    lam = dt * float(np.linalg.norm(B, np.inf))
+    lam = dt * float(np.abs(B).sum(axis=1).max())
     if not math.isfinite(lam):
         raise ModelScaleError("policy-mixed rates are not finite in double precision")
+    if math.ceil(lam) > n_x:
+        j = math.frexp(lam)[1]
+        h = math.ldexp(dt, -j)
+        B *= h
+        term = M = np.eye(n_x)
+        for k in range(1, _series_terms(math.ldexp(lam, -j)) + 1):
+            term = B @ term
+            term /= k
+            M += term
+        M *= math.exp(-c * h)
+        for _ in range(j):
+            M = M @ M
+        return M @ w
     n_sub = max(1, math.ceil(lam))
     h = dt / n_sub
     n_terms = _series_terms(lam / n_sub)
     B *= h
-    scale = math.exp(-c * h)
+    weights = _INV_FACTORIALS[: n_terms + 1] * math.exp(-c * h)
+    powers = np.empty((n_terms + 1, n_x))  # w, B w, B^2 w, ...: one product sums them
     for _ in range(n_sub):
-        term = w
-        total = w.copy()
+        powers[0] = w
         for k in range(1, n_terms + 1):
-            term = B @ term
-            term /= k
-            total += term
-        w = total * scale
+            powers[k] = B @ powers[k - 1]
+        w = weights @ powers
     return w
 
 
@@ -432,6 +456,10 @@ def _series_terms(lam: float) -> int:
         if p / (1.0 - lam / (k + 2)) < _SERIES_TAIL:
             return k
         k += 1
+
+
+# 1/k! for each term of a series whose parameter is at most 1
+_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(_series_terms(1.0) + 1)])
 
 
 def deviation_gain(

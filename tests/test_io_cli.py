@@ -207,7 +207,7 @@ class TestPolicyLoader:
         expected, _ = artifacts.policies_from_dict(payload)
         payload["records"].sort(key=lambda r: (r["x_id"], -r["t_index"]))
         loaded, ids = artifacts.policies_from_dict(payload)
-        assert ids == two_state_model.state_ids
+        assert ids == list(two_state_model.state_ids)
         for got, want in zip(loaded.pi1 + loaded.pi2, expected.pi1 + expected.pi2, strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -293,6 +293,12 @@ MALFORMED_ARTIFACTS = {
         "cert",
         lambda d: {**d, "v0": ["a"] * len(d["v0"])},
         "v0 is not an array of numbers: could not convert string to float: 'a'",
+        1,
+    ),
+    "cert-v0-numeric-strings": (
+        "cert",
+        lambda d: {**d, "v0": [repr(v) for v in d["v0"]]},
+        "v0 is not an array of numbers: it holds a string",
         1,
     ),
 }

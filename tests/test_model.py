@@ -290,6 +290,15 @@ class TestFrozenFields:
         with pytest.raises(StructureError, match=r"payoff\[0\] must have shape \(1, 3\)"):
             replace(model, actions_p1=[[0]] * model.n_states)
 
+    def test_action_sets_and_state_ids_refuse_in_place_edits(self):
+        # lists passed in are stored as tuples, so an edit cannot skip the constructor's checks
+        model, _ = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
+        with pytest.raises(AttributeError):
+            model.actions_p1[0].append(7)
+        with pytest.raises(AttributeError):
+            model.state_ids.append(99)
+        assert model.actions_p1[0] == (0, 1, 2) and model.state_ids == tuple(range(8))
+
 
 class TestCheckAssumptions:
     def test_everything_vanishes_passes(self):

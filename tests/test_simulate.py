@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -15,15 +16,18 @@ from ctsg.example_games import build_rps
 from ctsg.model import GameModel
 from ctsg.shapley import PolicyPair, TimeGrid
 from ctsg.simulate import (
+    _checked_policies,
     _destination,
+    _mix,
     _PolicyTables,
+    _series_terms,
     deviation_gain,
     estimate_value,
     evaluate_policies,
 )
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import action_dependent_rps, mixed_shape_model, single_state_model
+from .conftest import FIXTURES, action_dependent_rps, mixed_shape_model, single_state_model
 
 
 def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
@@ -39,15 +43,16 @@ def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
     return PolicyPair(grid, pi1, pi2)
 
 
-def two_state_chain(rate: float, T: float = 10.0) -> GameModel:
+def two_state_chain(rate: float, T: float = 10.0, r: float = 0.0, g=(0.0, 0.0)) -> GameModel:
+    """Two states that swap at `rate`, both paying `r`, with terminal reward g."""
     q0 = np.array([[-rate, rate]]).reshape(1, 1, 2)
     q1 = np.array([[rate, -rate]]).reshape(1, 1, 2)
     return GameModel(
         actions_p1=[[0]] * 2,
         actions_p2=[[0]] * 2,
-        payoff=[np.zeros((1, 1))] * 2,
+        payoff=[np.full((1, 1), r)] * 2,
         generator=[q0, q1],
-        terminal=np.zeros(2),
+        terminal=np.array(g, dtype=float),
         theta=1.0,
         horizon=T,
     )
@@ -243,6 +248,24 @@ def test_policy_tables_match_per_state_einsum():
         assert tables.rbar[:, x].tobytes() == rbar.tobytes()
         assert tables.qbar[:, x].tobytes() == total.tobytes()
         assert tables.dest_cum[:, x].tobytes() == np.cumsum(mixed / safe[:, None], axis=1).tobytes()
+
+
+def test_evaluator_mix_matches_per_state_einsum():
+    # the batched matmuls round differently from the einsum, within a few ulps
+    model = mixed_shape_model()
+    rng = np.random.default_rng(8)
+    n_t = 7
+    pi1 = [rng.dirichlet(np.ones(len(model.actions_p1[x])), n_t + 1) for x in range(model.n_states)]
+    pi2 = [rng.dirichlet(np.ones(len(model.actions_p2[x])), n_t + 1) for x in range(model.n_states)]
+    groups = _checked_policies(model, PolicyPair(TimeGrid(model.horizon, n_t), pi1, pi2))
+    assert any(group.payoff.shape[1:] == (2, 3) for group, _, _ in groups)
+    for i in range(n_t + 1):
+        rbar, qbar = _mix(groups, i, model.n_states)
+        for x in range(model.n_states):
+            a, b = pi1[x][i], pi2[x][i]
+            np.testing.assert_allclose(rbar[x], a @ model.payoff[x] @ b, rtol=1e-14, atol=0.0)
+            want = np.einsum("a,aby,b->y", a, model.generator[x], b)
+            np.testing.assert_allclose(qbar[x], want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("n_x", [1, 2, 3, 8, 64, 65])
@@ -507,25 +530,60 @@ def expm_taylor(A: np.ndarray) -> np.ndarray:
     return total
 
 
+def interval_rates(model: GameModel, pol: PolicyPair, i: int) -> np.ndarray:
+    """A_i = theta diag(rbar_i) + Qbar_i, built state by state."""
+    n = model.n_states
+    A = np.zeros((n, n))
+    for x in range(n):
+        a, b = pol.pi1[x][i], pol.pi2[x][i]
+        A[x] = np.einsum("a,aby,b->y", a, model.generator[x], b)
+        A[x, x] += model.theta * (a @ model.payoff[x] @ b)
+    return A
+
+
 def expm_product_values(model: GameModel, pol: PolicyPair) -> np.ndarray:
     """J on every grid node as a product of exp(A_i dt), each A_i built state by state."""
-    n, dt = model.n_states, pol.grid.dt
     w = np.exp(model.theta * model.terminal)
     rows = [w]
     for i in range(pol.grid.n_steps - 1, -1, -1):
-        A = np.zeros((n, n))
-        for x in range(n):
-            a, b = pol.pi1[x][i], pol.pi2[x][i]
-            A[x] = np.einsum("a,aby,b->y", a, model.generator[x], b)
-            A[x, x] += model.theta * (a @ model.payoff[x] @ b)
-        w = expm_taylor(A * dt) @ w
+        w = expm_taylor(interval_rates(model, pol, i) * pol.grid.dt) @ w
         rows.append(w)
     return np.array(rows[::-1])
+
+
+def squaring_bound(squarings: int, n_x: int, n_terms: int) -> float:
+    """The evaluator's stated relative error of a series squared j times: 2^j (2 n_x + K + 4) u."""
+    return 2.0**squarings * (2 * n_x + n_terms + 4) * 2.0**-53
+
+
+def squared_steps_bound(model: GameModel, pol: PolicyPair) -> float:
+    """Summed stated error of every interval the evaluator squares, with expm_taylor's own.
+
+    Relative errors of products of nonnegative matrices add up over the
+    intervals. An interval squares when ceil(lam) > n_x, lam = dt ||A_i + c I||_inf.
+    """
+    n, dt = model.n_states, pol.grid.dt
+    total = 0.0
+    for i in range(pol.grid.n_steps):
+        A = interval_rates(model, pol, i)
+        B = A + max(0.0, -float(np.min(np.diag(A)))) * np.eye(n)
+        lam = dt * float(np.linalg.norm(B, np.inf))
+        if math.ceil(lam) > n:
+            j = math.frexp(lam)[1]
+            s = max(0, math.ceil(math.log2(float(np.linalg.norm(A * dt, np.inf)))) + 1)
+            total += squaring_bound(j, n, _series_terms(math.ldexp(lam, -j)))
+            total += squaring_bound(s, n, 29)  # expm_taylor's 30 terms, squared s times
+    return total
 
 
 def evaluated_model(name: str, two_state: GameModel) -> GameModel:
     if name == "rps8":
         return build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)[0]
+    # ceil(lam) > n_x on every interval of these two: the squared step runs
+    if name == "rps8_fast":
+        return build_rps(0.35, lambda_bound=1e3, x_max=8.0, n_x=8, theta=1.0, T=1.0)[0]
+    if name == "two_state_fast":  # rps8_fast drains into its jump-free state; this chain does not
+        return dataclasses.replace(two_state, generator=[1e3 * q for q in two_state.generator])
     if name == "mixed_shapes":
         return mixed_shape_model()
     if name == "action_dependent":
@@ -557,12 +615,38 @@ class TestEvaluatePolicies:
         got = evaluate_policies(model, arithmetic_policies(model, 4)).values[-1]
         assert got.tobytes() == np.exp(model.theta * model.terminal).tobytes()
 
-    @pytest.mark.parametrize("name", ["rps8", "mixed_shapes", "action_dependent"])
+    @pytest.mark.parametrize(
+        "name", ["rps8", "mixed_shapes", "action_dependent", "rps8_fast", "two_state_fast"]
+    )
     def test_matches_product_of_matrix_exponentials(self, two_state_model, name):
         model = evaluated_model(name, two_state_model)
         pol = arithmetic_policies(model, 6)
         got = evaluate_policies(model, pol).values
-        np.testing.assert_allclose(got, expm_product_values(model, pol), rtol=1e-13, atol=0.0)
+        rtol = max(1e-13, squared_steps_bound(model, pol))
+        assert (rtol > 1e-13) == name.endswith("_fast")
+        np.testing.assert_allclose(got, expm_product_values(model, pol), rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("x0", [0, 1])
+    def test_fast_switching_chain_matches_closed_form(self, x0):
+        # w_{0,1}(t) = e^{theta r s} [(E0 + E1) +- e^{-2 rate s} (E0 - E1)] / 2, s = T - t and
+        # E_x = e^{theta g_x}; at rate 1e6 an interval would take 125 000 sub-steps: it squares
+        rate, r, g, n_t = 1e6, 0.5, (0.3, -0.2), 8
+        model = two_state_chain(rate, T=1.0, r=r, g=g)
+        pol = uniform_policies(model, n_t)
+        s = model.horizon - pol.grid.nodes
+        e0, e1 = np.exp(model.theta * np.array(g))
+        sign = 1.0 if x0 == 0 else -1.0
+        decay = np.exp(-2.0 * rate * s)
+        exact = np.exp(model.theta * r * s) * 0.5 * (e0 + e1 + sign * decay * (e0 - e1))
+        lam = rate * pol.grid.dt  # the row sum of A_i + c I, c = rate - theta r
+        j = math.frexp(lam)[1]
+        rtol = n_t * squaring_bound(j, 2, _series_terms(math.ldexp(lam, -j))) + 8 * 2.0**-53
+        got = evaluate_policies(model, pol).values[:, x0]
+        np.testing.assert_allclose(got, exact, rtol=rtol, atol=0.0)
+        for player in (1, 2):
+            report = deviation_gain(model, pol, player, x0=x0)
+            assert report.gain == 0.0  # one action each: the deviation is the base pair
+            assert report.base == got[0]
 
     @pytest.mark.parametrize(
         ("name", "x0", "node"), [("rps8", 3, 0), ("two_state", 0, 4), ("action_dependent", 5, 2)]
@@ -595,6 +679,25 @@ class TestEvaluatePolicies:
         finally:
             tracemalloc.stop()
         assert peak < table / 4
+
+
+def test_evaluator_agrees_with_its_pinned_values():
+    # evaluate_policies and both deviation_gain passes on the rps64 solve (eps 1e-3,
+    # n_t 32, x0 5), as the einsum-mixing evaluator computed them (numpy 2.4, x86-64).
+    # A later evaluator change must stay within 1e-13 of them. The gain is a
+    # difference of nearly equal values, so the pin holds J(best_response) itself.
+    pin = json.loads((FIXTURES / "rps64_evaluator_pin.json").read_text())
+    model, _ = build_rps(0.35, x_max=8.0, n_x=64, theta=1.0, T=1.0)
+    _, pol, _ = solve(model, SolverConfig(epsilon=1e-3, n_t=32))
+    got = evaluate_policies(model, pol).values
+    np.testing.assert_allclose(got, pin["values"], rtol=1e-13, atol=0.0)
+    for player in (1, 2):
+        report = deviation_gain(model, pol, player, x0=5)
+        value = report.base + report.gain if player == 1 else report.base - report.gain
+        want = pin["deviation"][str(player)]
+        np.testing.assert_allclose(
+            [report.base, value], [want["base"], want["deviation"]], rtol=1e-13, atol=0.0
+        )
 
 
 def arithmetic_policies(model: GameModel, n_t: int) -> PolicyPair:
