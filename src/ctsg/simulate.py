@@ -32,9 +32,9 @@ counts each row.
 ``evaluate_policies`` computes the same expectation exactly in time by one
 backward pass from exp(theta g), ``_backward_pass``: ``_interval_step``
 applies each grid interval's exponential of the policy-mixed generator by
-uniformization, in equal sub-steps while the interval's Poisson parameter
-is at most the number of states and by squaring one sub-step's series
-matrix past that, so its cost grows like the log of the rates. ``_mix``
+uniformization: one series on the vector while the interval's Poisson
+parameter is at most 1, and past that one short step's series matrix
+squared, so its cost grows like the log of the rates. ``_mix``
 mixes one interval's rows by batched matmuls with the joint action law;
 the sampler's tables keep their einsum, whose rounding their pinned paths
 depend on. ``deviation_gain`` runs that pass for the base pair, then
@@ -395,18 +395,16 @@ def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.n
 
     a series of nonnegative terms, cut where the tail of a Poisson law with
     parameter lam = dt ||B_i||_inf (the largest row sum) falls below 2^-53.
-    An interval with lam > 1 is split into equal steps of parameter at most
-    1, so no partial sum overflows before its scale is applied. While
-    ceil(lam) <= n_x, each of ceil(lam) sub-steps stacks w, B w, B^2 w, ...
-    and sums them in one product with the weights e^{-c h} / k!, about
-    lam n_terms n_x^2 flops in all. Past that, the series matrix of one step
+    An interval with lam <= 1 sums that series on w term by term, about
+    n_terms n_x^2 flops. A larger lam could overflow a partial sum before
+    its scale e^{-c dt} is applied, so there the series matrix of one step
     dt / 2^j, j the exponent that puts lam / 2^j in [1/2, 1), is squared j
-    times and applied once, about (n_terms + j) n_x^3 flops, so the cost
-    grows like log lam. A product of nonnegative matrices cancels nothing:
-    each squaring doubles its entries' relative error and adds n_x u, so
-    the squared matrix is within about 2^j (2 n_x + n_terms + 4) u of
-    exp(A_i dt), u = 2^-53, entry by entry; the sub-steps' error grows
-    like lam too. Only this interval's n_x x n_x matrices are held.
+    times and applied once, about (n_terms + j) n_x^3 flops: the cost grows
+    like log lam. A product of nonnegative matrices cancels nothing: each
+    squaring doubles its entries' relative error and adds n_x u, so the
+    squared matrix is within about 2^j (2 n_x + n_terms + 4) u of
+    exp(A_i dt), u = 2^-53, entry by entry. Only this interval's n_x x n_x
+    matrices are held.
     """
     n_x = model.n_states
     rbar, B = _mix(groups, i, n_x)
@@ -417,31 +415,27 @@ def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.n
     lam = dt * float(np.abs(B).sum(axis=1).max())
     if not math.isfinite(lam):
         raise ModelScaleError("policy-mixed rates are not finite in double precision")
-    if math.ceil(lam) > n_x:
-        j = math.frexp(lam)[1]
-        h = math.ldexp(dt, -j)
-        B *= h
-        term = M = np.eye(n_x)
-        for k in range(1, _series_terms(math.ldexp(lam, -j)) + 1):
+    if lam <= 1.0:
+        B *= dt
+        term = w
+        total = w.copy()
+        for k in range(1, _series_terms(lam) + 1):
             term = B @ term
             term /= k
-            M += term
-        M *= math.exp(-c * h)
-        for _ in range(j):
-            M = M @ M
-        return M @ w
-    n_sub = max(1, math.ceil(lam))
-    h = dt / n_sub
-    n_terms = _series_terms(lam / n_sub)
+            total += term
+        return total * math.exp(-c * dt)
+    j = math.frexp(lam)[1]
+    h = math.ldexp(dt, -j)
     B *= h
-    weights = _INV_FACTORIALS[: n_terms + 1] * math.exp(-c * h)
-    powers = np.empty((n_terms + 1, n_x))  # w, B w, B^2 w, ...: one product sums them
-    for _ in range(n_sub):
-        powers[0] = w
-        for k in range(1, n_terms + 1):
-            powers[k] = B @ powers[k - 1]
-        w = weights @ powers
-    return w
+    term = M = np.eye(n_x)
+    for k in range(1, _series_terms(math.ldexp(lam, -j)) + 1):
+        term = B @ term
+        term /= k
+        M += term
+    M *= math.exp(-c * h)
+    for _ in range(j):
+        M = M @ M
+    return M @ w
 
 
 def _series_terms(lam: float) -> int:
@@ -456,10 +450,6 @@ def _series_terms(lam: float) -> int:
         if p / (1.0 - lam / (k + 2)) < _SERIES_TAIL:
             return k
         k += 1
-
-
-# 1/k! for each term of a series whose parameter is at most 1
-_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(_series_terms(1.0) + 1)])
 
 
 def deviation_gain(
