@@ -69,17 +69,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             np.all(value.values[0] >= bounds.lower - 1e-12)
             and np.all(value.values[0] <= bounds.upper + 1e-12)
         )
-        report_extra["value_bounds"] = {
-            "lower": bounds.lower.tolist(),
-            "upper": bounds.upper.tolist(),
-            "representable": bounds.representable,
-            "value_row_contained": contained,
-        }
+        report_extra["value_bounds"] = {**artifacts.as_json_dict(bounds), "value_row_contained": contained}
     if args.out_value:
         _save(artifacts.save_value_grid, value, model.state_ids, args.out_value)
     if args.out_policy:
         _save(artifacts.save_policies, policies, model.state_ids, args.out_policy)
-    payload = {"solver": artifacts.solver_report_to_dict(report), **report_extra}
+    payload = {"solver": artifacts.as_json_dict(report), **report_extra}
     if args.report:
         _save(artifacts._dump_json, payload, args.report)
     print(json.dumps({"converged": report.converged, "iterations": report.iterations}))

@@ -26,7 +26,6 @@ from .model import (
 )
 from .shapley import PolicyPair, TimeGrid, ValueGrid
 from .simulate import McEstimate
-from .solver import SolverReport
 from .truncation import LadderReport
 
 
@@ -284,10 +283,6 @@ def _lists_for_arrays(items: list[tuple[str, Any]]) -> dict:
 def as_json_dict(obj: Any) -> dict:
     """dataclasses.asdict(obj) with every array field written as a list."""
     return asdict(obj, dict_factory=_lists_for_arrays)
-
-
-def solver_report_to_dict(report: SolverReport) -> dict:
-    return asdict(report)
 
 
 def estimate_to_dict(est: McEstimate) -> dict:

@@ -17,7 +17,9 @@ the Monte Carlo simulator uses.
 
 The weighted payoff c is formed in one place, _payoff_stacks, on any array
 of value rows: the operator and verify_saddle read it on the whole grid,
-and ctsg.simulate.deviation_gain on one row per interval.
+and ctsg.simulate.deviation_gain on one row per interval. Policy pairs are
+read in one place too: _checked_policies stacks them by shape, refuses a row
+that is not a probability vector, and serves verify_saddle and ctsg.simulate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ import numpy as np
 
 from .errors import ModelScaleError
 from .matrix_game import solve_games_last
-from .model import _MAX_EXP_ARG, GameModel
+from .model import _MAX_EXP_ARG, GameModel, _ShapeGroup
+
+_PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
+# Each shape group with its states' stacked pi1 and pi2 rows, from _checked_policies.
+_Groups = list[tuple[_ShapeGroup, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,50 @@ class PolicyPair:
     grid: TimeGrid
     pi1: list[np.ndarray]
     pi2: list[np.ndarray]
+
+
+def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
+    """Each shape group with its states' policy rows, stacked per player.
+
+    The pi1 rows stack to (k, n_t + 1, |A|), the pi2 rows to (k, n_t + 1, |B|).
+    Raises ValueError when the policy grid's horizon, the number of states or
+    a state's row shapes do not match the model, or when a row is not a
+    probability vector (an entry below -_PROBABILITY_TOL, or a sum more than
+    _PROBABILITY_TOL from 1; NaN fails both). The row test is one vectorized
+    check per group and its message names the player, the state and the row.
+    """
+    grid = policies.grid
+    if abs(grid.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
+        raise ValueError("policy grid horizon does not match the model")
+    n_t, n_x = grid.n_steps, model.n_states
+    if len(policies.pi1) != n_x or len(policies.pi2) != n_x:
+        raise ValueError(
+            f"policies cover {len(policies.pi1)}/{len(policies.pi2)} states; the model has {n_x}"
+        )
+    groups = []
+    for group in model._shape_groups:
+        _, na, nb = group.payoff.shape
+        want = ((n_t + 1, na), (n_t + 1, nb))
+        for x in group.states:
+            p1, p2 = policies.pi1[x], policies.pi2[x]
+            if (p1.shape, p2.shape) != want:
+                raise ValueError(
+                    f"policy shapes {p1.shape}, {p2.shape} at state {x} do not match "
+                    f"the model and grid: {want[0]}, {want[1]}"
+                )
+        p1 = np.stack([policies.pi1[x] for x in group.states])
+        p2 = np.stack([policies.pi2[x] for x in group.states])
+        for name, p in (("pi1", p1), ("pi2", p2)):
+            ok = (p >= -_PROBABILITY_TOL).all(axis=2)
+            ok &= np.abs(p.sum(axis=2) - 1.0) <= _PROBABILITY_TOL
+            if not ok.all():
+                j, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
+                raise ValueError(
+                    f"{name} at state {group.states[j]}, row {i} is not a probability vector: "
+                    f"{p[j, i].tolist()}"
+                )
+        groups.append((group, p1, p2))
+    return groups
 
 
 def boundary_row(model: GameModel) -> np.ndarray:
@@ -175,19 +225,18 @@ def apply_gamma(model: GameModel, v: ValueGrid) -> tuple[ValueGrid, PolicyPair]:
     return integrate_backward(v.grid, a_field, boundary), policies
 
 
-def verify_saddle(
-    model: GameModel, v: ValueGrid, policies: PolicyPair
-) -> float:
+def verify_saddle(model: GameModel, v: ValueGrid, policies: PolicyPair) -> float:
     """Worst sup-inf gap of the extracted policies over all grid cells.
 
     For each cell, with c the weighted payoff on v, computes
     max_a (c pi2)_a - min_b (pi1' c)_b; at an exact saddle this is <= 0 up
-    to LP tolerance. Returns the maximum over cells.
+    to LP tolerance. Returns the maximum over cells. Raises ValueError, from
+    _checked_policies, on policies that do not fit the model or a row that
+    is not a probability vector.
     """
     worst = -np.inf
-    for states, C in _payoff_stacks(model, v.values):
-        p1 = np.stack([policies.pi1[x] for x in states])  # (k, rows, |A|)
-        p2 = np.stack([policies.pi2[x] for x in states])
+    groups = _checked_policies(model, policies)
+    for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, v.values), groups, strict=True):
         row_best = np.einsum("abki,kib->aki", C, p2).max(axis=0)
         col_best = np.einsum("abki,kia->bki", C, p1).min(axis=0)
         worst = max(worst, float(np.max(row_best - col_best)))

@@ -32,9 +32,9 @@ counts each row.
 ``evaluate_policies`` computes the same expectation exactly in time by one
 backward pass from exp(theta g), ``_backward_pass``: ``_interval_step``
 applies each grid interval's exponential of the policy-mixed generator by
-uniformization: one series on the vector while the interval's Poisson
-parameter is at most 1, and past that one short step's series matrix
-squared, so its cost grows like the log of the rates. ``_mix``
+uniformization: one series loop, on the vector while the interval's
+Poisson parameter is at most 1, and past that on the series matrix of one
+short step, then squared, so its cost grows like the log of the rates. ``_mix``
 mixes one interval's rows by batched matmuls with the joint action law;
 the sampler's tables keep their einsum, whose rounding their pinned paths
 depend on. ``deviation_gain`` runs that pass for the base pair, then
@@ -42,9 +42,9 @@ again for one deviating player, setting before each interval's step every
 state's row to the first pure action that is best against the opponent's
 row, for the weighted payoff at the deviation's own value at the
 interval's right end. The second pass thus returns a concrete deviation and
-its exact value, and solves no matrix game. The sampler and the evaluator
-read the policies through one check, ``_checked_policies``, that stacks
-them per shape group.
+its exact value, and solves no matrix game. The sampler, the evaluator and
+the deviation pass read the policies through ``shapley._checked_policies``,
+as verify_saddle does, which stacks them per shape group.
 """
 
 from __future__ import annotations
@@ -56,15 +56,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelScaleError
-from .model import GameModel, _ShapeGroup
-from .shapley import PolicyPair, TimeGrid, ValueGrid, _payoff_stacks, boundary_row
+from .model import GameModel
+from .shapley import (
+    PolicyPair, TimeGrid, ValueGrid, _checked_policies, _Groups, _payoff_stacks, boundary_row
+)
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
-_PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
 # The evaluator's series stops once its Poisson tail is below this (the unit roundoff).
 _SERIES_TAIL = 2.0**-53
-# Each shape group with its states' stacked pi1 and pi2 rows, from _checked_policies.
-_Groups = list[tuple[_ShapeGroup, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -100,50 +99,6 @@ class DeviationReport:
     base: float
     best_response: PolicyPair
     n_candidates: int
-
-
-def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
-    """Each shape group with its states' policy rows, stacked per player.
-
-    The pi1 rows stack to (k, n_t + 1, |A|), the pi2 rows to (k, n_t + 1, |B|).
-    Raises ValueError when the policy grid's horizon, the number of states or
-    a state's row shapes do not match the model, or when a row is not a
-    probability vector (an entry below -_PROBABILITY_TOL, or a sum more than
-    _PROBABILITY_TOL from 1; NaN fails both). The row test is one vectorized
-    check per group and its message names the player, the state and the row.
-    """
-    grid = policies.grid
-    if abs(grid.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
-        raise ValueError("policy grid horizon does not match the model")
-    n_t, n_x = grid.n_steps, model.n_states
-    if len(policies.pi1) != n_x or len(policies.pi2) != n_x:
-        raise ValueError(
-            f"policies cover {len(policies.pi1)}/{len(policies.pi2)} states; the model has {n_x}"
-        )
-    groups = []
-    for group in model._shape_groups:
-        _, na, nb = group.payoff.shape
-        want = ((n_t + 1, na), (n_t + 1, nb))
-        for x in group.states:
-            p1, p2 = policies.pi1[x], policies.pi2[x]
-            if (p1.shape, p2.shape) != want:
-                raise ValueError(
-                    f"policy shapes {p1.shape}, {p2.shape} at state {x} do not match "
-                    f"the model and grid: {want[0]}, {want[1]}"
-                )
-        p1 = np.stack([policies.pi1[x] for x in group.states])
-        p2 = np.stack([policies.pi2[x] for x in group.states])
-        for name, p in (("pi1", p1), ("pi2", p2)):
-            ok = (p >= -_PROBABILITY_TOL).all(axis=2)
-            ok &= np.abs(p.sum(axis=2) - 1.0) <= _PROBABILITY_TOL
-            if not ok.all():
-                j, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
-                raise ValueError(
-                    f"{name} at state {group.states[j]}, row {i} is not a probability vector: "
-                    f"{p[j, i].tolist()}"
-                )
-        groups.append((group, p1, p2))
-    return groups
 
 
 class _PolicyTables:
@@ -395,16 +350,17 @@ def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.n
 
     a series of nonnegative terms, cut where the tail of a Poisson law with
     parameter lam = dt ||B_i||_inf (the largest row sum) falls below 2^-53.
-    An interval with lam <= 1 sums that series on w term by term, about
-    n_terms n_x^2 flops. A larger lam could overflow a partial sum before
-    its scale e^{-c dt} is applied, so there the series matrix of one step
-    dt / 2^j, j the exponent that puts lam / 2^j in [1/2, 1), is squared j
-    times and applied once, about (n_terms + j) n_x^3 flops: the cost grows
-    like log lam. A product of nonnegative matrices cancels nothing: each
-    squaring doubles its entries' relative error and adds n_x u, so the
-    squared matrix is within about 2^j (2 n_x + n_terms + 4) u of
-    exp(A_i dt), u = 2^-53, entry by entry. Only this interval's n_x x n_x
-    matrices are held.
+    A lam above 1 could overflow a partial sum before its scale is applied,
+    so one loop sums the series of a step h = dt / 2^j, j = 0 for lam <= 1
+    and else the exponent that puts lam / 2^j in [1/2, 1), scales it by
+    e^{-c h} and squares it j times. At j = 0, the vector case, it runs on w,
+    about n_terms n_x^2 flops; otherwise on I, and the squared series matrix
+    is applied to w once, about (n_terms + j) n_x^3 flops, log lam growth.
+    A product of nonnegative matrices cancels nothing: each squaring
+    doubles its entries' relative error and adds n_x u, so the squared
+    matrix is within about 2^j (2 n_x + n_terms + 4) u of exp(A_i dt),
+    u = 2^-53, entry by entry. Only this interval's n_x x n_x matrices are
+    held.
     """
     n_x = model.n_states
     rbar, B = _mix(groups, i, n_x)
@@ -415,27 +371,19 @@ def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.n
     lam = dt * float(np.abs(B).sum(axis=1).max())
     if not math.isfinite(lam):
         raise ModelScaleError("policy-mixed rates are not finite in double precision")
-    if lam <= 1.0:
-        B *= dt
-        term = w
-        total = w.copy()
-        for k in range(1, _series_terms(lam) + 1):
-            term = B @ term
-            term /= k
-            total += term
-        return total * math.exp(-c * dt)
-    j = math.frexp(lam)[1]
+    j = math.frexp(lam)[1] if lam > 1.0 else 0
     h = math.ldexp(dt, -j)
     B *= h
-    term = M = np.eye(n_x)
+    term = w if j == 0 else np.eye(n_x)
+    total = term.copy()
     for k in range(1, _series_terms(math.ldexp(lam, -j)) + 1):
         term = B @ term
         term /= k
-        M += term
-    M *= math.exp(-c * h)
+        total += term
+    total *= math.exp(-c * h)
     for _ in range(j):
-        M = M @ M
-    return M @ w
+        total = total @ total
+    return total if j == 0 else total @ w
 
 
 def _series_terms(lam: float) -> int:

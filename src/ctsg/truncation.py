@@ -184,10 +184,8 @@ def run_ladder(
         if prev is not None:
             sup_diff = float(np.max(np.abs(v.values - prev.values)))
             diffs.append(sup_diff)
-            if kind == "cap":
-                worst_violation = max(worst_violation, float(np.max(prev.values - v.values)))
-            else:
-                worst_violation = max(worst_violation, float(np.max(v.values - prev.values)))
+            lower, upper = (prev, v) if kind == "cap" else (v, prev)
+            worst_violation = max(worst_violation, float(np.max(lower.values - upper.values)))
         results.append(
             LadderLevelResult(
                 level=int(n),
