@@ -155,10 +155,7 @@ def _cmd_build_example(args: argparse.Namespace) -> int:
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {args.name} parameters {unknown}; known: {sorted(defaults)}")
-    for key, value in params.items():
-        kind = type(defaults[key])  # a float parameter also takes an integer
-        if isinstance(value, bool) or not isinstance(value, (kind, int)):
-            raise ValueError(f"parameter {key} must be {kind.__name__}, got {value!r}")
+    params = {key: artifacts._number(params, key, type(defaults[key])) for key in params}
     model, cert = builder(**{**defaults, **params})
     artifacts.save_model(model, args.out)
     if args.out_cert:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -60,6 +61,8 @@ def _load_json(path: str | Path, from_dict: Callable[[dict], Any]) -> Any:
 def _number(d: dict, key: str, kind: type = float) -> Any:
     """d[key] as kind; ValueError unless it is a JSON number, an integer for int (never a boolean)."""
     value = d[key]
+    if type(value) is kind:  # the common case first: a policy file holds two per record
+        return value
     if isinstance(value, bool) or not isinstance(value, (kind, int)):
         raise ValueError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
     return kind(value)
@@ -68,17 +71,25 @@ def _number(d: dict, key: str, kind: type = float) -> Any:
 def _floats(value: Any, name: str) -> np.ndarray:
     """value as a float array; ValueError naming the field if it is ragged or holds a non-number.
 
-    A JSON string is refused even where it spells a number, as _number refuses one.
+    A JSON string, boolean or null is refused even where numpy would read it
+    (a string that spells a number, true as 1.0, null as NaN), as _number
+    refuses one.
     """
     try:
         array = np.array(value)
-        if array.dtype.kind not in "UO":  # numbers (or booleans) only
-            return array.astype(float, copy=False)
-        floats = np.array(value, dtype=float)  # a string that spells no number fails here
+        numeric = array.dtype.kind not in "UO"  # numbers or booleans, with no null
+        floats = array.astype(float, copy=False) if numeric else np.array(value, dtype=float)
     except ValueError as exc:
         raise ValueError(f"{name} is not an array of numbers: {exc}") from None
-    if any(isinstance(v, str) for v in array.flat):
-        raise ValueError(f"{name} is not an array of numbers: it holds a string")
+    if numeric and not np.count_nonzero((floats == 0.0) | (floats == 1.0)):
+        return floats  # a boolean reads as 0.0 or 1.0, so none is here
+    leaves = value if array.ndim else [value]
+    for _ in range(array.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    types = set(map(type, leaves))
+    for kind, spelled in ((str, "a string"), (bool, "a boolean"), (type(None), "null")):
+        if kind in types:
+            raise ValueError(f"{name} is not an array of numbers: it holds {spelled}")
     return floats
 
 
@@ -124,7 +135,7 @@ def model_from_dict(d: dict) -> GameModel:
         theta=_number(d, "theta"),
         horizon=_number(d, "horizon"),
         coords=coords,
-        state_ids=[int(s["id"]) for s in states],
+        state_ids=[_number(s, "id", int) for s in states],
     )
 
 
@@ -210,8 +221,8 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
     n_steps = grid.n_steps
     by_state: dict[int, dict[int, tuple[list[float], list[float]]]] = {}
     for rec in d["records"]:
-        sid = int(rec["x_id"])
-        t = int(rec["t_index"])
+        sid = _number(rec, "x_id", int)
+        t = _number(rec, "t_index", int)
         rows = by_state.setdefault(sid, {})
         if t in rows:
             raise ValueError(f"policy file has two records for state {sid} at t_index {t}")

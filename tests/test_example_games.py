@@ -100,8 +100,13 @@ class TestBuildRps:
             ({"x_max": math.inf}, "x_max must be finite"),
             ({"lambda_bound": math.inf}, "lambda_bound must be finite"),
             ({"T": math.nan}, "T must be finite"),
+            ({"lambda_bound": 0.0}, "lambda_bound must be positive"),
+            ({"n_x": 1}, "need at least two grid nodes"),
         ],
-        ids=["x_max_zero", "x_max_negative", "x_max_inf", "lambda_bound_inf", "T_nan"],
+        ids=[
+            "x_max_zero", "x_max_negative", "x_max_inf", "lambda_bound_inf", "T_nan",
+            "lambda_bound_zero", "one_node",
+        ],
     )
     def test_meaningless_scalars_rejected(self, bad, message):
         params = dict(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)

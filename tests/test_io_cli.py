@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -57,6 +59,12 @@ class TestRoundTrips:
         assert ids == [0, 1]
         assert loaded.grid.n_steps == 3 and loaded.grid.horizon == 1.0
         np.testing.assert_array_equal(loaded.values, grid.values)
+
+    def test_value_grid_csv_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("t,state,value\n0.0,0,1.0\n1.0,0,1.0\n")
+        with pytest.raises(ValueError, match=r"unexpected value-grid header \['t', 'state', 'value'\]"):
+            artifacts.load_value_grid(path)
 
     def test_value_grid_csv_matches_csv_module(self):
         values = np.array([[-0.0, 1e-300], [1e300, -2.5], [0.1, -1e-300]])
@@ -299,6 +307,48 @@ MALFORMED_ARTIFACTS = {
         "cert",
         lambda d: {**d, "v0": [repr(v) for v in d["v0"]]},
         "v0 is not an array of numbers: it holds a string",
+        1,
+    ),
+    "model-terminal-bool": (
+        "model",
+        lambda d: {**d, "terminal": [True, 2.5]},
+        "terminal is not an array of numbers: it holds a boolean",
+        1,
+    ),
+    "model-terminal-null": (
+        "model",
+        lambda d: {**d, "terminal": [None, 1.0]},
+        "terminal is not an array of numbers: it holds null",
+        1,
+    ),
+    "model-payoff-mixed-bool": (
+        "model",
+        lambda d: {**d, "payoff": [[[1.1, False], [0.5, 0.9]], *d["payoff"][1:]]},
+        "payoff[0] is not an array of numbers: it holds a boolean",
+        1,
+    ),
+    "model-state-id-fractional": (
+        "model",
+        lambda d: {**d, "states": [{"id": 7.9}, *d["states"][1:]]},
+        "id must be int, got 7.9",
+        1,
+    ),
+    "model-state-id-bool": (
+        "model",
+        lambda d: {**d, "states": [{"id": True}, *d["states"][1:]]},
+        "id must be int, got true",
+        1,
+    ),
+    "policy-x_id-string": (
+        "policy",
+        lambda d: {**d, "records": [{**d["records"][0], "x_id": "0"}, *d["records"][1:]]},
+        'x_id must be int, got "0"',
+        1,
+    ),
+    "policy-t_index-fractional": (
+        "policy",
+        lambda d: {**d, "records": [{**d["records"][0], "t_index": 5.5}, *d["records"][1:]]},
+        "t_index must be int, got 5.5",
         1,
     ),
 }
@@ -567,9 +617,9 @@ class TestCli:
         [
             ({"nx": 8}, "unknown rps parameters ['nx']"),
             ([8], "--params must hold a JSON object, not list"),
-            ({"n_x": "8"}, "parameter n_x must be int, got '8'"),
-            ({"alpha": True}, "parameter alpha must be float, got True"),
-            ({"n_x": 8.5}, "parameter n_x must be int, got 8.5"),
+            ({"n_x": "8"}, 'n_x must be int, got "8"'),
+            ({"alpha": True}, "alpha must be float, got true"),
+            ({"n_x": 8.5}, "n_x must be int, got 8.5"),
         ],
         ids=["unknown_key", "list", "string", "bool", "fractional_count"],
     )
@@ -583,6 +633,16 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+    def test_build_example_float_parameter_given_as_integer(self, tmp_path):
+        params, out, out_cert = tmp_path / "p.json", tmp_path / "m.json", tmp_path / "c.json"
+        params.write_text('{"lambda_bound": 2, "n_x": 8}')
+        code = self.run(
+            "build-example", "--name", "rps", "--params", str(params),
+            "--out", str(out), "--out-cert", str(out_cert),
+        )
+        assert code == 0
+        assert '"l0": 2.0,' in out_cert.read_text()  # the builder got the float 2.0
 
     @pytest.mark.parametrize(
         "name, params, message",
@@ -995,3 +1055,60 @@ class TestDeterminism:
         assert set(payload["certificate"]["residuals"]) == {
             "drift0", "rate_bound", "payoff_bound", "drift1", "squeeze",
         }
+
+
+# SHA-256 of CLI outputs on the example games at the CLI defaults but n_x = 8
+# (numpy 2.4, x86-64): `solve --cert --nt 32` on rps (value CSV, policy JSON,
+# report with solver.wall_time masked), a cap ladder on gaussian and a floor
+# ladder on rps (CSV, summary line), and `simulate --threads 2` on the solved
+# rps policy (estimate line). A change that moves a bit re-pins and says why.
+_PINNED_OUTPUTS = {
+    "solve": (
+        "a7ebafdb4da2cf54b84f67219b66fdd11ab980ef80f893bed37ac1ae15c3b99a",
+        "fe37699110caf56ea9431bc12e0be8d107ba8d7ab4c32a7a2d85798445ad14aa",
+        "ed5f6fb0474eb0d01db22c344cd5a7059334fe78d1cbed0f2525d82f61c5dc13",
+    ),
+    "cap-ladder": (
+        "2d61d8ea64a908f37f4d3db73ddd9781c2a1b230e361ad840b15ffdbea82e35c",
+        "9c989d24b9ab02615c238fcdb0411d5cac69c5a4a65ae58be09b3b3e25926cef",
+    ),
+    "floor-ladder": (
+        "2569301fab60afc8c1a55d3ee73e607f03efc9bbe517ff847da8ca0e27566de0",
+        "b7523d66da3a72cb2c08bbeca59624e2e70dc40249be68a0e48481340d76c795",
+    ),
+    "simulate": ("d87e70cbe92118954cbd6530225221abd7da70140b42284ae1b6f1dfaaba6e2d",),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_OUTPUTS))
+def test_cli_outputs_pinned(tmp_path, capsys, case):
+    name = "gaussian" if case == "cap-ladder" else "rps"
+    params, model, cert = (str(tmp_path / f) for f in ("p.json", "m.json", "c.json"))
+    Path(params).write_text('{"n_x": 8}')
+    assert dispatch(["build-example", "--name", name, "--params", params, "--out", model, "--out-cert", cert]) == 0
+    if case.endswith("ladder"):
+        kind, levels = ("cap", "2,4,8,17") if case == "cap-ladder" else ("floor", "1,2,4")
+        out = tmp_path / "ladder.csv"
+        capsys.readouterr()
+        code = dispatch([
+            "ladder", "--model", model, "--cert", cert, "--levels", levels, "--nt", "32",
+            "--kind", kind, "--out", str(out),
+        ])
+        blobs = [out.read_bytes(), capsys.readouterr().out.encode()]
+    else:
+        value, policy, report = (tmp_path / f for f in ("v.csv", "pi.json", "r.json"))
+        code = dispatch([
+            "solve", "--model", model, "--cert", cert, "--nt", "32",
+            "--out-value", str(value), "--out-policy", str(policy), "--report", str(report),
+        ])
+        masked = re.sub(rb'"wall_time": [^,}]+', b'"wall_time": 0', report.read_bytes())
+        blobs = [value.read_bytes(), policy.read_bytes(), masked]
+        if case == "simulate":
+            capsys.readouterr()
+            code = dispatch([
+                "simulate", "--model", model, "--policy", str(policy), "--x0", "5",
+                "--paths", "10000", "--threads", "2",
+            ])
+            blobs = [capsys.readouterr().out.encode()]
+    assert code == 0
+    assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == _PINNED_OUTPUTS[case]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,20 @@ def test_verify_saddle_matches_per_cell_loop(game, two_state_model):
     assert verify_saddle(model, v, policies) == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)
 
 
+@pytest.mark.parametrize("player, state, row, entries", [(1, 0, 2, [1.2, -0.2]), (2, 1, 0, [0.9, 0.2])])
+def test_verify_saddle_refuses_a_row_that_is_not_a_probability_vector(
+    two_state_model, player, state, row, entries
+):
+    v = constant_grid(4, np.ones(2))
+    _, policies = apply_gamma(two_state_model, v)
+    rows = (policies.pi1 if player == 1 else policies.pi2)[state].copy()
+    rows[row] = entries
+    (policies.pi1 if player == 1 else policies.pi2)[state] = rows
+    message = f"pi{player} at state {state}, row {row} is not a probability vector: {entries}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_saddle(two_state_model, v, policies)
+
+
 class TestApplyGamma:
     def test_fixed_point_of_trivial_model(self):
         model = random_bounded_model(np.random.default_rng(3), n_states=2)
@@ -158,6 +173,12 @@ class TestApplyGamma:
         v = constant_grid(4, np.array([2.0, 0.5, 1.5]))
         v_next, _ = apply_gamma(model, v)
         np.testing.assert_array_equal(v_next.values[-1], np.exp(model.theta * model.terminal))
+
+    def test_non_finite_grid_rejected(self):
+        v = constant_grid(4, np.ones(2))
+        v.values[2, 1] = np.nan
+        with pytest.raises(ModelScaleError, match="value grid contains non-finite entries"):
+            apply_gamma(random_bounded_model(np.random.default_rng(4), n_states=2), v)
 
     def test_terminal_overflow_detected(self):
         model = single_state_model(r0=0.0, g0=1000.0)

@@ -14,9 +14,8 @@ import pytest
 from ctsg.errors import ModelScaleError, NumericsError
 from ctsg.example_games import build_rps
 from ctsg.model import GameModel
-from ctsg.shapley import PolicyPair, TimeGrid
+from ctsg.shapley import PolicyPair, TimeGrid, _checked_policies
 from ctsg.simulate import (
-    _checked_policies,
     _destination,
     _mix,
     _PolicyTables,
@@ -221,6 +220,14 @@ class TestEstimateValue:
         for deviator in (1, 2):
             with pytest.raises(ValueError, match=f"pi{player} at state {state}, row {row} "):
                 deviation_gain(two_state_model, pol, deviator, x0=0)
+
+    def test_policy_grid_horizon_must_match_the_model(self, two_state_model):
+        pol = uniform_policies(two_state_model, 4)
+        longer = PolicyPair(TimeGrid(2.0 * two_state_model.horizon, 4), pol.pi1, pol.pi2)
+        with pytest.raises(ValueError, match="policy grid horizon does not match the model"):
+            estimate_value(two_state_model, longer, 0, 0.0, paths=10, rng_seed=0)
+        with pytest.raises(ValueError, match="policy grid horizon does not match the model"):
+            evaluate_policies(two_state_model, longer)
 
     def test_interior_start_matches_solver(self, two_state_model):
         v, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.01, n_t=64))
@@ -492,6 +499,12 @@ class TestDeviationGain:
             same = deviation_gain(two_state_model, pol, 2, x0=x0)
             assert (same.gain, same.base) == (report.gain, report.base)
 
+    @pytest.mark.parametrize("player", [0, 3])
+    def test_deviating_player_must_be_1_or_2(self, two_state_model, player):
+        pol = uniform_policies(two_state_model, 4)
+        with pytest.raises(ValueError, match="deviating_player must be 1 or 2"):
+            deviation_gain(two_state_model, pol, player, x0=0)
+
     def test_exact_gain_ignores_sampling_keywords(self, two_state_model):
         # the benchmark still passes paths and rng_seed; they change nothing
         _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=16))
@@ -667,6 +680,22 @@ class TestEvaluatePolicies:
         for player in (1, 2):
             with pytest.raises(ModelScaleError, match="not finite"):
                 deviation_gain(model, uniform_policies(model, 4), player, x0=0)
+
+    def test_non_finite_mixed_rates_are_a_scale_error(self):
+        # every rate is finite, but a row's sum |B| = 2e308 overflows
+        q = np.full((3, 3), 1e308)
+        np.fill_diagonal(q, -1e308)
+        model = GameModel(
+            actions_p1=[[0]] * 3,
+            actions_p2=[[0]] * 3,
+            payoff=[np.zeros((1, 1))] * 3,
+            generator=[row.reshape(1, 1, 3) for row in q],
+            terminal=np.zeros(3),
+            theta=1.0,
+            horizon=1.0,
+        )
+        with pytest.raises(ModelScaleError, match="policy-mixed rates are not finite"):
+            evaluate_policies(model, uniform_policies(model, 4))
 
     def test_holds_one_interval_at_a_time(self):
         # an (n_t + 1) n_x^2 table of mixed generators would take 8.4 MB here

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import replace
 
@@ -164,6 +165,26 @@ class TestRunLadder:
         assert report.monotone_ok
         diffs = [e.sup_diff_prev for e in report.levels[1:]]
         assert all(d is not None for d in diffs)
+
+    def test_level_zero_rejected(self):
+        model = nonneg_model()
+        with pytest.raises(ValueError, match="truncation level must be a positive integer"):
+            truncate_nonnegative(model, growing_cert(4), 0)
+        with pytest.raises(ValueError, match="flooring level must be a positive integer"):
+            floor_and_shift(model, 0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be 'cap' or 'floor'"):
+            run_ladder(nonneg_model(), growing_cert(4), [1, 2], SolverConfig(epsilon=0.1, n_t=8), kind="x")
+
+    def test_level_that_does_not_converge_is_logged_and_recorded(self, caplog):
+        config = SolverConfig(epsilon=1e-3, n_t=8, max_iterations=1)
+        with caplog.at_level(logging.WARNING):
+            report = run_ladder(nonneg_model(), growing_cert(4), [1, 2], config)
+        assert [e.converged for e in report.levels] == [False, False]
+        assert [r.getMessage() for r in caplog.records if r.name == "ctsg.truncation"] == [
+            f"ladder level {n} did not converge in 1 iterations" for n in (1, 2)
+        ]
 
     def test_levels_must_increase(self):
         model = nonneg_model()
