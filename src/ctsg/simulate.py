@@ -32,10 +32,10 @@ counts each row.
 ``evaluate_policies`` computes the same expectation exactly in time by one
 backward pass from exp(theta g), ``_backward_pass``: ``_interval_step``
 applies each grid interval's exponential of the policy-mixed generator by
-uniformization: one series loop, on the vector while the interval's
+uniformization: one series loop, run on the vector while the interval's
 Poisson parameter is at most 1, and past that on the series matrix of one
-short step, then squared, so its cost grows like the log of the rates. ``_mix``
-mixes one interval's rows by batched matmuls with the joint action law;
+short step, then squared, so its cost grows like the log of the rates.
+``_mix`` mixes one interval's rows by batched matmuls with the joint action law;
 the sampler's tables keep their einsum, whose rounding their pinned paths
 depend on. ``deviation_gain`` runs that pass for the base pair, then
 again for one deviating player, setting before each interval's step every
@@ -44,7 +44,7 @@ row, for the weighted payoff at the deviation's own value at the
 interval's right end. The second pass thus returns a concrete deviation and
 its exact value, and solves no matrix game. The sampler, the evaluator and
 the deviation pass read the policies through ``shapley._checked_policies``,
-as verify_saddle does, which stacks them per shape group.
+which stacks them per shape group; ``verify_saddle`` reads them through it too.
 """
 
 from __future__ import annotations
@@ -351,11 +351,11 @@ def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.n
     a series of nonnegative terms, cut where the tail of a Poisson law with
     parameter lam = dt ||B_i||_inf (the largest row sum) falls below 2^-53.
     A lam above 1 could overflow a partial sum before its scale is applied,
-    so one loop sums the series of a step h = dt / 2^j, j = 0 for lam <= 1
-    and else the exponent that puts lam / 2^j in [1/2, 1), scales it by
-    e^{-c h} and squares it j times. At j = 0, the vector case, it runs on w,
-    about n_terms n_x^2 flops; otherwise on I, and the squared series matrix
-    is applied to w once, about (n_terms + j) n_x^3 flops, log lam growth.
+    so one loop sums the series of a step h = dt / 2^j (j = 0 if lam <= 1,
+    else the exponent that puts lam / 2^j in [1/2, 1)), scales it by
+    e^{-c h} and squares it j times. At j = 0, the vector case, it runs on
+    w in about n_terms n_x^2 flops; otherwise it runs on I, and the squared
+    matrix is applied to w once: (n_terms + j) n_x^3 flops, like log lam.
     A product of nonnegative matrices cancels nothing: each squaring
     doubles its entries' relative error and adds n_x u, so the squared
     matrix is within about 2^j (2 n_x + n_terms + 4) u of exp(A_i dt),
