@@ -17,7 +17,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import CtsgError, SchemaError
 from .model import (
     CERTIFICATE_CHECKS,
     CERTIFICATE_CONSTANTS,
@@ -41,7 +41,9 @@ def _load_json(path: str | Path, from_dict: Callable[[dict], Any]) -> Any:
     (a KeyError in from_dict) or if a nested field has the wrong JSON type
     (say null or a number where a list or an object belongs), which from_dict
     meets as a TypeError. A ValueError (a field that is not a number, or an
-    array that is ragged or holds a non-number) stays a ValueError.
+    array that is ragged or holds a non-number) stays a ValueError, and any
+    other CtsgError (a StructureError from GameModel on tensors whose shapes
+    do not fit) keeps its type.
     """
     obj = json.loads(Path(path).read_text())
     try:
@@ -50,21 +52,26 @@ def _load_json(path: str | Path, from_dict: Callable[[dict], Any]) -> Any:
         return from_dict(obj)
     except KeyError as exc:
         raise SchemaError(f"{path}: missing field {exc}") from None
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    except CtsgError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except TypeError as exc:
         raise SchemaError(f"{path}: a field has the wrong JSON type: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _number(d: dict, key: str, kind: type = float) -> Any:
-    """d[key] as kind; ValueError unless it is a JSON number, an integer for int (never a boolean)."""
+def _number(d: dict, key: str, kind: type = float, array: str = "", index: int = 0) -> Any:
+    """d[key] as kind; ValueError unless it is a JSON number, an integer for int (never a boolean).
+
+    The message calls the value key, or array[index].key when d is entry
+    index of the JSON array named array; it is formatted only on failure.
+    """
     value = d[key]
     if type(value) is kind:  # the common case first: a policy file holds two per record
         return value
     if isinstance(value, bool) or not isinstance(value, (kind, int)):
-        raise ValueError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
+        name = f"{array}[{index}].{key}" if array else key
+        raise ValueError(f"{name} must be {kind.__name__}, got {json.dumps(value)}")
     return kind(value)
 
 
@@ -135,7 +142,7 @@ def model_from_dict(d: dict) -> GameModel:
         theta=_number(d, "theta"),
         horizon=_number(d, "horizon"),
         coords=coords,
-        state_ids=[_number(s, "id", int) for s in states],
+        state_ids=[_number(s, "id", int, "states", i) for i, s in enumerate(states)],
     )
 
 
@@ -220,9 +227,9 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
     grid = TimeGrid(horizon=_number(d, "horizon"), n_steps=_number(d, "n_steps", int))
     n_steps = grid.n_steps
     by_state: dict[int, dict[int, tuple[list[float], list[float]]]] = {}
-    for rec in d["records"]:
-        sid = _number(rec, "x_id", int)
-        t = _number(rec, "t_index", int)
+    for j, rec in enumerate(d["records"]):
+        sid = _number(rec, "x_id", int, "records", j)
+        t = _number(rec, "t_index", int, "records", j)
         rows = by_state.setdefault(sid, {})
         if t in rows:
             raise ValueError(f"policy file has two records for state {sid} at t_index {t}")

@@ -225,19 +225,30 @@ def apply_gamma(model: GameModel, v: ValueGrid) -> tuple[ValueGrid, PolicyPair]:
     return integrate_backward(v.grid, a_field, boundary), policies
 
 
+def _pure_payoffs(C: np.ndarray, opponent: np.ndarray, player: int) -> np.ndarray:
+    """Pure payoffs (c pi2)_a for player 1, (pi1' c)_b for 2, against (k, rows, .) opponent rows."""
+    games = np.ascontiguousarray(C.transpose(2, 3, 0, 1))  # C from _payoff_stacks, games contiguous
+    if player == 1:
+        return (games @ opponent[..., None])[..., 0]
+    return (opponent[..., None, :] @ games)[..., 0, :]
+
+
 def verify_saddle(model: GameModel, v: ValueGrid, policies: PolicyPair) -> float:
     """Worst sup-inf gap of the extracted policies over all grid cells.
 
     For each cell, with c the weighted payoff on v, computes
     max_a (c pi2)_a - min_b (pi1' c)_b; at an exact saddle this is <= 0 up
-    to LP tolerance. Returns the maximum over cells. Raises ValueError, from
+    to LP tolerance. Returns the maximum over cells. Raises ValueError when
+    v and the policies lie on different time grids and, from
     _checked_policies, on policies that do not fit the model or a row that
     is not a probability vector.
     """
+    if v.grid != policies.grid:
+        raise ValueError(f"value grid {v.grid} and policy grid {policies.grid} differ")
     worst = -np.inf
     groups = _checked_policies(model, policies)
     for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, v.values), groups, strict=True):
-        row_best = np.einsum("abki,kib->aki", C, p2).max(axis=0)
-        col_best = np.einsum("abki,kia->bki", C, p1).min(axis=0)
+        row_best = _pure_payoffs(C, p2, 1).max(axis=2)
+        col_best = _pure_payoffs(C, p1, 2).min(axis=2)
         worst = max(worst, float(np.max(row_best - col_best)))
     return worst

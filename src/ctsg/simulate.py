@@ -35,16 +35,15 @@ applies each grid interval's exponential of the policy-mixed generator by
 uniformization: one series loop, run on the vector while the interval's
 Poisson parameter is at most 1, and past that on the series matrix of one
 short step, then squared, so its cost grows like the log of the rates.
-``_mix`` mixes one interval's rows by batched matmuls with the joint action law;
-the sampler's tables keep their einsum, whose rounding their pinned paths
-depend on. ``deviation_gain`` runs that pass for the base pair, then
-again for one deviating player, setting before each interval's step every
-state's row to the first pure action that is best against the opponent's
-row, for the weighted payoff at the deviation's own value at the
-interval's right end. The second pass thus returns a concrete deviation and
-its exact value, and solves no matrix game. The sampler, the evaluator and
-the deviation pass read the policies through ``shapley._checked_policies``,
-which stacks them per shape group; ``verify_saddle`` reads them through it too.
+``_mix``, the one place policy rows are mixed, mixes one row per interval for
+the evaluator and all rows at once for the sampler's tables, by batched
+matmuls with the joint action law. ``deviation_gain`` runs that pass for the
+base pair, then again for one deviating player, setting before each
+interval's step every state's row to the first pure action that is best
+against the opponent's row, for the weighted payoff at the deviation's own
+value at the interval's right end, and so values a concrete deviation
+exactly without solving a matrix game. All of them read the policies
+through ``shapley._checked_policies``, as ``verify_saddle`` does.
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ import numpy as np
 from .errors import ModelScaleError
 from .model import GameModel
 from .shapley import (
-    PolicyPair, TimeGrid, ValueGrid, _checked_policies, _Groups, _payoff_stacks, boundary_row
+    PolicyPair, TimeGrid, ValueGrid, _checked_policies, _Groups, _payoff_stacks, _pure_payoffs,
+    boundary_row,
 )
 
 _BATCH_SIZE = 16_384  # fixed: part of the reproducibility contract
@@ -102,7 +102,7 @@ class DeviationReport:
 
 
 class _PolicyTables:
-    """Per-interval policy-mixed payoff and rate tables used by the sampler."""
+    """Per-interval policy-mixed payoff and rate tables used by the sampler, from one _mix."""
 
     def __init__(self, model: GameModel, policies: PolicyPair):
         groups = _checked_policies(model, policies)
@@ -110,21 +110,12 @@ class _PolicyTables:
         n_t, n_x = grid.n_steps, model.n_states
         self.grid = grid
         self.lam = model.norm_q  # dominating rate of the uniformized candidate stream
-        self.rbar = np.empty((n_t + 1, n_x))
-        self.qbar = np.empty((n_t + 1, n_x))
-        self.dest_cum = np.empty((n_t + 1, n_x, n_x))
-        for group, p1, p2 in groups:
-            states = group.states
-            k, na, nb = group.payoff.shape
-            self.rbar[:, states] = np.einsum("kia,kab,kib->ik", p1, group.payoff, p2)
-            G = group.generator.reshape(k, na, nb, n_x)
-            mixed = np.einsum("kia,kaby,kib->kiy", p1, G, p2)
-            mixed[np.arange(k), :, states] = 0.0
-            np.clip(mixed, 0.0, None, out=mixed)
-            total = mixed.sum(axis=2)
-            self.qbar[:, states] = total.T
-            safe = np.where(total > 0.0, total, 1.0)
-            self.dest_cum[:, states, :] = np.cumsum(mixed / safe[:, :, None], axis=2).transpose(1, 0, 2)
+        self.rbar, mixed = _mix(groups, slice(None), n_x)
+        mixed.reshape(n_t + 1, -1)[:, :: n_x + 1] = 0.0  # the diagonals, through a view
+        np.clip(mixed, 0.0, None, out=mixed)
+        self.qbar = mixed.sum(axis=2)
+        mixed /= np.where(self.qbar > 0.0, self.qbar, 1.0)[:, :, None]
+        self.dest_cum = np.cumsum(mixed, axis=2, out=mixed)
         # Cumulative payoff integral per state: Rcum[i, x] = int_0^{t_i} rbar(x, s) ds
         dt = grid.dt
         self.r_cum = np.zeros((n_t + 1, n_x))
@@ -323,20 +314,22 @@ def _backward_pass(model: GameModel, groups: _Groups, grid: TimeGrid, choose=Non
     return values
 
 
-def _mix(groups: _Groups, i: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Policy-mixed payoff rate rbar_i, (n_x,), and generator Qbar_i, (n_x, n_x), of the rows i.
+def _mix(groups: _Groups, rows: slice, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Policy-mixed payoff rates rbar, (r, n_x), and generators Qbar, (r, n_x, n_x), of r sliced rows.
 
-    Each shape group mixes its states through the joint law of the action
-    pairs, pi1_i(x) pi2_i(x)^T flattened to |A||B| entries: one batched
-    matmul with the stacked generator rows, one with the payoffs.
+    Each shape group mixes its states' rows through the joint action law,
+    pi1(x) pi2(x)^T flattened: one batched matmul with the stacked generator
+    rows, one with the payoffs. Both results are fresh C-contiguous arrays,
+    so their reshapes are editable views.
     """
-    rbar = np.empty(n_x)
-    qbar = np.empty((n_x, n_x))
+    n_rows = len(range(groups[0][1].shape[1])[rows])
+    rbar = np.empty((n_rows, n_x))
+    qbar = np.empty((n_rows, n_x, n_x))
     for group, p1, p2 in groups:
         k, na, nb = group.payoff.shape
-        joint = (p1[:, i, :, None] * p2[:, i, None, :]).reshape(k, 1, na * nb)
-        qbar[group.states] = (joint @ group.generator)[:, 0]
-        rbar[group.states] = (joint @ group.payoff.reshape(k, na * nb, 1))[:, 0, 0]
+        joint = (p1[:, rows, :, None] * p2[:, rows, None, :]).reshape(k, n_rows, na * nb)
+        qbar.transpose(1, 0, 2)[group.states] = joint @ group.generator
+        rbar.T[group.states] = (joint @ group.payoff.reshape(k, na * nb, 1))[:, :, 0]
     return rbar, qbar
 
 
@@ -363,7 +356,8 @@ def _interval_step(model: GameModel, groups: _Groups, i: int, dt: float, w: np.n
     held.
     """
     n_x = model.n_states
-    rbar, B = _mix(groups, i, n_x)
+    rbar, B = _mix(groups, slice(i, i + 1), n_x)
+    rbar, B = rbar[0], B[0]
     diagonal = B.reshape(-1)[:: n_x + 1]  # a view
     diagonal += model.theta * rbar
     c = max(0.0, -float(diagonal.min()))
@@ -423,7 +417,7 @@ def deviation_gain(
     as estimate_value checks them (ValueError). paths and rng_seed are
     accepted and have no effect: nothing is sampled, so std_error is 0.0.
     """
-    if deviating_player not in (1, 2):
+    if isinstance(deviating_player, (bool, np.bool_)) or deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")
     node = _start_node(model, base_policies, x0, t0)
     groups = _checked_policies(model, base_policies)  # fresh stacks: the deviator's are rewritten
@@ -432,12 +426,10 @@ def deviation_gain(
 
     def choose(i: int, w: np.ndarray) -> None:
         for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, w[None]), groups, strict=True):
-            # (k, |A|, |B|): each state's game contiguous, as the batched matmul reads it
-            C = np.ascontiguousarray(C[..., 0].transpose(2, 0, 1))
             if deviating_player == 1:
-                pure, score = p1, (C @ p2[:, i, :, None])[:, :, 0]
+                pure, score = p1, _pure_payoffs(C, p2[:, i : i + 1], 1)[:, 0]
             else:  # player 2 minimizes: its first best action is the first max of -pi1' c
-                pure, score = p2, -(p1[:, i, None, :] @ C)[:, 0]
+                pure, score = p2, -_pure_payoffs(C, p1[:, i : i + 1], 2)[:, 0]
             pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=1)]
 
     j_dev = float(_backward_pass(model, groups, grid, choose)[node, x0])

@@ -62,6 +62,11 @@ def truncate_nonnegative(model: GameModel, cert: LyapunovCertificate, n: int) ->
     )
 
 
+def _floored(model: GameModel, n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Payoff and terminal floored at -n: max{-n, r} and max{-n, g}."""
+    return [np.maximum(-float(n), m) for m in model.payoff], np.maximum(-float(n), model.terminal)
+
+
 def floor_and_shift(
     model: GameModel, n: int
 ) -> tuple[GameModel, Callable[[ValueGrid], ValueGrid]]:
@@ -74,11 +79,8 @@ def floor_and_shift(
     """
     if n < 1:
         raise ValueError("flooring level must be a positive integer")
-    shifted = replace(
-        model,
-        payoff=[np.maximum(-float(n), m) + float(n) for m in model.payoff],
-        terminal=np.maximum(-float(n), model.terminal) + float(n),
-    )
+    payoff, terminal = _floored(model, n)
+    shifted = replace(model, payoff=[m + float(n) for m in payoff], terminal=terminal + float(n))
     theta, T = model.theta, model.horizon
 
     def unshift(v: ValueGrid) -> ValueGrid:
@@ -171,12 +173,8 @@ def run_ladder(
             if unshift_common is not None:
                 v = unshift_common(v)
         else:
-            floored = replace(
-                model,
-                payoff=[np.maximum(-float(n), m) for m in model.payoff],
-                terminal=np.maximum(-float(n), model.terminal),
-            )
-            v, _, rep = solve(floored, config)
+            payoff, terminal = _floored(model, n)
+            v, _, rep = solve(replace(model, payoff=payoff, terminal=terminal), config)
         if not rep.converged:
             logger.warning("ladder level %d did not converge in %d iterations", n, rep.iterations)
         max_threshold = max(max_threshold, rep.threshold)

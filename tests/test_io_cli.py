@@ -330,25 +330,43 @@ MALFORMED_ARTIFACTS = {
     "model-state-id-fractional": (
         "model",
         lambda d: {**d, "states": [{"id": 7.9}, *d["states"][1:]]},
-        "id must be int, got 7.9",
+        "states[0].id must be int, got 7.9",
         1,
     ),
     "model-state-id-bool": (
         "model",
         lambda d: {**d, "states": [{"id": True}, *d["states"][1:]]},
-        "id must be int, got true",
+        "states[0].id must be int, got true",
+        1,
+    ),
+    "model-terminal-scalar": (
+        "model",
+        lambda d: {**d, "terminal": 5},
+        "terminal must have shape (2,), got ()",
+        1,
+    ),
+    "model-state-id-string-second": (
+        "model",
+        lambda d: {**d, "states": [d["states"][0], {"id": "1"}]},
+        'states[1].id must be int, got "1"',
+        1,
+    ),
+    "policy-x_id-fractional-sixth": (
+        "policy",
+        lambda d: {**d, "records": [*d["records"][:5], {**d["records"][5], "x_id": 1.5}, *d["records"][6:]]},
+        "records[5].x_id must be int, got 1.5",
         1,
     ),
     "policy-x_id-string": (
         "policy",
         lambda d: {**d, "records": [{**d["records"][0], "x_id": "0"}, *d["records"][1:]]},
-        'x_id must be int, got "0"',
+        'records[0].x_id must be int, got "0"',
         1,
     ),
     "policy-t_index-fractional": (
         "policy",
         lambda d: {**d, "records": [{**d["records"][0], "t_index": 5.5}, *d["records"][1:]]},
-        "t_index must be int, got 5.5",
+        "records[0].t_index must be int, got 5.5",
         1,
     ),
 }
@@ -508,7 +526,7 @@ class TestCli:
         assert code == 1 and not value_csv.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.err.splitlines() == [f"error: {path}: {message}"]
 
     def test_missing_file_exits_two(self):
         assert self.run("solve", "--model", "/nonexistent.json") == 2
@@ -947,7 +965,7 @@ class TestCli:
         assert self.run("solve", "--model", str(empty), "--nt", "4") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: a model needs at least one state"]
+        assert captured.err.splitlines() == [f"error: {empty}: a model needs at least one state"]
 
     def test_solve_with_overflowing_rate_factor_bounds(self, tmp_path, capsys):
         # e^{rho0 T} overflows at rho0 = 1000, which passes every certificate check

@@ -151,6 +151,17 @@ def test_verify_saddle_refuses_a_row_that_is_not_a_probability_vector(
         verify_saddle(two_state_model, v, policies)
 
 
+def test_verify_saddle_refuses_value_and_policy_grids_that_differ(two_state_model):
+    # the value rows would not line up with the policy rows
+    _, policies = apply_gamma(two_state_model, constant_grid(4, np.ones(2)))
+    message = (
+        "value grid TimeGrid(horizon=1.0, n_steps=8) and "
+        "policy grid TimeGrid(horizon=1.0, n_steps=4) differ"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_saddle(two_state_model, constant_grid(8, np.ones(2)), policies)
+
+
 class TestApplyGamma:
     def test_fixed_point_of_trivial_model(self):
         model = random_bounded_model(np.random.default_rng(3), n_states=2)
