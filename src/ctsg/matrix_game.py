@@ -295,10 +295,8 @@ def solve_games_last(
             continue
         rows = lo + np.flatnonzero(tableau)
         w, y, degenerate[rows] = _simplex(np.compress(tableau, scaled, axis=2))
-        # Summed along each game's own contiguous row, as numpy sums a
-        # games-first stack (pairwise from 8 terms on), for the same bits.
-        total_w = w.T.copy().sum(axis=1)
-        total_y = y.T.copy().sum(axis=1)
+        total_w = w.sum(axis=0)
+        total_y = y.sum(axis=0)
         p2[:, rows] = w / total_w
         p1[:, rows] = y / total_y
         values[rows] = (1.0 / total_w - 1.0) * span[rows] + low[rows]

@@ -316,11 +316,12 @@ def check_assumptions(
 ) -> LyapunovCertificate:
     """Verify the standing drift conditions numerically against a candidate certificate.
 
-    Fills the five boolean flags and records the worst residual per check
-    (residual = left-hand side minus the tolerance-free bound; a check passes
-    when its residual is <= tol). The tolerance is caller-supplied because
-    gridded continuous models perturb exact drift identities; ValueError
-    unless it is finite and >= 0.
+    Fills the five boolean flags and records the worst residual per check,
+    read from one pass over the model's shape groups (residual = left-hand
+    side minus the tolerance-free bound; a check passes when its residual is
+    <= tol). The tolerance is caller-supplied because gridded continuous
+    models perturb exact drift identities; ValueError unless it is finite
+    and >= 0.
 
     Checks:
         drift0:        sum_y v0(y) q(y|x,a,b) <= rho0 v0(x)
@@ -335,26 +336,19 @@ def check_assumptions(
     cert.validate_shape(model.n_states)
     v0, v1 = cert.v0, cert.v1
 
-    drift0_excess: list[float] = []
-    drift1_excess: list[float] = []
-    payoff_excess: list[float] = []
-    for x in range(model.n_states):
-        q = model.generator[x]
-        drift0 = q @ v0  # (na, nb)
-        drift0_excess.append(float(np.max(drift0)) - cert.rho0 * v0[x])
-        drift1 = q @ (v1**2)
-        drift1_excess.append(float(np.max(drift1)) - (cert.rho1 * v1[x] ** 2 + cert.b1))
-        bound = cert.m0 + (math.sqrt(2.0) / 2.0) * math.sqrt(math.log(v0[x]))
-        payoff_excess.append(float(np.max(np.abs(model.payoff[x]))) - bound)
-        payoff_excess.append(abs(float(model.terminal[x])) - bound)
+    # Per state: the largest drift of v0 and of v1^2 over action pairs, and max |r|.
+    drift0, drift1, r_max = np.empty((3, model.n_states))
+    for group in model._shape_groups:
+        q = group.generator.reshape(*group.payoff.shape, -1)  # (k, |A||B|, n) @ v rounds otherwise
+        drift0[group.states] = np.max(q @ v0, axis=(1, 2))
+        drift1[group.states] = np.max(q @ v1**2, axis=(1, 2))
+        r_max[group.states] = np.max(np.abs(group.payoff), axis=(1, 2))
+    log_v0 = np.array([math.log(v) for v in v0])  # numpy's log may differ in the last bit
+    bound = cert.m0 + (math.sqrt(2.0) / 2.0) * np.sqrt(log_v0)
 
     if np.all(model.terminal == 0.0):
         # Weaker logarithmic payoff bound available when g vanishes; informational only.
-        weak = max(
-            float(np.max(np.abs(model.payoff[x])))
-            - (cert.m0 + math.log(v0[x]) / (2.0 * model.horizon * model.theta))
-            for x in range(model.n_states)
-        )
+        weak = np.max(r_max - (cert.m0 + log_v0 / (2.0 * model.horizon * model.theta)))
         logger.info(
             "terminal reward is identically zero; weaker log-form payoff bound residual %.3g",
             weak,
@@ -363,10 +357,10 @@ def check_assumptions(
     # In CERTIFICATE_CHECKS order. Unlike max(), np.max keeps a NaN, and a NaN
     # residual fails its check.
     excess = (
-        drift0_excess,
+        drift0 - cert.rho0 * v0,
         model.q_star - cert.l0 * v0,
-        payoff_excess,
-        drift1_excess,
+        np.concatenate([r_max - bound, np.abs(model.terminal) - bound]),
+        drift1 - (cert.rho1 * v1**2 + cert.b1),
         v0**2 - cert.m1 * v1,
     )
     residuals = {

@@ -16,10 +16,11 @@ piecewise constant on [t_i, t_{i+1}) (left endpoint), the same convention
 the Monte Carlo simulator uses.
 
 The weighted payoff c is formed in one place, _payoff_stacks, on any array
-of value rows: the operator and verify_saddle read it on the whole grid,
-and ctsg.simulate.deviation_gain on one row per interval. Policy pairs are
-read in one place too: _checked_policies stacks them by shape, refuses a row
-that is not a probability vector, and serves verify_saddle and ctsg.simulate.
+of value rows, games last: the operator and verify_saddle read it on the
+whole grid, and ctsg.simulate.deviation_gain on one row per interval, the
+last two through _pure_payoffs in that same layout. Policy pairs are read
+in one place too: _checked_policies stacks them by shape, refuses a row that
+is not a probability vector, and serves verify_saddle and ctsg.simulate.
 """
 
 from __future__ import annotations
@@ -226,11 +227,15 @@ def apply_gamma(model: GameModel, v: ValueGrid) -> tuple[ValueGrid, PolicyPair]:
 
 
 def _pure_payoffs(C: np.ndarray, opponent: np.ndarray, player: int) -> np.ndarray:
-    """Pure payoffs (c pi2)_a for player 1, (pi1' c)_b for 2, against (k, rows, .) opponent rows."""
-    games = np.ascontiguousarray(C.transpose(2, 3, 0, 1))  # C from _payoff_stacks, games contiguous
+    """(c pi2)_a, (|A|, k, rows), for player 1 or (pi1' c)_b, (|B|, k, rows), for 2.
+
+    The games-last C of _payoff_stacks is contracted in place, along the
+    opponent's action axis, against its (k, rows, .) rows.
+    """
+    opponent = np.moveaxis(opponent, 2, 0)
     if player == 1:
-        return (games @ opponent[..., None])[..., 0]
-    return (opponent[..., None, :] @ games)[..., 0, :]
+        return (C * opponent).sum(axis=1)
+    return (C * opponent[:, None]).sum(axis=0)
 
 
 def verify_saddle(model: GameModel, v: ValueGrid, policies: PolicyPair) -> float:
@@ -248,7 +253,7 @@ def verify_saddle(model: GameModel, v: ValueGrid, policies: PolicyPair) -> float
     worst = -np.inf
     groups = _checked_policies(model, policies)
     for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, v.values), groups, strict=True):
-        row_best = _pure_payoffs(C, p2, 1).max(axis=2)
-        col_best = _pure_payoffs(C, p1, 2).min(axis=2)
+        row_best = _pure_payoffs(C, p2, 1).max(axis=0)
+        col_best = _pure_payoffs(C, p1, 2).min(axis=0)
         worst = max(worst, float(np.max(row_best - col_best)))
     return worst

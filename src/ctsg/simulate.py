@@ -427,10 +427,10 @@ def deviation_gain(
     def choose(i: int, w: np.ndarray) -> None:
         for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, w[None]), groups, strict=True):
             if deviating_player == 1:
-                pure, score = p1, _pure_payoffs(C, p2[:, i : i + 1], 1)[:, 0]
+                pure, score = p1, _pure_payoffs(C, p2[:, i : i + 1], 1)[:, :, 0]
             else:  # player 2 minimizes: its first best action is the first max of -pi1' c
-                pure, score = p2, -_pure_payoffs(C, p1[:, i : i + 1], 2)[:, 0]
-            pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=1)]
+                pure, score = p2, -_pure_payoffs(C, p1[:, i : i + 1], 2)[:, :, 0]
+            pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=0)]
 
     j_dev = float(_backward_pass(model, groups, grid, choose)[node, x0])
     rows = [list(base_policies.pi1), list(base_policies.pi2)]

@@ -37,6 +37,11 @@ def sublevel_set(cert: LyapunovCertificate, n: int) -> np.ndarray:
     return cert.v0 <= float(n)
 
 
+def _lowest_reward(model: GameModel) -> float:
+    """The lowest payoff or terminal entry; a NaN propagates."""
+    return float(np.min([*(group.payoff.min() for group in model._shape_groups), model.terminal.min()]))
+
+
 def truncate_nonnegative(model: GameModel, cert: LyapunovCertificate, n: int) -> GameModel:
     """Bounded model with absorbing far states and payoff/terminal capped at n.
 
@@ -45,9 +50,7 @@ def truncate_nonnegative(model: GameModel, cert: LyapunovCertificate, n: int) ->
     """
     if n < 1:
         raise ValueError("truncation level must be a positive integer")
-    min_r = min(float(m.min()) for m in model.payoff)
-    min_g = float(model.terminal.min())
-    if min_r < 0.0 or min_g < 0.0:
+    if _lowest_reward(model) < 0.0:
         raise ValueError(
             "truncate_nonnegative requires nonnegative payoff and terminal reward; "
             "apply floor_and_shift first"
@@ -155,10 +158,9 @@ def run_ladder(
     base = model
     unshift_common: Callable[[ValueGrid], ValueGrid] | None = None
     if kind == "cap":
-        min_r = min(float(m.min()) for m in model.payoff)
-        min_g = float(model.terminal.min())
-        if min(min_r, min_g) < 0.0:
-            shift = int(math.ceil(-min(min_r, min_g)))
+        lowest = _lowest_reward(model)
+        if lowest < 0.0:
+            shift = int(math.ceil(-lowest))
             base, unshift_common = floor_and_shift(model, shift)
             logger.info("cap ladder: lifted signed payoff by %d before truncation", shift)
 
