@@ -165,12 +165,7 @@ def _cmd_build_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix_game(args: argparse.Namespace) -> int:
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in Path(args.csv).read_text().splitlines()
-        if line.strip()
-    ]
-    sol = solve_matrix_game(np.array(rows))
+    sol = solve_matrix_game(artifacts._load_matrix_csv(args.csv))
     print(json.dumps(artifacts.as_json_dict(sol), sort_keys=True))
     return 0
 

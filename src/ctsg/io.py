@@ -100,6 +100,12 @@ def _floats(value: Any, name: str) -> np.ndarray:
     return floats
 
 
+def _check_state_ids(state_ids: Sequence[int], n_states: int) -> None:
+    """ValueError unless a writer has one state id per state of its data, so it drops none."""
+    if len(state_ids) != n_states:
+        raise ValueError(f"{len(state_ids)} state ids for {n_states} states")
+
+
 # -- model ---------------------------------------------------------------
 
 
@@ -184,6 +190,7 @@ def load_certificate(path: str | Path) -> LyapunovCertificate:
 def value_grid_to_csv(grid: ValueGrid, state_ids: Sequence[int]) -> str:
     # No field holds a comma, quote or line break, so csv.writer would write
     # these lines unquoted; each time node is formatted once per row.
+    _check_state_ids(state_ids, grid.values.shape[1])
     lines = ["t,x_id,value"]
     for t, row in zip(grid.grid.nodes.tolist(), grid.values.tolist()):
         t_str = repr(t)
@@ -215,6 +222,37 @@ def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
     return ValueGrid(grid, values), ids
 
 
+# -- matrix game CSV ----------------------------------------------------------
+
+
+def _load_matrix_csv(path: str | Path) -> np.ndarray:
+    """The payoff matrix of a CSV file, one row per nonblank line.
+
+    Raises ValueError, naming the file and the row's line, on an entry that
+    is not a number or a row whose length is not the first row's; and on a
+    file with no rows.
+    """
+    rows: list[list[float]] = []
+    first = 0
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row on line {n}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}: row on line {n} has length {len(row)}, "
+                f"the first row (line {first}) has length {len(rows[0])}"
+            )
+        first = first or n
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    return np.array(rows)
+
+
 # -- policies ---------------------------------------------------------------
 
 
@@ -222,7 +260,10 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
     """Policies from a policy-file dict; records may come in any order.
 
     Raises ValueError naming the state and ``t_index`` of a duplicate record,
-    of one past ``n_steps`` or of one missing from ``0..n_steps``.
+    of one past ``n_steps`` or of one missing from ``0..n_steps``, and
+    naming the record, its state and its ``t_index`` where a record lacks a
+    row (SchemaError) or holds one that does not stack with the state's
+    other rows.
     """
     grid = TimeGrid(horizon=_number(d, "horizon"), n_steps=_number(d, "n_steps", int))
     n_steps = grid.n_steps
@@ -238,16 +279,43 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
                 f"policy file has a record for state {sid} at t_index {t}, "
                 f"outside 0..n_steps = {n_steps}"
             )
-        rows[t] = (rec["pi1"], rec["pi2"])
+        try:
+            rows[t] = (rec["pi1"], rec["pi2"])
+        except KeyError as exc:
+            raise SchemaError(
+                f"missing field {exc} in records[{j}] (state {sid}, t_index {t})"
+            ) from None
     pi1 = []
     pi2 = []
     for sid, rows in by_state.items():
         if len(rows) <= n_steps:
             t = next(i for i in range(n_steps + 1) if i not in rows)
             raise ValueError(f"policy file has no record for state {sid} at t_index {t}")
-        pi1.append(_floats([rows[i][0] for i in range(n_steps + 1)], f"pi1 of state {sid}"))
-        pi2.append(_floats([rows[i][1] for i in range(n_steps + 1)], f"pi2 of state {sid}"))
+        pi1.append(_policy_rows(d["records"], rows, 0, sid))
+        pi2.append(_policy_rows(d["records"], rows, 1, sid))
     return PolicyPair(grid, pi1, pi2), list(by_state)
+
+
+def _policy_rows(records: list, rows: dict, player: int, sid: int) -> np.ndarray:
+    """One player's rows of state sid, rows[t][player] for t = 0, 1, ..., as a float array.
+
+    On failure the ValueError names the first record whose row is not a
+    list of numbers as long as most of the state's rows; the records are
+    searched for its index only then.
+    """
+    table = [rows[t][player] for t in range(len(rows))]
+    try:
+        return _floats(table, f"pi{player + 1} of state {sid}")
+    except ValueError:
+        lengths = [len(row) if isinstance(row, list) else -1 for row in table]
+        width = max(lengths, key=lengths.count)
+        index = {(r["x_id"], r["t_index"]): j for j, r in enumerate(records)}
+        for t, row in enumerate(table):
+            name = f"pi{player + 1} of records[{index[sid, t]}] (state {sid}, t_index {t})"
+            if width >= 0 and lengths[t] != width:
+                raise ValueError(f"{name} is not a list of {width} numbers: {json.dumps(row)}") from None
+            _floats(row, name)
+        raise
 
 
 def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Path) -> None:
@@ -257,10 +325,20 @@ def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Pa
     record, which this writer does not build: each distinct float (keyed by
     its bit pattern, so -0.0 stays apart from 0.0) is spelled once by the
     json encoder, and the file is one ``%s`` template per state, repeated per
-    time step and filled by a single ``%``.
+    time step and filled by a single ``%``. Raises ValueError unless there
+    is one state id per state and every state has n_steps + 1 rows.
     """
     n_rows = policies.grid.n_steps + 1
-    tables = [np.asarray(p, dtype=float)[:n_rows] for p in [*policies.pi1, *policies.pi2]]
+    n_x = len(state_ids)
+    for pi in (policies.pi1, policies.pi2):
+        _check_state_ids(state_ids, len(pi))
+    tables = [np.asarray(p, dtype=float) for p in [*policies.pi1, *policies.pi2]]
+    for j, p in enumerate(tables):
+        if len(p) != n_rows:
+            raise ValueError(
+                f"pi{1 + j // n_x} of state {state_ids[j % n_x]} has {len(p)} rows, "
+                f"not n_steps + 1 = {n_rows}"
+            )
     flat = np.concatenate([p.ravel() for p in tables] or [np.empty(0)])
     bits, codes = np.unique(flat.view(np.int64), return_inverse=True)
     spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
@@ -269,7 +347,6 @@ def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Pa
     t_codes = np.arange(len(spelled), len(pool)).reshape(n_rows, 1)
     ends = np.cumsum([p.size for p in tables])[:-1]
     code_tables = [c.reshape(p.shape) for c, p in zip(np.split(codes, ends), tables)]
-    n_x = len(policies.pi1)
     templates = []
     columns = []
     for x, sid in enumerate(state_ids):
@@ -325,6 +402,7 @@ def ladder_to_csv(report: LadderReport, state_ids: Sequence[int]) -> str:
     # Unquoted lines, as in value_grid_to_csv.
     lines = ["level,x_id,value_t0"]
     for entry in report.levels:
+        _check_state_ids(state_ids, len(entry.values_t0))
         lines.extend(
             f"{entry.level},{sid},{v!r}" for sid, v in zip(state_ids, entry.values_t0.tolist())
         )

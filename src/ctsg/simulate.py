@@ -240,13 +240,17 @@ def estimate_value(
 ) -> McEstimate:
     """Monte Carlo estimate of the risk-sensitive value under fixed policies.
 
-    t0 must coincide with a policy grid node, x0 must be a state index and
-    the policies must match the model's states and action sets (ValueError
+    t0 must coincide with a policy grid node, x0 must be a state index, the
+    policies must match the model's states and action sets, and paths and
+    threads must be Python or numpy integers, not booleans (ValueError
     otherwise). Batches are independent Philox streams run on a pool of
     threads >= 1 workers, so threads only changes wall time, never the
     result. Raises ModelScaleError when the mean or standard error of the
     path functionals overflows.
     """
+    for name, count in (("paths", paths), ("threads", threads)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name}={count!r} is not an integer")
     if paths < 2:
         raise ValueError("need at least 2 paths to form a standard error")
     if threads < 1:

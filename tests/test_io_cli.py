@@ -119,6 +119,38 @@ class TestRoundTrips:
         assert set(payload["records"][0]) == {"t_index", "x_id", "pi1", "pi2"}
         assert payload["records"][0]["x_id"] == 7
 
+    @pytest.mark.parametrize("writer", ["value_grid", "ladder", "policies"])
+    @pytest.mark.parametrize("state_ids", [[0, 1], [0, 1, 2, 3, 4, 5, 6, 7, 8]])
+    def test_writers_refuse_state_ids_that_do_not_cover_the_states(self, tmp_path, writer, state_ids):
+        # 8 states against 2 or 9 ids: no state may be dropped or misnamed silently
+        grid = TimeGrid(1.0, 4)
+        path = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{len(state_ids)} state ids for 8 states$"):
+            if writer == "value_grid":
+                artifacts.save_value_grid(ValueGrid(grid, np.ones((5, 8))), state_ids, path)
+            elif writer == "ladder":
+                level = LadderLevelResult(2, True, 5, 1e-6, np.ones(8), None)
+                report = LadderReport(
+                    kind="cap", levels=[level], shift=0, monotone_ok=True, monotone_slack=1e-5,
+                    worst_monotone_violation=0.0, diffs_decreasing=True,
+                )
+                artifacts.ladder_to_csv(report, state_ids)
+            else:
+                rows = [np.full((5, 3), 1.0 / 3.0)] * 8
+                artifacts.save_policies(PolicyPair(grid, rows, rows), state_ids, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n_rows", [10, 4])
+    def test_save_policies_refuses_a_state_without_n_steps_plus_one_rows(self, tmp_path, n_rows):
+        grid = TimeGrid(1.0, 4)
+        pi1 = [np.full((5, 2), 0.5), np.full((n_rows, 3), 1.0 / 3.0)]
+        policies = PolicyPair(grid, pi1, [np.ones((5, 1))] * 2)
+        path = tmp_path / "p.json"
+        message = f"pi1 of state 9 has {n_rows} rows, not n_steps + 1 = 5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            artifacts.save_policies(policies, [7, 9], path)
+        assert not path.exists()
+
 
 def _dict_encoded(policies: PolicyPair, state_ids: list[int]) -> str:
     """The policy file as a dict per record run through the json encoder."""
@@ -367,6 +399,25 @@ MALFORMED_ARTIFACTS = {
         "policy",
         lambda d: {**d, "records": [{**d["records"][0], "t_index": 5.5}, *d["records"][1:]]},
         "records[0].t_index must be int, got 5.5",
+        1,
+    ),
+    "policy-pi1-missing-eighth": (
+        "policy",
+        lambda d: {
+            **d,
+            "records": [
+                *d["records"][:7],
+                {k: v for k, v in d["records"][7].items() if k != "pi1"},
+                *d["records"][8:],
+            ],
+        },
+        "missing field 'pi1' in records[7] (state 1, t_index 3)",
+        2,
+    ),
+    "policy-pi1-short-eighth": (
+        "policy",
+        lambda d: {**d, "records": [*d["records"][:7], {**d["records"][7], "pi1": [1.0]}, *d["records"][8:]]},
+        "pi1 of records[7] (state 1, t_index 3) is not a list of 2 numbers: [1.0]",
         1,
     ),
 }
@@ -700,6 +751,23 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(1.5)
         assert payload["strategy_p2"] == pytest.approx([0.25, 0.75])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2\n3\n", "row on line 2 has length 1, the first row (line 1) has length 2"),
+            ("\n1,x\n", "row on line 2: could not convert string to float: 'x'"),
+            ("\n \n", "no rows"),
+        ],
+        ids=["ragged", "not-a-number", "empty"],
+    )
+    def test_matrix_game_csv_that_is_not_a_matrix_exits_one(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "C.csv"
+        csv_path.write_text(text)
+        assert self.run("matrix-game", "--csv", str(csv_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {csv_path}: {message}"]
 
     def simulate_fails(self, capsys, policy_json, x0: str) -> str:
         code = self.run(

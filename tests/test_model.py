@@ -344,6 +344,38 @@ class TestCheckAssumptions:
             if getattr(tight, name):
                 assert getattr(loose, name)
 
+    @pytest.mark.parametrize("state", range(6))
+    def test_residuals_equal_a_per_state_reference_on_mixed_shapes(self, state):
+        # Both weights are smallest at `state`, by so much that each group-read residual is
+        # that state's; the 2x2 group's states 2 and 5 are not adjacent. So a group written
+        # to the wrong states or reduced over the wrong axes moves a residual.
+        model = mixed_shape_model()
+        n = model.n_states
+        rng = np.random.default_rng(state)
+        model = replace(model, terminal=rng.uniform(-2.0, 2.0, n))
+        for others in (rng.uniform(2.0, 5.0, n), np.full(n, 1e40)):  # drifts; payoff bound
+            v0, v1 = others.copy(), rng.uniform(2.0, 5.0, n)
+            v0[state] = v1[state] = 1.0
+            cert = unit_cert(n, v0=v0, v1=v1, rho0=1e3, m0=0.25, rho1=1e3, b1=0.1)
+            out = check_assumptions(model, cert, tol=0.0)
+            bound = [cert.m0 + (math.sqrt(2.0) / 2.0) * math.sqrt(math.log(v)) for v in v0]
+            q, r, g = model.generator, model.payoff, model.terminal
+            expected = {
+                "drift0": max(float(np.max(q[x] @ v0)) - cert.rho0 * v0[x] for x in range(n)),
+                "rate_bound": max(
+                    float(np.max(-q[x][:, :, x])) - cert.l0 * v0[x] for x in range(n)
+                ),
+                "payoff_bound": max(
+                    max(float(np.max(np.abs(r[x]))), abs(g[x])) - bound[x] for x in range(n)
+                ),
+                "drift1": max(
+                    float(np.max(q[x] @ v1**2)) - (cert.rho1 * v1[x] ** 2 + cert.b1)
+                    for x in range(n)
+                ),
+                "squeeze": max(v0[x] ** 2 - cert.m1 * v1[x] for x in range(n)),
+            }
+            assert out.residuals == expected
+
     @pytest.mark.parametrize("field", ["payoff", "terminal"])
     def test_nan_payoff_or_terminal_fails_payoff_bound(self, field):
         model = two_state([0.0, 0.0], [0.0, 0.0])

@@ -15,9 +15,12 @@ from ctsg.example_games import build_gaussian, build_rps
 from ctsg.matrix_game import solve_matrix_game
 from ctsg.model import GameModel
 from ctsg.shapley import (
+    PolicyPair,
     TimeGrid,
     ValueGrid,
+    _checked_policies,
     _payoff_stacks,
+    _pure_payoffs,
     apply_gamma,
     game_value_field,
     verify_saddle,
@@ -135,6 +138,32 @@ def test_verify_saddle_matches_per_cell_loop(game, two_state_model):
     # the stacked and the per-cell generator products may round differently
     scale = float(np.max(np.abs(v.values))) * (model.theta * model.norm_r + 2.0 * model.norm_q)
     assert verify_saddle(model, v, policies) == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)
+
+
+def test_verify_saddle_on_mixed_shapes_equals_the_per_cell_loop():
+    # Integer values and payoffs with rows in multiples of 1/8 make every product and sum
+    # exact, so the stacked and per-cell readings agree to the bit whatever the order.
+    model = mixed_shape_model()
+    rng = np.random.default_rng(3)
+    grid = TimeGrid(1.0, 4)
+    v = ValueGrid(grid, rng.integers(1, 6, size=(5, model.n_states)).astype(float))
+
+    def rows(n_actions):
+        counts = rng.multinomial(8, np.ones(n_actions) / n_actions, size=5)
+        return counts / 8.0
+
+    policies = PolicyPair(
+        grid, [rows(len(a)) for a in model.actions_p1], [rows(len(b)) for b in model.actions_p2]
+    )
+    groups = _checked_policies(model, policies)
+    for (states, C), (_, p1, p2) in zip(_payoff_stacks(model, v.values), groups, strict=True):
+        row_scores, col_scores = _pure_payoffs(C, p2, 1), _pure_payoffs(C, p1, 2)
+        for j, x in enumerate(states):
+            for i in range(5):
+                c = weighted_payoff(model, v, i, x)
+                np.testing.assert_array_equal(row_scores[:, j, i], c @ policies.pi2[x][i])
+                np.testing.assert_array_equal(col_scores[:, j, i], policies.pi1[x][i] @ c)
+    assert verify_saddle(model, v, policies) == per_cell_saddle_gap(model, v, policies)
 
 
 @pytest.mark.parametrize("player, state, row, entries", [(1, 0, 2, [1.2, -0.2]), (2, 1, 0, [0.9, 0.2])])

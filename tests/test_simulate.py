@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from ctsg.errors import ModelScaleError, NumericsError
 from ctsg.example_games import build_rps
 from ctsg.model import GameModel
-from ctsg.shapley import PolicyPair, TimeGrid, _checked_policies
+from ctsg.shapley import PolicyPair, TimeGrid, _checked_policies, weighted_payoff
 from ctsg.simulate import (
     _destination,
     _mix,
@@ -177,6 +178,24 @@ class TestEstimateValue:
         pol = uniform_policies(two_state_model, 4)
         with pytest.raises(ValueError, match="threads must be at least 1"):
             estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=0, threads=threads)
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("paths", 100.5), ("paths", True),
+            ("threads", 1.5), ("threads", True), ("threads", np.bool_(True)),
+        ],
+    )
+    def test_paths_and_threads_must_be_integers(self, two_state_model, keyword, value):
+        pol = uniform_policies(two_state_model, 4)
+        counts = {"paths": 10, "threads": 1}
+        with pytest.raises(ValueError, match=re.escape(f"{keyword}={value!r} is not an integer")):
+            estimate_value(two_state_model, pol, 0, 0.0, rng_seed=0, **{**counts, keyword: value})
+        est = estimate_value(two_state_model, pol, 0, 0.0, rng_seed=0, **counts)
+        same = estimate_value(
+            two_state_model, pol, 0, 0.0, paths=np.int64(10), rng_seed=0, threads=np.int32(1)
+        )
+        np.testing.assert_array_equal(same.values, est.values)
 
     def test_overflowing_estimate_is_a_scale_error(self):
         # payoff rate 800 over T = 1: every path's functional is e^800
@@ -388,6 +407,34 @@ class TestDeviationGain:
         for rows in report.best_response.pi1:
             np.testing.assert_array_equal(rows, top)
         assert report.gain == pytest.approx(math.exp(0.5) - math.exp(0.25), rel=1e-12)
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_first_best_pure_action_on_non_square_states(self, player):
+        # State 1 (3x1) gets equal best rows 0 and 2 and state 3 (2x3) equal best columns
+        # 0 and 2, so the choice must be the first of the two. Each row is checked against
+        # the per-cell score of the weighted payoff at the deviation's own value J(t_{i+1}).
+        model = mixed_shape_model()
+        payoff, generator = list(model.payoff), list(model.generator)
+        payoff[1] = np.array([[3.0], [1.0], [3.0]])
+        generator[1] = generator[1][[0, 1, 0]]
+        payoff[3] = np.array([[-3.0, 2.0, -3.0], [-3.0, 1.0, -3.0]])
+        generator[3] = generator[3][:, [0, 1, 0]]
+        model = dataclasses.replace(model, payoff=payoff, generator=generator)
+        n_t = 6
+        report = deviation_gain(model, uniform_policies(model, n_t), player, x0=3)
+        chosen = report.best_response.pi1 if player == 1 else report.best_response.pi2
+        values = evaluate_policies(model, report.best_response)
+        for x in range(model.n_states):
+            for i in range(n_t + 1):
+                c = weighted_payoff(model, values, min(i + 1, n_t), x)
+                if player == 1:
+                    score = c @ report.best_response.pi2[x][i]
+                else:
+                    score = -(report.best_response.pi1[x][i] @ c)
+                first = int(np.argmax(score >= score.max() - 1e-12 * np.abs(score).max()))
+                np.testing.assert_array_equal(chosen[x][i], np.eye(score.size)[first])
+        tied_state = 1 if player == 1 else 3
+        assert all(row[0] == 1.0 for row in chosen[tied_state])
 
     def test_time_varying_best_response(self):
         # player 2 plays column 0 on [0, 1/2) and column 1 after: matching it
