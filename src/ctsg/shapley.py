@@ -232,7 +232,7 @@ def _pure_payoffs(C: np.ndarray, opponent: np.ndarray, player: int) -> np.ndarra
     The games-last C of _payoff_stacks is contracted in place, along the
     opponent's action axis, against its (k, rows, .) rows.
     """
-    opponent = np.moveaxis(opponent, 2, 0)
+    opponent = opponent.transpose(2, 0, 1)  # a view; np.moveaxis costs microseconds more
     if player == 1:
         return (C * opponent).sum(axis=1)
     return (C * opponent[:, None]).sum(axis=0)
