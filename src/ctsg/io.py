@@ -233,7 +233,6 @@ def _load_matrix_csv(path: str | Path) -> np.ndarray:
     file with no rows.
     """
     rows: list[list[float]] = []
-    first = 0
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -241,12 +240,13 @@ def _load_matrix_csv(path: str | Path) -> np.ndarray:
             row = [float(v) for v in line.split(",")]
         except ValueError as exc:
             raise ValueError(f"{path}: row on line {n}: {exc}") from None
-        if rows and len(row) != len(rows[0]):
+        if not rows:
+            first = n
+        elif len(row) != len(rows[0]):
             raise ValueError(
                 f"{path}: row on line {n} has length {len(row)}, "
                 f"the first row (line {first}) has length {len(rows[0])}"
             )
-        first = first or n
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no rows")

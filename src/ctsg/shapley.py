@@ -168,11 +168,12 @@ def _payoff_stacks(model: GameModel, V: np.ndarray) -> Iterator[tuple[np.ndarray
     """
     for group in model._shape_groups:
         k, na, nb = group.payoff.shape
-        # c for all rows of every state at once, games last: (na*nb, k, rows).
+        # c for all rows of every state at once, games last: (na*nb, k, rows),
+        # in C order (numpy would follow the operands' transposed layouts).
         # The generator product comes out (k, rows, na*nb) and is transposed
         # as it is added; it is dropped before the stack is yielded.
         pay = model.theta * group.payoff.reshape(k, na * nb).T
-        C = V[:, group.states].T * pay[:, :, None]
+        C = np.multiply(V[:, group.states].T, pay[:, :, None], order="C")
         C += np.matmul(V, group.generator.transpose(0, 2, 1)).transpose(2, 0, 1)
         yield group.states, C.reshape(na, nb, k, -1)
 
