@@ -168,10 +168,9 @@ def _payoff_stacks(model: GameModel, V: np.ndarray) -> Iterator[tuple[np.ndarray
     """
     for group in model._shape_groups:
         k, na, nb = group.payoff.shape
-        # c for all rows of every state at once, games last: (na*nb, k, rows),
-        # in C order (numpy would follow the operands' transposed layouts).
-        # The generator product comes out (k, rows, na*nb) and is transposed
-        # as it is added; it is dropped before the stack is yielded.
+        # c for all rows of every state at once, games last: (na*nb, k, rows) in C
+        # order, not the operands' transposed layouts. The generator product comes
+        # out (k, rows, na*nb), is transposed as it is added and is then dropped.
         pay = model.theta * group.payoff.reshape(k, na * nb).T
         C = np.multiply(V[:, group.states].T, pay[:, :, None], order="C")
         C += np.matmul(V, group.generator.transpose(0, 2, 1)).transpose(2, 0, 1)

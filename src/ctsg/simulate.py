@@ -277,7 +277,7 @@ def estimate_value(
         raise ModelScaleError(
             "Monte Carlo estimate overflows double precision; rescale or truncate the model"
         )
-    return McEstimate(mean=mean, std_error=std_error, paths=paths, values=values)
+    return McEstimate(mean=mean, std_error=std_error, paths=int(paths), values=values)
 
 
 def evaluate_policies(model: GameModel, policies: PolicyPair) -> ValueGrid:

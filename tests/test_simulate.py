@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ctsg import io as artifacts
 from ctsg.errors import ModelScaleError, NumericsError
 from ctsg.example_games import build_rps
 from ctsg.model import GameModel
@@ -196,6 +197,8 @@ class TestEstimateValue:
             two_state_model, pol, 0, 0.0, paths=np.int64(10), rng_seed=0, threads=np.int32(1)
         )
         np.testing.assert_array_equal(same.values, est.values)
+        assert type(same.paths) is int  # so the CLI's estimate JSON can hold it
+        json.dumps(artifacts.estimate_to_dict(same))
 
     def test_overflowing_estimate_is_a_scale_error(self):
         # payoff rate 800 over T = 1: every path's functional is e^800
