@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import DiscretizationError
-from .model import GameModel, LyapunovCertificate
+from .model import GameModel, LyapunovCertificate, _count
 
 logger = logging.getLogger(__name__)
 
@@ -93,8 +93,7 @@ def build_rps(
     _require_finite(lambda_bound=lambda_bound, x_max=x_max, theta=theta, T=T)
     if x_max <= 0:
         raise ValueError("x_max must be positive")
-    if n_x < 2:
-        raise ValueError("need at least two grid nodes")
+    n_x = _count(n_x, "n_x", 2)
 
     grid = np.linspace(0.0, x_max, n_x)
     mean = grid.copy()
@@ -158,8 +157,7 @@ def build_gaussian(
     )
     if x_min >= x_max:
         raise ValueError("x_min must lie below x_max")
-    if n_x < 2:
-        raise ValueError("need at least two grid nodes")
+    n_x = _count(n_x, "n_x", 2)
 
     grid = np.linspace(x_min, x_max, n_x)
     h = grid[1] - grid[0]

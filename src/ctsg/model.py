@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -25,6 +25,18 @@ logger = logging.getLogger(__name__)
 CONSERVATIVITY_REL_TOL = 1e-12
 # exp overflows just above this; larger exponents are refused or flagged.
 _MAX_EXP_ARG = 700.0
+
+
+def _count(value: Any, name: str, low: float = -math.inf) -> int:
+    """value as a Python int: the one check of every count, index and level argument.
+
+    ValueError unless value is a Python or numpy integer (not a bool) of at least low.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

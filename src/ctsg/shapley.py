@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ModelScaleError
 from .matrix_game import solve_games_last
-from .model import _MAX_EXP_ARG, GameModel, _ShapeGroup
+from .model import _MAX_EXP_ARG, GameModel, _count, _ShapeGroup
 
 _PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
 # Each shape group with its states' stacked pi1 and pi2 rows, from _checked_policies.
@@ -41,7 +41,7 @@ _Groups = list[tuple[_ShapeGroup, np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_{n_steps} = horizon."""
+    """Uniform grid 0 = t_0 < ... < t_{n_steps} = horizon; n_steps >= 1 is held as a Python int."""
 
     horizon: float
     n_steps: int
@@ -49,8 +49,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.horizon) and self.horizon > 0):  # NaN fails too
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError("need at least one time step")
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", 1))
 
     @property
     def dt(self) -> float:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelScaleError
-from .model import GameModel
+from .model import GameModel, _count
 from .shapley import (
     PolicyPair, TimeGrid, ValueGrid, _checked_policies, _Groups, _payoff_stacks, _pure_payoffs,
     boundary_row,
@@ -214,12 +214,10 @@ def _simulate_batch(
 def _start_node(model: GameModel, policies: PolicyPair, x0: int, t0: float) -> int:
     """Grid node index of t0.
 
-    Raises ValueError unless x0 is a state index (a Python or numpy integer,
-    not a bool or a float) and t0 a grid node in [0, horizon).
+    Raises ValueError unless x0 is an integer state index and t0 a grid node
+    in [0, horizon).
     """
-    if isinstance(x0, bool) or not isinstance(x0, (int, np.integer)):
-        raise ValueError(f"x0={x0!r} is not an integer state index")
-    if not 0 <= x0 < model.n_states:
+    if not 0 <= _count(x0, "x0") < model.n_states:
         raise ValueError(f"x0={x0} is not a state index in [0, {model.n_states})")
     if not 0.0 <= t0 < model.horizon:  # NaN fails too, before round() could raise
         raise ValueError("t0 must be a time-grid node in [0, horizon)")
@@ -241,20 +239,14 @@ def estimate_value(
     """Monte Carlo estimate of the risk-sensitive value under fixed policies.
 
     t0 must coincide with a policy grid node, x0 must be a state index, the
-    policies must match the model's states and action sets, and paths and
-    threads must be Python or numpy integers, not booleans (ValueError
-    otherwise). Batches are independent Philox streams run on a pool of
-    threads >= 1 workers, so threads only changes wall time, never the
+    policies must match the model's states and action sets, and paths >= 2
+    (for a standard error) and threads >= 1 must be integers (ValueError
+    otherwise). Batches are independent Philox streams run on a
+    pool of threads workers, so threads only changes wall time, never the
     result. Raises ModelScaleError when the mean or standard error of the
     path functionals overflows.
     """
-    for name, count in (("paths", paths), ("threads", threads)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name}={count!r} is not an integer")
-    if paths < 2:
-        raise ValueError("need at least 2 paths to form a standard error")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    paths, threads = _count(paths, "paths", 2), _count(threads, "threads", 1)
     _start_node(model, policies, x0, t0)
     tables = _PolicyTables(model, policies)
 
@@ -277,7 +269,7 @@ def estimate_value(
         raise ModelScaleError(
             "Monte Carlo estimate overflows double precision; rescale or truncate the model"
         )
-    return McEstimate(mean=mean, std_error=std_error, paths=int(paths), values=values)
+    return McEstimate(mean=mean, std_error=std_error, paths=paths, values=values)
 
 
 def evaluate_policies(model: GameModel, policies: PolicyPair) -> ValueGrid:
@@ -417,11 +409,13 @@ def deviation_gain(
     (max for player 1, min for player 2); the pass then steps w back by
     _interval_step, as evaluate_policies does. Row n_t, in force on no
     interval, is the choice at w = exp(theta g) against the opponent's row
-    n_t. The base pair is valued by the same pass. x0 and t0 are checked
-    as estimate_value checks them (ValueError). paths and rng_seed are
+    n_t. The base pair is valued by the same pass. deviating_player must be
+    the integer 1 or 2, and x0 and t0 are checked as estimate_value checks
+    them (ValueError otherwise). paths and rng_seed are
     accepted and have no effect: nothing is sampled, so std_error is 0.0.
     """
-    if isinstance(deviating_player, (bool, np.bool_)) or deviating_player not in (1, 2):
+    deviating_player = _count(deviating_player, "deviating_player")
+    if deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")
     node = _start_node(model, base_policies, x0, t0)
     groups = _checked_policies(model, base_policies)  # fresh stacks: the deviator's are rewritten

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelScaleError, NumericsError
-from .model import GameModel
+from .model import GameModel, _count
 from .shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma, boundary_row
 
 logger = logging.getLogger(__name__)
@@ -38,7 +38,7 @@ _RESOLUTION_FACTOR = 16.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Accuracy target and grid resolution for one solve."""
+    """Accuracy target and grid resolution for one solve; n_t, max_iterations >= 1 are Python ints."""
 
     epsilon: float
     n_t: int
@@ -47,10 +47,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):  # NaN fails too
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.n_t < 1:
-            raise ValueError("n_t must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        for name in ("n_t", "max_iterations"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import GameModel, LyapunovCertificate
+from .model import GameModel, LyapunovCertificate, _count
 from .shapley import ValueGrid
 from .solver import SolverConfig, solve
 
@@ -45,11 +45,10 @@ def _lowest_reward(model: GameModel) -> float:
 def truncate_nonnegative(model: GameModel, cert: LyapunovCertificate, n: int) -> GameModel:
     """Bounded model with absorbing far states and payoff/terminal capped at n.
 
-    Requires r >= 0 and g >= 0 elementwise; negative entries should go
-    through floor_and_shift first.
+    Requires an integer n >= 1, r >= 0 and g >= 0 elementwise; negative
+    entries should go through floor_and_shift first.
     """
-    if n < 1:
-        raise ValueError("truncation level must be a positive integer")
+    n = _count(n, "n", 1)
     if _lowest_reward(model) < 0.0:
         raise ValueError(
             "truncate_nonnegative requires nonnegative payoff and terminal reward; "
@@ -73,15 +72,14 @@ def _floored(model: GameModel, n: int) -> tuple[list[np.ndarray], np.ndarray]:
 def floor_and_shift(
     model: GameModel, n: int
 ) -> tuple[GameModel, Callable[[ValueGrid], ValueGrid]]:
-    """Floor payoff/terminal at -n and shift both up by n.
+    """Floor payoff/terminal at -n and shift both up by n, an integer >= 1.
 
     The shifted model has payoff max{-n, r} + n >= 0 and terminal
     max{-n, g} + n >= 0. The returned transform maps a value grid solved for
     the shifted model back to the floored model's values by multiplying row
     t with exp(-theta (T - t) n - theta n).
     """
-    if n < 1:
-        raise ValueError("flooring level must be a positive integer")
+    n = _count(n, "n", 1)
     payoff, terminal = _floored(model, n)
     shifted = replace(model, payoff=[m + float(n) for m in payoff], terminal=terminal + float(n))
     theta, T = model.theta, model.horizon
@@ -138,18 +136,17 @@ def run_ladder(
     directly: the discrete backward operator is monotone in the payoff, so
     no time-discretization error of a shift enters the ordering.
 
-    Levels must be strictly increasing positive integers (ValueError up
-    front, for both kinds). A level that exhausts max_iterations is recorded
+    Levels must be strictly increasing integers >= 1 (ValueError up front,
+    for both kinds). A level that exhausts max_iterations is recorded
     and the ladder continues; one whose iterates cycle raises NumericsError
     (see solve). Either kind raises CertificateError up front if cert does
     not fit the model, although the floor ladder reads none of its weights.
     """
     if not levels:
         raise ValueError("levels must not be empty")
-    if list(levels) != sorted(set(int(n) for n in levels)):
+    levels = [_count(n, f"levels[{i}]", 1) for i, n in enumerate(levels)]
+    if levels != sorted(set(levels)):
         raise ValueError("levels must be strictly increasing")
-    if levels[0] < 1:
-        raise ValueError("truncation level must be a positive integer")
     if kind not in ("cap", "floor"):
         raise ValueError("kind must be 'cap' or 'floor'")
     cert.validate_shape(model.n_states)
@@ -188,7 +185,7 @@ def run_ladder(
             worst_violation = max(worst_violation, float(np.max(lower.values - upper.values)))
         results.append(
             LadderLevelResult(
-                level=int(n),
+                level=n,
                 converged=rep.converged,
                 iterations=rep.iterations,
                 threshold=rep.threshold,

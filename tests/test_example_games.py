@@ -101,7 +101,7 @@ class TestBuildRps:
             ({"lambda_bound": math.inf}, "lambda_bound must be finite"),
             ({"T": math.nan}, "T must be finite"),
             ({"lambda_bound": 0.0}, "lambda_bound must be positive"),
-            ({"n_x": 1}, "need at least two grid nodes"),
+            ({"n_x": 1}, "n_x must be at least 2, got 1"),
         ],
         ids=[
             "x_max_zero", "x_max_negative", "x_max_inf", "lambda_bound_inf", "T_nan",
@@ -204,7 +204,7 @@ class TestBuildGaussian:
             sigma=1.0, rate_bound=0.1, payoff_bound=1.0,
             x_min=-2.0, x_max=2.0, n_x=8, theta=1.0, T=1.0,
         )
-        match = "grid nodes" if "n_x" in bad else "must be positive"
+        match = "n_x must be at least 2, got 1" if "n_x" in bad else "must be positive"
         with pytest.raises(ValueError, match=match):
             build_gaussian(**{**params, **bad})
 

@@ -651,7 +651,7 @@ class TestCli:
         assert code == 1 and not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: truncation level must be a positive integer"]
+        assert captured.err.splitlines() == ["error: levels[0] must be at least 1, got -3"]
 
     def test_ladder_invalid_model_exits_one(self, tmp_path, capsys):
         model = artifacts.load_model(FIXTURES / "two_state_model.json")

@@ -544,10 +544,18 @@ class TestDeviationGain:
             same = deviation_gain(two_state_model, pol, 2, x0=x0)
             assert (same.gain, same.base) == (report.gain, report.base)
 
-    @pytest.mark.parametrize("player", [0, 3, True])
-    def test_deviating_player_must_be_1_or_2(self, two_state_model, player):
+    @pytest.mark.parametrize(
+        "player, message",
+        [
+            (0, "deviating_player must be 1 or 2"),
+            (3, "deviating_player must be 1 or 2"),
+            (True, "deviating_player=True is not an integer"),
+        ],
+        ids=["0", "3", "True"],
+    )
+    def test_deviating_player_must_be_1_or_2(self, two_state_model, player, message):
         pol = uniform_policies(two_state_model, 4)
-        with pytest.raises(ValueError, match="deviating_player must be 1 or 2"):
+        with pytest.raises(ValueError, match=message):
             deviation_gain(two_state_model, pol, player, x0=0)
 
     def test_exact_gain_ignores_sampling_keywords(self, two_state_model):

@@ -168,9 +168,9 @@ class TestRunLadder:
 
     def test_level_zero_rejected(self):
         model = nonneg_model()
-        with pytest.raises(ValueError, match="truncation level must be a positive integer"):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             truncate_nonnegative(model, growing_cert(4), 0)
-        with pytest.raises(ValueError, match="flooring level must be a positive integer"):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             floor_and_shift(model, 0)
 
     def test_unknown_kind_rejected(self):
