@@ -127,10 +127,13 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     if model is None:
         return 1
     cert = artifacts.load_certificate(args.cert)
-    fields = args.levels.split(",")
-    if not all(f.strip() for f in fields):
-        raise ValueError(f"--levels {args.levels!r} has an empty field")
-    levels = [int(f) for f in fields]
+    levels = []
+    for f in args.levels.split(","):
+        try:
+            levels.append(int(f))
+        except ValueError:
+            what = f"the field {f!r}, which is not an integer" if f.strip() else "an empty field"
+            raise ValueError(f"--levels {args.levels!r} has {what}") from None
     config = SolverConfig(epsilon=args.eps, n_t=args.nt, max_iterations=args.max_iter)
     report = run_ladder(model, cert, levels, config, kind=args.kind)
     if args.out:

@@ -203,23 +203,44 @@ def save_value_grid(grid: ValueGrid, state_ids: Sequence[int], path: str | Path)
 
 
 def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
+    """The value grid and state ids of a value CSV, as value_grid_to_csv writes it.
+
+    The first time node's rows give the state ids. Raises ValueError naming
+    the file, and the line where there is one, on a header other than
+    t,x_id,value, a file with no rows, a row that is not a time, an integer
+    id and a value, and a time node that does not list the first node's ids
+    in the same order, a last node cut short included.
+    """
     rows = list(csv.reader(Path(path).read_text().splitlines()))
+    if not rows:
+        raise ValueError(f"{path}: no rows")
     if rows[0] != ["t", "x_id", "value"]:
-        raise ValueError(f"unexpected value-grid header {rows[0]}")
-    ts: list[float] = []
-    ids: list[int] = []
-    for t_str, x_str, _ in rows[1:]:
-        t = float(t_str)
-        if not ts or t != ts[-1]:
-            ts.append(t)
-        if len(ts) == 1:
-            ids.append(int(x_str))
-    n_t = len(ts) - 1
-    grid = TimeGrid(horizon=ts[-1], n_steps=n_t)
-    values = np.empty((n_t + 1, len(ids)))
-    for k, (_, _, v_str) in enumerate(rows[1:]):
-        values[k // len(ids), k % len(ids)] = float(v_str)
-    return ValueGrid(grid, values), ids
+        raise ValueError(f"{path}: line 1: unexpected value-grid header {rows[0]}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no rows after the header on line 1")
+    cells = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            t, sid, v = row
+            cells.append((float(t), int(sid), float(v)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    ts, sids, values = zip(*cells)
+    n_x = next((k for k in range(1, len(ts)) if ts[k] != ts[0]), len(ts))
+    # Row k (line k + 2) must be (t of its node, the first node's id k mod n_x), up to a whole node.
+    for k in range(-(-len(ts) // n_x) * n_x):
+        want = (ts[k - k % n_x], sids[k % n_x])
+        if k == len(ts) or (ts[k], sids[k]) != want:
+            found = f"t={ts[k]}, x_id {sids[k]}" if k < len(ts) else "the end of the file"
+            raise ValueError(
+                f"{path}: line {k + 2}: {found}, where the first node's order needs "
+                f"t={want[0]}, x_id {want[1]}"
+            )
+    try:
+        grid = TimeGrid(horizon=ts[-1], n_steps=len(ts) // n_x - 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ValueGrid(grid, np.reshape(values, (-1, n_x))), list(sids[:n_x])
 
 
 # -- matrix game CSV ----------------------------------------------------------
@@ -300,22 +321,27 @@ def _policy_rows(records: list, rows: dict, player: int, sid: int) -> np.ndarray
     """One player's rows of state sid, rows[t][player] for t = 0, 1, ..., as a float array.
 
     On failure the ValueError names the first record whose row is not a
-    list of numbers as long as most of the state's rows; the records are
-    searched for its index only then.
+    flat list of numbers as long as most of the state's rows; the records
+    are searched for its index only then.
     """
     table = [rows[t][player] for t in range(len(rows))]
     try:
         return _floats(table, f"pi{player + 1} of state {sid}")
     except ValueError:
         lengths = [len(row) if isinstance(row, list) else -1 for row in table]
-        width = max(lengths, key=lengths.count)
+        width = max(lengths, key=lengths.count)  # -1 if most rows are not lists
         index = {(r["x_id"], r["t_index"]): j for j, r in enumerate(records)}
-        for t, row in enumerate(table):
-            name = f"pi{player + 1} of records[{index[sid, t]}] (state {sid}, t_index {t})"
-            if width >= 0 and lengths[t] != width:
-                raise ValueError(f"{name} is not a list of {width} numbers: {json.dumps(row)}") from None
-            _floats(row, name)
-        raise
+        names = [
+            f"pi{player + 1} of records[{index[sid, t]}] (state {sid}, t_index {t})"
+            for t in range(len(table))
+        ]
+        # the table failed, so some row does: _floats raises for one holding a non-number
+        t = next(
+            t for t, row in enumerate(table)
+            if lengths[t] != width or _floats(row, names[t]).shape != (width,)
+        )
+        numbers = f"{width} numbers" if width >= 0 else "numbers"
+        raise ValueError(f"{names[t]} is not a list of {numbers}: {json.dumps(table[t])}") from None
 
 
 def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Path) -> None:

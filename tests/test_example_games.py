@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -298,3 +299,28 @@ def test_built_model_computes_as_the_loaded_one(tmp_path, name):
     V = np.random.default_rng(3).uniform(0.5, 2.0, size=(5, built.n_states))
     for (_, c_built), (_, c_loaded) in zip(_payoff_stacks(built, V), _payoff_stacks(loaded, V)):
         assert c_built.tobytes() == c_loaded.tobytes()
+
+
+_BUILDERS = {
+    "rps": (build_rps, dict(alpha=0.35, x_max=8.0, theta=1.0, T=1.0)),
+    "gaussian": (build_gaussian, dict(sigma=1.0, rate_bound=0.1, payoff_bound=1.0,
+                                      x_min=-2.0, x_max=2.0, theta=1.0, T=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+@pytest.mark.parametrize("n_x", [8.5, True, np.float64(8.0)])
+def test_n_x_must_be_an_integer(name, n_x):
+    builder, params = _BUILDERS[name]
+    with pytest.raises(ValueError, match=re.escape(f"n_x={n_x!r} is not an integer")):
+        builder(**params, n_x=n_x)
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_numpy_n_x_builds_the_same_model(name):
+    builder, params = _BUILDERS[name]
+    model, _ = builder(**params, n_x=np.int64(8))
+    reference, _ = builder(**params, n_x=8)
+    assert model.n_states == 8
+    for got, want in zip(model.generator, reference.generator, strict=True):
+        np.testing.assert_array_equal(got, want)

@@ -66,6 +66,64 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match=r"unexpected value-grid header \['t', 'state', 'value'\]"):
             artifacts.load_value_grid(path)
 
+    @pytest.fixture
+    def rps4_value_lines(self, tmp_path):
+        model, _ = build_rps(0.35, x_max=8.0, n_x=4, theta=1.0, T=1.0)
+        value, _, _ = solve(model, SolverConfig(epsilon=1e-3, n_t=4))
+        path = tmp_path / "v.csv"
+        artifacts.save_value_grid(value, model.state_ids, path)
+        return path.read_text().splitlines()
+
+    def check_value_csv_refused(self, tmp_path, lines, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            artifacts.load_value_grid(path)
+
+    def test_value_grid_csv_cut_short_is_refused(self, tmp_path, rps4_value_lines):
+        # the last row once read [1.0, 1.768, 0.0, 0.0], its end taken from np.empty
+        lines = rps4_value_lines
+        assert len(lines) == 21 and lines[-2].startswith("1.0,2,")
+        message = "line 20: the end of the file, where the first node's order needs t=1.0, x_id 2"
+        self.check_value_csv_refused(tmp_path, lines[:-2], message)
+
+    def test_value_grid_csv_with_a_node_out_of_order_is_refused(self, tmp_path, rps4_value_lines):
+        lines = list(rps4_value_lines)
+        lines[6], lines[7] = lines[7], lines[6]  # ids 1 and 2 of the node t = 0.25
+        message = "line 7: t=0.25, x_id 2, where the first node's order needs t=0.25, x_id 1"
+        self.check_value_csv_refused(tmp_path, lines, message)
+
+    def test_value_grid_csv_with_a_short_node_is_refused(self, tmp_path, rps4_value_lines):
+        lines = rps4_value_lines[:8] + rps4_value_lines[9:]  # the node t = 0.25 loses its last id
+        message = "line 9: t=0.5, x_id 0, where the first node's order needs t=0.25, x_id 3"
+        self.check_value_csv_refused(tmp_path, lines, message)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([], "no rows"),
+            (["t,x_id,value"], "no rows after the header on line 1"),
+            (["t,x_id,value", "0.0,0,1.0", "0.0,1"], "line 3: not enough values to unpack (expected 3, got 2)"),
+            (["t,x_id,value", "0.0,0.5,1.0"], "line 2: invalid literal for int() with base 10: '0.5'"),
+            (["t,x_id,value", "1.0,0,1.0", "1.0,1,1.0"], "n_steps must be at least 1, got 0"),
+        ],
+        ids=["empty", "header_only", "two_fields", "float_id", "one_node"],
+    )
+    def test_value_grid_csv_without_a_grid_is_refused(self, tmp_path, lines, message):
+        self.check_value_csv_refused(tmp_path, lines, message)
+
+    def test_policies_of_a_numpy_n_t_round_trip(self, tmp_path, two_state_model):
+        # np.int64(4) once ran and then failed to write: int64 is not JSON serializable
+        _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=np.int64(4)))
+        path = tmp_path / "p.json"
+        artifacts.save_policies(policies, two_state_model.state_ids, path)
+        loaded, ids = artifacts.load_policies(path)
+        assert json.loads(path.read_text())["n_steps"] == 4
+        assert ids == list(two_state_model.state_ids)
+        assert loaded.grid == policies.grid and type(policies.grid.n_steps) is int
+        for got, want in zip([*loaded.pi1, *loaded.pi2], [*policies.pi1, *policies.pi2], strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_value_grid_csv_matches_csv_module(self):
         values = np.array([[-0.0, 1e-300], [1e300, -2.5], [0.1, -1e-300]])
         grid = ValueGrid(TimeGrid(0.3, 2), values)
@@ -420,6 +478,15 @@ MALFORMED_ARTIFACTS = {
         "pi1 of records[7] (state 1, t_index 3) is not a list of 2 numbers: [1.0]",
         1,
     ),
+    "policy-pi1-lists-eighth": (
+        "policy",
+        lambda d: {
+            **d,
+            "records": [*d["records"][:7], {**d["records"][7], "pi1": [[1.0], [0.0]]}, *d["records"][8:]],
+        },
+        "pi1 of records[7] (state 1, t_index 3) is not a list of 2 numbers: [[1.0], [0.0]]",
+        1,
+    ),
 }
 
 
@@ -680,6 +747,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --levels {levels!r} has an empty field\n"
+
+    @pytest.mark.parametrize("levels, field", [("2,4.5", "4.5"), ("2,x", "x"), ("1,2e1", "2e1")])
+    def test_ladder_non_integer_level_field_exits_one(self, capsys, levels, field):
+        code = self.run(
+            "ladder",
+            "--model", str(FIXTURES / "two_state_model.json"),
+            "--cert", str(FIXTURES / "two_state_cert.json"),
+            "--levels", levels,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --levels {levels!r} has the field {field!r}, which is not an integer\n"
 
     @pytest.mark.parametrize(
         "params, message",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from ctsg.model import (
     CERTIFICATE_CHECKS,
     GameModel,
     LyapunovCertificate,
+    _count,
     check_assumptions,
     compute_value_bounds,
     validate_generator,
@@ -449,3 +451,22 @@ class TestValueBounds:
         failing = replace(failing, payoff_bound_ok=False)
         with pytest.raises(CertificateError):
             compute_value_bounds(model, failing)
+
+
+class TestCount:
+    """The one check of every count, index and level argument."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integers_are_held_as_python_ints(self, value):
+        count = _count(value, "k", 1)
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), 3.0, np.float64(3.0), "3", None])
+    def test_other_values_are_refused(self, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'k={value!r} is not an integer')}$"):
+            _count(value, "k", 1)
+
+    def test_low_bound(self):
+        with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
+            _count(np.int64(1), "k", 2)
+        assert _count(-5, "k") == -5  # no bound unless one is given

@@ -50,6 +50,23 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="horizon must be finite and positive"):
                 TimeGrid(horizon, 4)
 
+    @pytest.mark.parametrize("n_steps", [2.5, True, np.float64(4.0)])
+    def test_n_steps_must_be_an_integer(self, n_steps):
+        with pytest.raises(ValueError, match=re.escape(f"n_steps={n_steps!r} is not an integer")):
+            TimeGrid(1.0, n_steps)
+        with pytest.raises(ValueError, match="n_steps must be at least 1, got 0"):
+            TimeGrid(1.0, 0)
+
+    def test_numpy_n_steps_is_held_as_an_int(self):
+        grid = TimeGrid(1.0, np.int64(4))
+        assert type(grid.n_steps) is int and grid == TimeGrid(1.0, 4)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (5, 2), (4,)])
+def test_value_grid_needs_n_steps_plus_one_time_rows(shape):
+    with pytest.raises(ValueError, match=re.escape(f"values must have 4 time rows, got shape {shape}")):
+        ValueGrid(TimeGrid(1.0, 3), np.zeros(shape))
+
 
 class TestWeightedPayoff:
     def test_constant_grid_annihilated(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,17 @@ class TestSolve:
     def test_epsilon_must_be_finite_and_positive(self, eps):
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):
             SolverConfig(epsilon=eps, n_t=4)
+
+    @pytest.mark.parametrize("name", ["n_t", "max_iterations"])
+    def test_counts_must_be_integers_of_at_least_one(self, name):
+        counts = {"n_t": 4, "max_iterations": 10}
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            SolverConfig(epsilon=1e-3, **{**counts, name: 0})
+        for bad in (2.5, True):  # True once solved with n_steps=True and wrote "n_steps": true
+            with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} is not an integer")):
+                SolverConfig(epsilon=1e-3, **{**counts, name: bad})
+        config = SolverConfig(epsilon=1e-3, **{**counts, name: np.int64(4)})
+        assert type(getattr(config, name)) is int and getattr(config, name) == 4
 
 
 @settings(max_examples=10, deadline=None)

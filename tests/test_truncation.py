@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,35 @@ class TestRunLadder:
             truncate_nonnegative(model, growing_cert(4), 0)
         with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             floor_and_shift(model, 0)
+
+    @pytest.mark.parametrize("n", [1.5, True, np.float64(2.0)])
+    def test_level_must_be_an_integer(self, n):
+        model = nonneg_model()
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an integer")):
+            truncate_nonnegative(model, growing_cert(4), n)
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an integer")):
+            floor_and_shift(model, n)
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            ([True, 2], "levels[0]=True is not an integer"),
+            ([1.5, 2], "levels[0]=1.5 is not an integer"),
+            ([1, 2.0], "levels[1]=2.0 is not an integer"),
+            ([2, 0], "levels[1] must be at least 1, got 0"),
+        ],
+        ids=["bool", "float", "float_second", "zero_second"],
+    )
+    @pytest.mark.parametrize("kind", ["cap", "floor"])
+    def test_ladder_levels_must_be_integers_of_at_least_one(self, levels, message, kind):
+        config = SolverConfig(epsilon=0.1, n_t=8)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_ladder(nonneg_model(), growing_cert(4), levels, config, kind=kind)
+
+    def test_numpy_levels_are_reported_as_ints(self):
+        config = SolverConfig(epsilon=0.1, n_t=8)
+        report = run_ladder(nonneg_model(), growing_cert(4), list(np.array([1, 2])), config)
+        assert [type(e.level) for e in report.levels] == [int, int]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be 'cap' or 'floor'"):
