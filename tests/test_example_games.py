@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -103,10 +102,12 @@ class TestBuildRps:
             ({"T": math.nan}, "T must be finite"),
             ({"lambda_bound": 0.0}, "lambda_bound must be positive"),
             ({"n_x": 1}, "n_x must be at least 2, got 1"),
+            ({"n_x": 8.5}, "n_x=8.5 is not an integer"),
+            ({"n_x": True}, "n_x=True is not an integer"),
         ],
         ids=[
             "x_max_zero", "x_max_negative", "x_max_inf", "lambda_bound_inf", "T_nan",
-            "lambda_bound_zero", "one_node",
+            "lambda_bound_zero", "one_node", "n_x_float", "n_x_bool",
         ],
     )
     def test_meaningless_scalars_rejected(self, bad, message):
@@ -218,8 +219,13 @@ class TestBuildGaussian:
             ({"x_min": -math.inf}, "x_min must be finite"),
             ({"theta": math.inf}, "theta must be finite"),
             ({"rate_bound": 1e300, "sigma": 1e-5, "x_min": -1e5, "x_max": 1e5}, "overflows"),
+            ({"n_x": 8.5}, "n_x=8.5 is not an integer"),
+            ({"n_x": True}, "n_x=True is not an integer"),
         ],
-        ids=["x_min_at_x_max", "x_max_below_x_min", "sigma_inf", "x_min_inf", "theta_inf", "rate_overflow"],
+        ids=[
+            "x_min_at_x_max", "x_max_below_x_min", "sigma_inf", "x_min_inf", "theta_inf", "rate_overflow",
+            "n_x_float", "n_x_bool",
+        ],
     )
     def test_meaningless_scalars_rejected(self, bad, message):
         params = dict(
@@ -299,28 +305,3 @@ def test_built_model_computes_as_the_loaded_one(tmp_path, name):
     V = np.random.default_rng(3).uniform(0.5, 2.0, size=(5, built.n_states))
     for (_, c_built), (_, c_loaded) in zip(_payoff_stacks(built, V), _payoff_stacks(loaded, V)):
         assert c_built.tobytes() == c_loaded.tobytes()
-
-
-_BUILDERS = {
-    "rps": (build_rps, dict(alpha=0.35, x_max=8.0, theta=1.0, T=1.0)),
-    "gaussian": (build_gaussian, dict(sigma=1.0, rate_bound=0.1, payoff_bound=1.0,
-                                      x_min=-2.0, x_max=2.0, theta=1.0, T=1.0)),
-}
-
-
-@pytest.mark.parametrize("name", list(_BUILDERS))
-@pytest.mark.parametrize("n_x", [8.5, True, np.float64(8.0)])
-def test_n_x_must_be_an_integer(name, n_x):
-    builder, params = _BUILDERS[name]
-    with pytest.raises(ValueError, match=re.escape(f"n_x={n_x!r} is not an integer")):
-        builder(**params, n_x=n_x)
-
-
-@pytest.mark.parametrize("name", list(_BUILDERS))
-def test_numpy_n_x_builds_the_same_model(name):
-    builder, params = _BUILDERS[name]
-    model, _ = builder(**params, n_x=np.int64(8))
-    reference, _ = builder(**params, n_x=8)
-    assert model.n_states == 8
-    for got, want in zip(model.generator, reference.generator, strict=True):
-        np.testing.assert_array_equal(got, want)

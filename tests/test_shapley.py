@@ -50,12 +50,19 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match="horizon must be finite and positive"):
                 TimeGrid(horizon, 4)
 
-    @pytest.mark.parametrize("n_steps", [2.5, True, np.float64(4.0)])
-    def test_n_steps_must_be_an_integer(self, n_steps):
-        with pytest.raises(ValueError, match=re.escape(f"n_steps={n_steps!r} is not an integer")):
+    @pytest.mark.parametrize(
+        "n_steps, message",
+        [
+            (2.5, "n_steps=2.5 is not an integer"),
+            (True, "n_steps=True is not an integer"),
+            (np.float64(4.0), "n_steps=np.float64(4.0) is not an integer"),
+            (0, "n_steps must be at least 1, got 0"),
+        ],
+        ids=["float", "bool", "numpy_float", "zero"],
+    )
+    def test_n_steps_must_be_an_integer_of_at_least_one(self, n_steps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             TimeGrid(1.0, n_steps)
-        with pytest.raises(ValueError, match="n_steps must be at least 1, got 0"):
-            TimeGrid(1.0, 0)
 
     def test_numpy_n_steps_is_held_as_an_int(self):
         grid = TimeGrid(1.0, np.int64(4))
