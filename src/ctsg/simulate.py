@@ -241,9 +241,9 @@ def estimate_value(
     t0 must coincide with a policy grid node, x0 must be a state index, the
     policies must match the model's states and action sets, and paths >= 2
     (for a standard error) and threads >= 1 must be integers (ValueError
-    otherwise). Batches are independent Philox streams run on a
-    pool of threads workers, so threads only changes wall time, never the
-    result. Raises ModelScaleError when the mean or standard error of the
+    otherwise). Batches are independent Philox streams run on a pool of
+    threads workers, so threads only changes wall time, never the result.
+    Raises ModelScaleError when the mean or standard error of the
     path functionals overflows.
     """
     paths, threads = _count(paths, "paths", 2), _count(threads, "threads", 1)
