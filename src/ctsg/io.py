@@ -25,7 +25,7 @@ from .model import (
     LyapunovCertificate,
     ValidationReport,
 )
-from .shapley import PolicyPair, TimeGrid, ValueGrid
+from .shapley import PolicyPair, TimeGrid, ValueGrid, _policy_pair
 from .simulate import McEstimate
 from .truncation import LadderReport
 
@@ -208,8 +208,9 @@ def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
     The first time node's rows give the state ids. Raises ValueError naming
     the file, and the line where there is one, on a header other than
     t,x_id,value, a file with no rows, a row that is not a time, an integer
-    id and a value, and a time node that does not list the first node's ids
-    in the same order, a last node cut short included.
+    id and a value, and a row that is not the next of the grid: each node of
+    the uniform grid to the last time, exactly, with the first node's ids in
+    their order, a last node cut short included.
     """
     rows = list(csv.reader(Path(path).read_text().splitlines()))
     if not rows:
@@ -227,19 +228,19 @@ def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
             raise ValueError(f"{path}: line {line}: {exc}") from None
     ts, sids, values = zip(*cells)
     n_x = next((k for k in range(1, len(ts)) if ts[k] != ts[0]), len(ts))
-    # Row k (line k + 2) must be (t of its node, the first node's id k mod n_x), up to a whole node.
-    for k in range(-(-len(ts) // n_x) * n_x):
-        want = (ts[k - k % n_x], sids[k % n_x])
+    try:
+        grid = TimeGrid(horizon=ts[-1], n_steps=-(-len(ts) // n_x) - 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    nodes = grid.nodes.tolist()
+    # Row k (line k + 2) is (node k // n_x, the first node's id k mod n_x); the writer spells nodes by repr
+    for k in range(len(nodes) * n_x):
+        want = (nodes[k // n_x], sids[k % n_x])
         if k == len(ts) or (ts[k], sids[k]) != want:
             found = f"t={ts[k]}, x_id {sids[k]}" if k < len(ts) else "the end of the file"
             raise ValueError(
-                f"{path}: line {k + 2}: {found}, where the first node's order needs "
-                f"t={want[0]}, x_id {want[1]}"
+                f"{path}: line {k + 2}: {found}, where the grid needs t={want[0]}, x_id {want[1]}"
             )
-    try:
-        grid = TimeGrid(horizon=ts[-1], n_steps=len(ts) // n_x - 1)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return ValueGrid(grid, np.reshape(values, (-1, n_x))), list(sids[:n_x])
 
 
@@ -306,15 +307,13 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
             raise SchemaError(
                 f"missing field {exc} in records[{j}] (state {sid}, t_index {t})"
             ) from None
-    pi1 = []
-    pi2 = []
     for sid, rows in by_state.items():
         if len(rows) <= n_steps:
             t = next(i for i in range(n_steps + 1) if i not in rows)
             raise ValueError(f"policy file has no record for state {sid} at t_index {t}")
-        pi1.append(_policy_rows(d["records"], rows, 0, sid))
-        pi2.append(_policy_rows(d["records"], rows, 1, sid))
-    return PolicyPair(grid, pi1, pi2), list(by_state)
+    records = d["records"]
+    pi1, pi2 = ([_policy_rows(records, rows, j, sid) for sid, rows in by_state.items()] for j in (0, 1))
+    return _policy_pair(grid, pi1, pi2), list(by_state)
 
 
 def _policy_rows(records: list, rows: dict, player: int, sid: int) -> np.ndarray:
@@ -348,46 +347,36 @@ def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Pa
     """Write ``{horizon, n_steps, records}``, one record per (t_index, state).
 
     The bytes are those of ``json.dumps(..., sort_keys=True)`` on a dict per
-    record, which this writer does not build: each distinct float (keyed by
-    its bit pattern, so -0.0 stays apart from 0.0) is spelled once by the
-    json encoder, and the file is one ``%s`` template per state, repeated per
-    time step and filled by a single ``%``. Raises ValueError unless there
-    is one state id per state and every state has n_steps + 1 rows.
+    record, which this writer does not build: each distinct float (keyed by its
+    bits, so -0.0 stays apart from 0.0), t_index and id is spelled once, and one
+    ``%s`` template per state, repeated per time step, is filled by a single
+    ``%`` from the pair's stacks. ValueError unless there is one id per state.
     """
     n_rows = policies.grid.n_steps + 1
-    n_x = len(state_ids)
-    for pi in (policies.pi1, policies.pi2):
-        _check_state_ids(state_ids, len(pi))
-    tables = [np.asarray(p, dtype=float) for p in [*policies.pi1, *policies.pi2]]
-    for j, p in enumerate(tables):
-        if len(p) != n_rows:
-            raise ValueError(
-                f"pi{1 + j // n_x} of state {state_ids[j % n_x]} has {len(p)} rows, "
-                f"not n_steps + 1 = {n_rows}"
-            )
-    flat = np.concatenate([p.ravel() for p in tables] or [np.empty(0)])
-    bits, codes = np.unique(flat.view(np.int64), return_inverse=True)
+    stacks = policies._stacks
+    n_x = sum(len(states) for states, _, _ in stacks)
+    _check_state_ids(state_ids, n_x)
+    floats = np.concatenate([p.ravel() for _, *pair in stacks for p in pair] or [np.empty(0)])
+    bits = np.unique(floats.view(np.int64))
     spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    # the pool spells each distinct float, then each t_index 0..n_steps
-    pool = np.array(spelled + [str(i) for i in range(n_rows)], dtype=object)
-    t_codes = np.arange(len(spelled), len(pool)).reshape(n_rows, 1)
-    ends = np.cumsum([p.size for p in tables])[:-1]
-    code_tables = [c.reshape(p.shape) for c, p in zip(np.split(codes, ends), tables)]
-    templates = []
-    columns = []
-    for x, sid in enumerate(state_ids):
-        c1, c2 = code_tables[x], code_tables[n_x + x]
-        slots1 = ", ".join(["%s"] * c1.shape[1])
-        slots2 = ", ".join(["%s"] * c2.shape[1])
-        templates.append(
-            f'{{"pi1": [{slots1}], "pi2": [{slots2}], "t_index": %s, "x_id": {int(sid)}}}'
-        )
-        columns += [c1, c2, t_codes]
-    records = ", ".join(templates * n_rows)
+    pool = np.array(spelled + [str(i) for i in range(n_rows)] + [str(int(s)) for s in state_ids], object)
+    # pool codes per time step and state: its floats, padded to the widest and masked, t_index and id
+    width = max((p1.shape[2] + p2.shape[2] for _, p1, p2 in stacks), default=0)
+    codes = np.zeros((n_rows, n_x, width + 2), dtype=np.int64)
+    used = np.ones((n_x, width + 2), dtype=bool)
+    templates = np.empty(n_x, dtype=object)
+    for states, p1, p2 in stacks:
+        record = np.concatenate([p1, p2], axis=2)  # (k, n_rows, |A| + |B|)
+        codes[:, states, : record.shape[2]] = np.searchsorted(bits, record.view(np.int64)).swapaxes(0, 1)
+        used[states, record.shape[2] : width] = False
+        slots1, slots2 = (", ".join(["%s"] * p.shape[2]) for p in (p1, p2))
+        templates[states] = f'{{"pi1": [{slots1}], "pi2": [{slots2}], "t_index": %s, "x_id": %s}}'
+    codes[:, :, -2] = len(spelled) + np.arange(n_rows)[:, None]
+    codes[:, :, -1] = len(spelled) + n_rows + np.arange(n_x)
+    records = ", ".join(templates.tolist() * n_rows)
     head = {"horizon": policies.grid.horizon, "n_steps": policies.grid.n_steps, "records": []}
     template = json.dumps(head, sort_keys=True)[:-2] + records + "]}\n"
-    args = pool[np.hstack(columns).ravel()].tolist() if columns else []
-    Path(path).write_text(template % tuple(args))
+    Path(path).write_text(template % tuple(pool[codes[:, used].ravel()].tolist()))
 
 
 def load_policies(path: str | Path) -> tuple[PolicyPair, list[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,20 @@ def _count(value: Any, name: str, low: float = -math.inf) -> int:
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     return int(value)
+
+
+def _group_by_shape(shapes: Iterable[tuple[int, int]]) -> list[np.ndarray]:
+    """The states of each (|A|, |B|), in order of first appearance: the one grouping rule."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for x, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(x)
+    return [np.array(states) for states in by_shape.values()]
+
+
+def _per_state(stacks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """The views stack[j] of states[j], for every (states, stack) pair, as a tuple in state order."""
+    rows = {x: row for states, stack in stacks for x, row in zip(states.tolist(), stack)}
+    return tuple(rows[x] for x in range(len(rows)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +123,6 @@ class GameModel:
             raise StructureError("per-state lists have inconsistent lengths")
         if terminal.shape != (n,):
             raise StructureError(f"terminal must have shape ({n},), got {terminal.shape}")
-        states_by_shape: dict[tuple[int, int], list[int]] = {}
         for x in range(n):
             na, nb = len(actions_p1[x]), len(actions_p2[x])
             if na == 0 or nb == 0:
@@ -120,22 +133,18 @@ class GameModel:
                 raise StructureError(
                     f"generator[{x}] must have shape ({na}, {nb}, {n}), got {generator[x].shape}"
                 )
-            states_by_shape.setdefault((na, nb), []).append(x)
         groups = []
-        for (na, nb), states in states_by_shape.items():
-            group = _ShapeGroup(
-                states=np.array(states),
+        for states in _group_by_shape(m.shape for m in payoff):
+            na, nb = payoff[states[0]].shape
+            groups.append(_ShapeGroup(
+                states=states,
                 payoff=np.stack([payoff[x] for x in states]),
                 # C order whatever the inputs' strides, as a loaded model has it: np.stack
                 # alone follows a broadcast input's layout, and products round by layout.
                 generator=np.stack(
                     [generator[x] for x in states], out=np.empty((len(states), na, nb, n))
                 ).reshape(len(states), na * nb, n),
-            )
-            for k, x in enumerate(states):
-                payoff[x] = group.payoff[k]
-                generator[x] = group.generator[k].reshape(na, nb, n)
-            groups.append(group)
+            ))
         state_ids = tuple(self.state_ids) or tuple(range(n))
         if len(state_ids) != n:
             raise StructureError(f"{len(state_ids)} state ids for {n} states")
@@ -147,7 +156,9 @@ class GameModel:
             raise StructureError(f"coords must have shape ({n},), got {coords.shape}")
         self.__dict__.update(
             actions_p1=actions_p1, actions_p2=actions_p2,
-            payoff=tuple(payoff), generator=tuple(generator), terminal=terminal,
+            payoff=_per_state((g.states, g.payoff) for g in groups),
+            generator=_per_state((g.states, g.generator.reshape(*g.payoff.shape, n)) for g in groups),
+            terminal=terminal,
             coords=coords, state_ids=state_ids, _shape_groups=groups,
         )
 

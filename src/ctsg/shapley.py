@@ -18,21 +18,23 @@ the Monte Carlo simulator uses.
 The weighted payoff c is formed in one place, _payoff_stacks, on any array
 of value rows, games last: the operator and verify_saddle read it on the
 whole grid, and ctsg.simulate.deviation_gain on one row per interval, the
-last two through _pure_payoffs in that same layout. Policy pairs are read
-in one place too: _checked_policies stacks them by shape, refuses a row that
-is not a probability vector, and serves verify_saddle and ctsg.simulate.
+last two through _pure_payoffs in that same layout. A PolicyPair keeps one
+layout from the sweep to the policy file, a C-order stack per shape group and
+player, which _checked_policies checks where it lies, refusing a row that is
+not a probability vector, and hands uncopied to verify_saddle and ctsg.simulate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import ModelScaleError
 from .matrix_game import solve_games_last
-from .model import _MAX_EXP_ARG, GameModel, _count, _ShapeGroup
+from .model import _MAX_EXP_ARG, GameModel, _count, _group_by_shape, _per_state, _ShapeGroup
 
 _PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
 # Each shape group with its states' stacked pi1 and pi2 rows, from _checked_policies.
@@ -83,61 +85,73 @@ class ValueGrid:
         object.__setattr__(self, "values", values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyPair:
-    """Time-indexed mixed Markov policies for both players.
+    """Time-indexed mixed Markov policies for both players, stacked per action-set shape.
 
-    pi1[x] has shape (n_steps + 1, |A(x)|); pi2[x] likewise over B(x).
-    Row i is the mixed action distribution in force on [t_i, t_{i+1}).
+    _stacks holds one (states, pi1, pi2) triple per shape group, in the model's
+    group order: pi1 is (k, n_steps + 1, |A|) and pi2 (k, n_steps + 1, |B|) for
+    the group's k states; row i is in force on [t_i, t_{i+1}). pi1[x] and pi2[x]
+    are tuples of per-state views built when read, as GameModel.payoff is.
     """
 
     grid: TimeGrid
-    pi1: list[np.ndarray]
-    pi2: list[np.ndarray]
+    _stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    pi1 = property(lambda self: _per_state((states, p1) for states, p1, _ in self._stacks))
+    pi2 = property(lambda self: _per_state((states, p2) for states, _, p2 in self._stacks))
+
+
+def _policy_pair(grid: TimeGrid, pi1: Sequence[np.ndarray], pi2: Sequence[np.ndarray]) -> PolicyPair:
+    """The PolicyPair of per-state rows pi1[x], (n_steps + 1, |A(x)|), and pi2[x] likewise.
+
+    ValueError unless both players have rows for as many states, each a table of n_steps + 1 rows.
+    """
+    pi1, pi2 = ([np.asarray(p, dtype=float) for p in rows] for rows in (pi1, pi2))
+    if len(pi1) != len(pi2):
+        raise ValueError(f"pi1 has rows for {len(pi1)} states, pi2 for {len(pi2)}")
+    n_rows = grid.n_steps + 1
+    for name, tables in (("pi1", pi1), ("pi2", pi2)):
+        for x, p in enumerate(tables):
+            if p.ndim != 2:
+                raise ValueError(f"{name} of state {x} has shape {p.shape}, not a table of rows")
+            if len(p) != n_rows:
+                raise ValueError(f"{name} of state {x} has {len(p)} rows, not n_steps + 1 = {n_rows}")
+    # np.array, unlike np.stack, writes C order whatever the rows' strides
+    return PolicyPair(grid, tuple(
+        (s, np.array([pi1[x] for x in s]), np.array([pi2[x] for x in s]))
+        for s in _group_by_shape((p1.shape[1], p2.shape[1]) for p1, p2 in zip(pi1, pi2))
+    ))
 
 
 def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
-    """Each shape group with its states' policy rows, stacked per player.
+    """Each shape group of the model with the pair's pi1 and pi2 stacks, checked and not copied.
 
-    The pi1 rows stack to (k, n_t + 1, |A|), the pi2 rows to (k, n_t + 1, |B|).
-    Raises ValueError when the policy grid's horizon, the number of states or
-    a state's row shapes do not match the model, or when a row is not a
-    probability vector (an entry below -_PROBABILITY_TOL, or a sum more than
-    _PROBABILITY_TOL from 1; NaN fails both). The row test is one vectorized
-    check per group and its message names the player, the state and the row.
+    Raises ValueError when the policy grid's horizon does not match the model,
+    when a stack does not hold its model group's states, action counts and
+    n_steps + 1 rows, or when a row is not a probability vector (an entry below
+    -_PROBABILITY_TOL, or a sum more than _PROBABILITY_TOL from 1; NaN fails
+    both), naming the player, the state and the row.
     """
     grid = policies.grid
     if abs(grid.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
         raise ValueError("policy grid horizon does not match the model")
-    n_t, n_x = grid.n_steps, model.n_states
-    if len(policies.pi1) != n_x or len(policies.pi2) != n_x:
-        raise ValueError(
-            f"policies cover {len(policies.pi1)}/{len(policies.pi2)} states; the model has {n_x}"
-        )
-    groups = []
-    for group in model._shape_groups:
-        _, na, nb = group.payoff.shape
-        want = ((n_t + 1, na), (n_t + 1, nb))
-        for x in group.states:
-            p1, p2 = policies.pi1[x], policies.pi2[x]
-            if (p1.shape, p2.shape) != want:
-                raise ValueError(
-                    f"policy shapes {p1.shape}, {p2.shape} at state {x} do not match "
-                    f"the model and grid: {want[0]}, {want[1]}"
-                )
-        p1 = np.stack([policies.pi1[x] for x in group.states])
-        p2 = np.stack([policies.pi2[x] for x in group.states])
+    n_rows = grid.n_steps + 1
+    shapes = [(group.states.tolist(), *group.payoff.shape) for group in model._shape_groups]
+    want = [(states, (k, n_rows, na), (k, n_rows, nb)) for states, k, na, nb in shapes]
+    got = [(states.tolist(), p1.shape, p2.shape) for states, p1, p2 in policies._stacks]
+    if got != want:
+        have, need = next((g, w) for g, w in zip_longest(got, want) if g != w)
+        raise ValueError(f"policy shapes (states, pi1, pi2) {have} do not match the model and grid: {need}")
+    for states, p1, p2 in policies._stacks:
         for name, p in (("pi1", p1), ("pi2", p2)):
-            ok = (p >= -_PROBABILITY_TOL).all(axis=2)
-            ok &= np.abs(p.sum(axis=2) - 1.0) <= _PROBABILITY_TOL
+            ok = (p >= -_PROBABILITY_TOL).all(axis=2) & (np.abs(p.sum(axis=2) - 1.0) <= _PROBABILITY_TOL)
             if not ok.all():
                 j, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
                 raise ValueError(
-                    f"{name} at state {group.states[j]}, row {i} is not a probability vector: "
+                    f"{name} at state {states[j]}, row {i} is not a probability vector: "
                     f"{p[j, i].tolist()}"
                 )
-        groups.append((group, p1, p2))
-    return groups
+    return [(group, p1, p2) for group, (_, p1, p2) in zip(model._shape_groups, policies._stacks)]
 
 
 def boundary_row(model: GameModel) -> np.ndarray:
@@ -176,29 +190,25 @@ def _payoff_stacks(model: GameModel, V: np.ndarray) -> Iterator[tuple[np.ndarray
         yield group.states, C.reshape(na, nb, k, -1)
 
 
-def game_value_field(
-    model: GameModel, v: ValueGrid
-) -> tuple[np.ndarray, PolicyPair]:
+def game_value_field(model: GameModel, v: ValueGrid) -> tuple[np.ndarray, PolicyPair]:
     """Matrix-game value of the weighted payoff at every grid cell.
 
     Returns the (n_steps + 1, n_states) field of game values together with
     the optimal mixed strategies of both players at each cell. All cells
-    whose games share a shape are solved by one solve_games_last call.
+    whose games share a shape are solved by one solve_games_last call, and
+    its games-last strategies become that group's policy stacks.
     """
     n_rows = v.grid.n_steps + 1
     a_field = np.empty((n_rows, model.n_states))
-    pi1: list[np.ndarray] = [np.empty(0)] * model.n_states
-    pi2: list[np.ndarray] = [np.empty(0)] * model.n_states
+    stacks = []
     for states, C in _payoff_stacks(model, v.values):
         na, nb, k, _ = C.shape
         values, p1, p2, _ = solve_games_last(C.reshape(na, nb, k * n_rows))
         a_field[:, states] = values.reshape(k, n_rows).T
-        p1 = p1.reshape(na, k, n_rows)
-        p2 = p2.reshape(nb, k, n_rows)
-        for j, x in enumerate(states):  # (n_rows, |A|) views of the games-last strategies
-            pi1[x] = p1[:, j].T
-            pi2[x] = p2[:, j].T
-    return a_field, PolicyPair(v.grid, pi1, pi2)
+        # (k, n_rows, |A|) in C order, as a policy file reads back: the readers' products round by layout
+        p1, p2 = (np.ascontiguousarray(p.reshape(-1, k, n_rows).transpose(1, 2, 0)) for p in (p1, p2))
+        stacks.append((states, p1, p2))
+    return a_field, PolicyPair(v.grid, tuple(stacks))
 
 
 def integrate_backward(grid: TimeGrid, a_field: np.ndarray, boundary: np.ndarray) -> ValueGrid:
@@ -249,10 +259,8 @@ def verify_saddle(model: GameModel, v: ValueGrid, policies: PolicyPair) -> float
     """
     if v.grid != policies.grid:
         raise ValueError(f"value grid {v.grid} and policy grid {policies.grid} differ")
-    worst = -np.inf
     groups = _checked_policies(model, policies)
-    for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, v.values), groups, strict=True):
-        row_best = _pure_payoffs(C, p2, 1).max(axis=0)
-        col_best = _pure_payoffs(C, p1, 2).min(axis=0)
-        worst = max(worst, float(np.max(row_best - col_best)))
-    return worst
+    return max(
+        float(np.max(_pure_payoffs(C, p2, 1).max(axis=0) - _pure_payoffs(C, p1, 2).min(axis=0)))
+        for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, v.values), groups, strict=True)
+    )

@@ -30,20 +30,14 @@ whole row. Per-path values are bitwise those of a full-width sampler that
 counts each row.
 
 ``evaluate_policies`` computes the same expectation exactly in time by one
-backward pass from exp(theta g), ``_backward_pass``: ``_interval_step``
-applies each grid interval's exponential of the policy-mixed generator by
-uniformization: one series loop, run on the vector while the interval's
-Poisson parameter is at most 1, and past that on the series matrix of one
-short step, then squared, so its cost grows like the log of the rates.
-``_mix``, the one place policy rows are mixed, mixes one row per interval for
-the evaluator and all rows at once for the sampler's tables, by batched
-matmuls with the joint action law. ``deviation_gain`` runs that pass for the
-base pair, then again for one deviating player, setting before each
-interval's step every state's row to the first pure action that is best
-against the opponent's row, for the weighted payoff at the deviation's own
-value at the interval's right end, and so values a concrete deviation
-exactly without solving a matrix game. All of them read the policies
-through ``shapley._checked_policies``, as ``verify_saddle`` does.
+backward pass from exp(theta g), ``_backward_pass``, which applies each grid
+interval's exponential of the policy-mixed generator by ``_interval_step``.
+``_mix``, the one place policy rows are mixed, serves that step one row at a
+time and the sampler's tables all rows at once. ``deviation_gain`` runs the
+pass for the base pair, then for a deviation it builds interval by interval
+in copies of the deviator's stacks, and so values it without solving a
+matrix game. All of them read the policy stacks where they lie, through
+``shapley._checked_policies``, as ``verify_saddle`` does.
 """
 
 from __future__ import annotations
@@ -239,22 +233,21 @@ def estimate_value(
     """Monte Carlo estimate of the risk-sensitive value under fixed policies.
 
     t0 must coincide with a policy grid node, x0 must be a state index, the
-    policies must match the model's states and action sets, and paths >= 2
-    (for a standard error) and threads >= 1 must be integers (ValueError
+    policies must match the model's states and action sets, paths >= 2
+    (for a standard error) and threads >= 1 must be integers, and rng_seed
+    must be an integer in [0, 2**64), the Philox key's range (ValueError
     otherwise). Batches are independent Philox streams run on a pool of
     threads workers, so threads only changes wall time, never the result.
     Raises ModelScaleError when the mean or standard error of the
     path functionals overflows.
     """
     paths, threads = _count(paths, "paths", 2), _count(threads, "threads", 1)
+    if _count(rng_seed, "rng_seed", 0) >= 2**64:
+        raise ValueError(f"rng_seed must be below 2**64, got {rng_seed}")
     _start_node(model, policies, x0, t0)
     tables = _PolicyTables(model, policies)
 
-    sizes = []
-    remaining = paths
-    while remaining > 0:
-        sizes.append(min(_BATCH_SIZE, remaining))
-        remaining -= sizes[-1]
+    sizes = [min(_BATCH_SIZE, paths - start) for start in range(0, paths, _BATCH_SIZE)]
 
     def run(i_size: tuple[int, int]) -> np.ndarray:
         i, size = i_size
@@ -418,9 +411,11 @@ def deviation_gain(
     if deviating_player not in (1, 2):
         raise ValueError("deviating_player must be 1 or 2")
     node = _start_node(model, base_policies, x0, t0)
-    groups = _checked_policies(model, base_policies)  # fresh stacks: the deviator's are rewritten
     grid = base_policies.grid
+    groups = _checked_policies(model, base_policies)
     j_base = float(_backward_pass(model, groups, grid)[node, x0])
+    # choose rewrites the deviator's rows, in copies of its stacks
+    groups = [(g, p1.copy(), p2) if deviating_player == 1 else (g, p1, p2.copy()) for g, p1, p2 in groups]
 
     def choose(i: int, w: np.ndarray) -> None:
         for (_, C), (_, p1, p2) in zip(_payoff_stacks(model, w[None]), groups, strict=True):
@@ -431,15 +426,11 @@ def deviation_gain(
             pure[:, i] = np.eye(pure.shape[2])[np.argmax(score, axis=0)]
 
     j_dev = float(_backward_pass(model, groups, grid, choose)[node, x0])
-    rows = [list(base_policies.pi1), list(base_policies.pi2)]
-    for group, *stacks in groups:
-        for j, x in enumerate(group.states):
-            rows[deviating_player - 1][x] = stacks[deviating_player - 1][j]
     return DeviationReport(
         gain=j_dev - j_base if deviating_player == 1 else j_base - j_dev,
         std_error=0.0,
         player=deviating_player,
         base=j_base,
-        best_response=PolicyPair(grid, *rows),
+        best_response=PolicyPair(grid, tuple((group.states, p1, p2) for group, p1, p2 in groups)),
         n_candidates=1,
     )

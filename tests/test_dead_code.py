@@ -1,4 +1,4 @@
-"""Static checks over the package source: no unused import, no unused private module-level name.
+"""Static checks over the package source: no unused import, private module-level name or parameter.
 
 No linter is a test dependency, so these walk the syntax trees with ast.
 """
@@ -80,3 +80,29 @@ def test_no_unused_private_module_level_name():
         if name not in used
     ]
     assert unused == []
+
+
+# deviation_gain takes paths and rng_seed and ignores them: bench/workloads.py passes them,
+# test_deviation_gain_takes_the_bench_keywords pins them, and ROADMAP item 1 deletes them.
+UNREAD_PARAMETERS = {"simulate.py: deviation_gain(paths)", "simulate.py: deviation_gain(rng_seed)"}
+
+
+def test_no_unused_parameter():
+    # A parameter counts as read where its function, or a function nested in it, reads the name.
+    unread = set()
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            unread |= {
+                f"{module}: {name}({p.arg})"
+                for p in params
+                if p is not None and p.arg not in read and p.arg not in ("self", "cls")
+            }
+    assert unread == UNREAD_PARAMETERS

@@ -28,7 +28,7 @@ from ctsg.model import CERTIFICATE_CONSTANTS
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma
 from ctsg.solver import SolverConfig, default_initial_grid, solve
 from ctsg.truncation import LadderLevelResult, LadderReport
-from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, single_state_model
+from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, policy_pair, single_state_model
 
 
 class TestRoundTrips:
@@ -84,18 +84,33 @@ class TestRoundTrips:
         # the last row once read [1.0, 1.768, 0.0, 0.0], its end taken from np.empty
         lines = rps4_value_lines
         assert len(lines) == 21 and lines[-2].startswith("1.0,2,")
-        message = "line 20: the end of the file, where the first node's order needs t=1.0, x_id 2"
+        message = "line 20: the end of the file, where the grid needs t=1.0, x_id 2"
         self.check_value_csv_refused(tmp_path, lines[:-2], message)
 
     def test_value_grid_csv_with_a_node_out_of_order_is_refused(self, tmp_path, rps4_value_lines):
         lines = list(rps4_value_lines)
         lines[6], lines[7] = lines[7], lines[6]  # ids 1 and 2 of the node t = 0.25
-        message = "line 7: t=0.25, x_id 2, where the first node's order needs t=0.25, x_id 1"
+        message = "line 7: t=0.25, x_id 2, where the grid needs t=0.25, x_id 1"
         self.check_value_csv_refused(tmp_path, lines, message)
 
     def test_value_grid_csv_with_a_short_node_is_refused(self, tmp_path, rps4_value_lines):
         lines = rps4_value_lines[:8] + rps4_value_lines[9:]  # the node t = 0.25 loses its last id
-        message = "line 9: t=0.5, x_id 0, where the first node's order needs t=0.25, x_id 3"
+        message = "line 9: t=0.5, x_id 0, where the grid needs t=0.25, x_id 3"
+        self.check_value_csv_refused(tmp_path, lines, message)
+
+    @pytest.mark.parametrize(
+        "node, t", [(0, "0.1"), (1, "0.3"), (3, "0.7500000000000001")], ids=["first", "interior", "one_ulp"]
+    )
+    def test_value_grid_csv_with_a_node_time_off_the_grid_is_refused(
+        self, tmp_path, rps4_value_lines, node, t
+    ):
+        # the node's four rows move together, so only the uniform grid can tell
+        lines = list(rps4_value_lines)
+        want = ["0.0", "0.25", "0.5", "0.75"][node]
+        for k in range(1 + 4 * node, 5 + 4 * node):
+            assert lines[k].startswith(f"{want},")
+            lines[k] = t + lines[k][len(want):]
+        message = f"line {4 * node + 2}: t={t}, x_id 0, where the grid needs t={want}, x_id 0"
         self.check_value_csv_refused(tmp_path, lines, message)
 
     @pytest.mark.parametrize(
@@ -155,7 +170,7 @@ class TestRoundTrips:
 
     def test_policies(self, tmp_path):
         grid = TimeGrid(1.0, 2)
-        policies = PolicyPair(
+        policies = policy_pair(
             grid,
             [np.array([[0.25, 0.75]] * 3), np.array([[1.0]] * 3)],
             [np.array([[0.5, 0.5]] * 3), np.array([[0.1, 0.9]] * 3)],
@@ -170,7 +185,7 @@ class TestRoundTrips:
 
     def test_policy_records_schema(self, tmp_path):
         grid = TimeGrid(1.0, 1)
-        policies = PolicyPair(grid, [np.array([[1.0]] * 2)], [np.array([[1.0]] * 2)])
+        policies = policy_pair(grid, [np.array([[1.0]] * 2)], [np.array([[1.0]] * 2)])
         path = tmp_path / "p.json"
         artifacts.save_policies(policies, [7], path)
         payload = json.loads(path.read_text())
@@ -195,18 +210,18 @@ class TestRoundTrips:
                 artifacts.ladder_to_csv(report, state_ids)
             else:
                 rows = [np.full((5, 3), 1.0 / 3.0)] * 8
-                artifacts.save_policies(PolicyPair(grid, rows, rows), state_ids, path)
+                artifacts.save_policies(policy_pair(grid, rows, rows), state_ids, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("n_rows", [10, 4])
     def test_save_policies_refuses_a_state_without_n_steps_plus_one_rows(self, tmp_path, n_rows):
         grid = TimeGrid(1.0, 4)
         pi1 = [np.full((5, 2), 0.5), np.full((n_rows, 3), 1.0 / 3.0)]
-        policies = PolicyPair(grid, pi1, [np.ones((5, 1))] * 2)
         path = tmp_path / "p.json"
-        message = f"pi1 of state 9 has {n_rows} rows, not n_steps + 1 = 5"
+        # the pair refuses such a state when it is built, naming its index, so none reaches the writer
+        message = f"pi1 of state 1 has {n_rows} rows, not n_steps + 1 = 5"
         with pytest.raises(ValueError, match=re.escape(message)):
-            artifacts.save_policies(policies, [7, 9], path)
+            artifacts.save_policies(policy_pair(grid, pi1, [np.ones((5, 1))] * 2), [7, 9], path)
         assert not path.exists()
 
 
@@ -242,7 +257,7 @@ def _dirichlet_rows():
     pi2 = [rng.dirichlet(np.ones(2), 65) for _ in range(4)]
     entries = np.concatenate([p.ravel() for p in pi1 + pi2])
     assert np.unique(entries).size == entries.size
-    return PolicyPair(TimeGrid(2.5, 64), pi1, pi2), [0, 1, 2, 3]
+    return policy_pair(TimeGrid(2.5, 64), pi1, pi2), [0, 1, 2, 3]
 
 
 POLICY_CASES = {
@@ -256,7 +271,7 @@ POLICY_CASES = {
     ),
     "mixed_shapes": lambda: _one_sweep(mixed_shape_model(), 8),
     "non_finite_and_signed_zero": lambda: (
-        PolicyPair(
+        policy_pair(
             TimeGrid(1.0, 1),
             [np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-300]]), np.array([[5e-324], [1.0]])],
             [np.array([[-0.0, 1e308], [0.1, 0.2]]), np.array([[np.nan, -0.0, 0.0], [1e16, 1e-5, 2.0]])],
@@ -264,7 +279,7 @@ POLICY_CASES = {
         [0, 1],
     ),
     "ids_out_of_order": lambda: (
-        PolicyPair(
+        policy_pair(
             TimeGrid(0.3, 2),
             [np.array([[0.25, 0.75]] * 3), np.array([[1.0]] * 3), np.array([[0.5, 0.5]] * 3)],
             [np.array([[1.0]] * 3), np.array([[0.1, 0.2, 0.7]] * 3), np.array([[0.0, 1.0]] * 3)],
@@ -272,10 +287,10 @@ POLICY_CASES = {
         [9, 2, 5],
     ),
     "one_state_one_step": lambda: (
-        PolicyPair(TimeGrid(1.0, 1), [np.array([[1.0], [1.0]])], [np.array([[1.0], [1.0]])]),
+        policy_pair(TimeGrid(1.0, 1), [np.array([[1.0], [1.0]])], [np.array([[1.0], [1.0]])]),
         [3],
     ),
-    "no_states": lambda: (PolicyPair(TimeGrid(1, 2), [], []), []),
+    "no_states": lambda: (policy_pair(TimeGrid(1, 2), [], []), []),
     "dirichlet_all_distinct": _dirichlet_rows,
 }
 
@@ -292,6 +307,18 @@ class TestPolicyWriter:
         for got, want in zip(loaded.pi1 + loaded.pi2, policies.pi1 + policies.pi2, strict=True):
             np.testing.assert_array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+    def test_mixed_shapes_read_back_as_the_same_stacks(self, tmp_path):
+        policies, state_ids = _one_sweep(mixed_shape_model(), 8)
+        path = tmp_path / "p.json"
+        artifacts.save_policies(policies, state_ids, path)
+        loaded, _ = artifacts.load_policies(path)
+        assert len(loaded._stacks) == 5  # 1x3, 3x1, 2x2, 2x3 and 1x1
+        for got, want in zip(loaded._stacks, policies._stacks, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert all(p.flags.c_contiguous for p in (*got[1:], *want[1:]))
 
 
 def _policy_payload(model) -> dict:
@@ -849,12 +876,12 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {csv_path}: {message}"]
 
-    def simulate_fails(self, capsys, policy_json, x0: str) -> str:
+    def simulate_fails(self, capsys, policy_json, x0: str, *options: str) -> str:
         code = self.run(
             "simulate",
             "--model", str(FIXTURES / "two_state_model.json"),
             "--policy", str(policy_json),
-            "--x0", x0, "--paths", "100",
+            "--x0", x0, "--paths", "100", *options,
         )
         assert code == 1
         captured = capsys.readouterr()
@@ -869,6 +896,19 @@ class TestCli:
         policy_json = tmp_path / "policy.json"
         artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
         assert f"x0={x0}" in self.simulate_fails(capsys, policy_json, x0)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [("-1", "rng_seed must be at least 0, got -1"), (str(2**64), "rng_seed must be below 2**64")],
+    )
+    def test_simulate_seed_outside_the_philox_keys_exits_one(
+        self, tmp_path, capsys, two_state_model, seed, message
+    ):
+        # both once ended in an OverflowError traceback
+        _, policies, _ = solve(two_state_model, SolverConfig(epsilon=0.1, n_t=8))
+        policy_json = tmp_path / "policy.json"
+        artifacts.save_policies(policies, two_state_model.state_ids, policy_json)
+        assert message in self.simulate_fails(capsys, policy_json, "0", "--seed", seed)
 
     def test_simulate_policy_state_order_mismatch_exits_one(
         self, tmp_path, capsys, two_state_model
@@ -942,7 +982,7 @@ class TestCli:
         artifacts.save_model(model, hot)
         policy_json = tmp_path / "policy.json"
         grid = TimeGrid(1.0, 4)
-        policies = PolicyPair(grid, [np.ones((5, 1))], [np.ones((5, 1))])
+        policies = policy_pair(grid, [np.ones((5, 1))], [np.ones((5, 1))])
         artifacts.save_policies(policies, model.state_ids, policy_json)
         code = self.run(
             "simulate", "--model", str(hot), "--policy", str(policy_json), "--x0", "0",

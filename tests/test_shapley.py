@@ -15,7 +15,6 @@ from ctsg.example_games import build_gaussian, build_rps
 from ctsg.matrix_game import solve_matrix_game
 from ctsg.model import GameModel
 from ctsg.shapley import (
-    PolicyPair,
     TimeGrid,
     ValueGrid,
     _checked_policies,
@@ -29,7 +28,7 @@ from ctsg.shapley import (
 from ctsg.solver import SolverConfig, default_initial_grid, solve
 from ctsg.truncation import floor_and_shift, truncate_nonnegative
 
-from .conftest import mixed_shape_model, random_bounded_model, single_state_model
+from .conftest import mixed_shape_model, policy_pair, random_bounded_model, single_state_model
 
 
 def constant_grid(n_t: int, values: np.ndarray, T: float = 1.0) -> ValueGrid:
@@ -139,6 +138,28 @@ class TestGameValueField:
                 np.testing.assert_array_equal(policies.pi2[x][i], sol.strategy_p2)
         np.testing.assert_array_equal(a_field[:, 5], 0.0)  # the all-zero games
 
+    @pytest.mark.parametrize("case", ["rps8_solve", "mixed_shapes_sweep"])
+    def test_policies_are_the_sweeps_stacks_read_in_place(self, case):
+        # one layout from the sweep on: per-state rows are views of the stacks, and the check copies nothing
+        if case == "rps8_solve":
+            model = build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)[0]
+            _, policies, _ = solve(model, SolverConfig(epsilon=1e-3, n_t=16))
+        else:
+            model = mixed_shape_model()
+            _, policies = apply_gamma(model, default_initial_grid(model, 8))
+        groups = _checked_policies(model, policies)
+        for (group, p1, p2), (states, s1, s2) in zip(groups, policies._stacks, strict=True):
+            assert p1 is s1 and p2 is s2 and np.array_equal(states, group.states)
+            assert s1.flags.c_contiguous and s2.flags.c_contiguous  # as a policy file reads back
+            for j, x in enumerate(states):
+                for rows, stack in ((policies.pi1[x], s1), (policies.pi2[x], s2)):
+                    assert np.shares_memory(rows, stack) and np.array_equal(rows, stack[j])
+        with pytest.raises(TypeError):
+            policies.pi1[0] = policies.pi1[0].copy()
+        x = int(policies._stacks[0][0][0])
+        policies.pi2[x][2] = 7.0
+        assert np.all(policies._stacks[0][2][0, 2] == 7.0)
+
 
 def per_cell_saddle_gap(model: GameModel, v: ValueGrid, policies) -> float:
     """verify_saddle's quantity by one weighted_payoff per cell."""
@@ -176,7 +197,7 @@ def test_verify_saddle_on_mixed_shapes_equals_the_per_cell_loop():
         counts = rng.multinomial(8, np.ones(n_actions) / n_actions, size=5)
         return counts / 8.0
 
-    policies = PolicyPair(
+    policies = policy_pair(
         grid, [rows(len(a)) for a in model.actions_p1], [rows(len(b)) for b in model.actions_p2]
     )
     groups = _checked_policies(model, policies)
@@ -196,9 +217,7 @@ def test_verify_saddle_refuses_a_row_that_is_not_a_probability_vector(
 ):
     v = constant_grid(4, np.ones(2))
     _, policies = apply_gamma(two_state_model, v)
-    rows = (policies.pi1 if player == 1 else policies.pi2)[state].copy()
-    rows[row] = entries
-    (policies.pi1 if player == 1 else policies.pi2)[state] = rows
+    (policies.pi1 if player == 1 else policies.pi2)[state][row] = entries
     message = f"pi{player} at state {state}, row {row} is not a probability vector: {entries}"
     with pytest.raises(ValueError, match=re.escape(message)):
         verify_saddle(two_state_model, v, policies)

@@ -28,7 +28,9 @@ from ctsg.simulate import (
 )
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import FIXTURES, action_dependent_rps, mixed_shape_model, single_state_model
+from .conftest import (
+    FIXTURES, action_dependent_rps, mixed_shape_model, policy_pair, single_state_model,
+)
 
 
 def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
@@ -41,7 +43,7 @@ def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
         np.full((n_t + 1, len(model.actions_p2[x])), 1.0 / len(model.actions_p2[x]))
         for x in range(model.n_states)
     ]
-    return PolicyPair(grid, pi1, pi2)
+    return policy_pair(grid, pi1, pi2)
 
 
 def two_state_chain(rate: float, T: float = 10.0, r: float = 0.0, g=(0.0, 0.0)) -> GameModel:
@@ -115,7 +117,7 @@ class TestSamplePath:
         pi1 = np.zeros((4, 2))
         pi1[0] = [1.0, 0.0]  # rate lo on [0, 1)
         pi1[1:] = [0.0, 1.0]  # rate hi afterwards
-        pol = PolicyPair(grid, [pi1, np.ones((4, 1))], [np.ones((4, 1))] * 2)
+        pol = policy_pair(grid, [pi1, np.ones((4, 1))], [np.ones((4, 1))] * 2)
 
         def cdf(t: np.ndarray) -> np.ndarray:
             hazard = np.where(t < 1.0, lo * t, lo + hi * (t - 1.0))
@@ -200,6 +202,27 @@ class TestEstimateValue:
         assert type(same.paths) is int  # so the CLI's estimate JSON can hold it
         json.dumps(artifacts.estimate_to_dict(same))
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "rng_seed must be at least 0, got -1"),
+            (2**64, "rng_seed must be below 2**64, got 18446744073709551616"),
+            (1.7, "rng_seed=1.7 is not an integer"),
+            (True, "rng_seed=True is not an integer"),
+        ],
+    )
+    def test_rng_seed_must_be_a_philox_key(self, two_state_model, seed, message):
+        # -1 and 2**64 once ended in an OverflowError from numpy, 1.7 and True ran as seed 1
+        pol = uniform_policies(two_state_model, 4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=seed)
+
+    def test_largest_rng_seed_runs(self, two_state_model):
+        pol = uniform_policies(two_state_model, 4)
+        est = estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=2**64 - 1)
+        same = estimate_value(two_state_model, pol, 0, 0.0, paths=10, rng_seed=np.uint64(2**64 - 1))
+        np.testing.assert_array_equal(same.values, est.values)
+
     def test_overflowing_estimate_is_a_scale_error(self):
         # payoff rate 800 over T = 1: every path's functional is e^800
         model = single_state_model(r0=800.0)
@@ -218,10 +241,10 @@ class TestEstimateValue:
 
     def test_policy_shape_mismatch_rejected(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)
-        fewer_states = PolicyPair(pol.grid, pol.pi1[:1], pol.pi2[:1])
+        fewer_states = policy_pair(pol.grid, pol.pi1[:1], pol.pi2[:1])
         with pytest.raises(ValueError, match="states"):
             estimate_value(two_state_model, fewer_states, 0, 0.0, paths=10, rng_seed=0)
-        extra_action = PolicyPair(pol.grid, [np.full((5, 3), 1.0 / 3.0)] + pol.pi1[1:], pol.pi2)
+        extra_action = policy_pair(pol.grid, [np.full((5, 3), 1.0 / 3.0), *pol.pi1[1:]], pol.pi2)
         with pytest.raises(ValueError, match="policy shapes"):
             estimate_value(two_state_model, extra_action, 0, 0.0, paths=10, rng_seed=0)
 
@@ -245,7 +268,7 @@ class TestEstimateValue:
 
     def test_policy_grid_horizon_must_match_the_model(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)
-        longer = PolicyPair(TimeGrid(2.0 * two_state_model.horizon, 4), pol.pi1, pol.pi2)
+        longer = policy_pair(TimeGrid(2.0 * two_state_model.horizon, 4), pol.pi1, pol.pi2)
         with pytest.raises(ValueError, match="policy grid horizon does not match the model"):
             estimate_value(two_state_model, longer, 0, 0.0, paths=10, rng_seed=0)
         with pytest.raises(ValueError, match="policy grid horizon does not match the model"):
@@ -268,7 +291,7 @@ def test_evaluator_mix_matches_per_state_einsum():
     n_t = 7
     pi1 = [rng.dirichlet(np.ones(len(model.actions_p1[x])), n_t + 1) for x in range(n_x)]
     pi2 = [rng.dirichlet(np.ones(len(model.actions_p2[x])), n_t + 1) for x in range(n_x)]
-    policies = PolicyPair(TimeGrid(model.horizon, n_t), pi1, pi2)
+    policies = policy_pair(TimeGrid(model.horizon, n_t), pi1, pi2)
     groups = _checked_policies(model, policies)
     assert any(group.payoff.shape[1:] == (2, 3) for group, _, _ in groups)
     rbar_all, qbar_all = _mix(groups, slice(None), n_x)
@@ -355,21 +378,23 @@ class TestDeviationGain:
             horizon=1.0,
         )
         grid = TimeGrid(1.0, 4)
-        equalizer = PolicyPair(
+        equalizer = policy_pair(
             grid, [np.tile([0.5, 0.5], (5, 1))], [np.tile([0.25, 0.75], (5, 1))]
         )
         report = deviation_gain(model, equalizer, 1, x0=0)
         assert report.gain == pytest.approx(0.0, abs=1e-9)
 
         # swap player 2's weights: player 1 now profits by playing row 0
-        perturbed = PolicyPair(
+        perturbed = policy_pair(
             grid, [np.tile([0.5, 0.5], (5, 1))], [np.tile([0.75, 0.25], (5, 1))]
         )
         report = deviation_gain(model, perturbed, 1, x0=0)
         expected = math.exp(3.0 * 0.75 + 1.0 * 0.25) - math.exp(1.5)
         assert report.gain == pytest.approx(expected, rel=1e-9)
         np.testing.assert_array_equal(report.best_response.pi1[0], np.tile([1.0, 0.0], (5, 1)))
-        assert report.best_response.pi2[0] is perturbed.pi2[0]
+        # the opponent's rows are the base pair's, not a copy
+        assert np.shares_memory(report.best_response.pi2[0], perturbed.pi2[0])
+        np.testing.assert_array_equal(report.best_response.pi2[0], perturbed.pi2[0])
 
     def test_solver_output_near_equilibrium(self, two_state_model):
         _, pol, _ = solve(two_state_model, SolverConfig(epsilon=0.05, n_t=64))
@@ -383,7 +408,20 @@ class TestDeviationGain:
             for rows in deviator:
                 assert set(np.unique(rows)) <= {0.0, 1.0} and np.all(rows.sum(axis=1) == 1.0)
             base_rows = pol.pi2 if player == 1 else pol.pi1
-            assert all(a is b for a, b in zip(opponent, base_rows, strict=True))
+            for a, b in zip(opponent, base_rows, strict=True):
+                assert np.shares_memory(a, b) and np.array_equal(a, b)
+
+    def test_leaves_the_base_pair_unchanged(self):
+        # the benchmark's order, player 1 and then player 2 on one pair: only copies are rewritten
+        model = mixed_shape_model()
+        pol = arithmetic_policies(model, 8)
+        before = [stack.tobytes() for _, *stacks in pol._stacks for stack in stacks]
+        reports = [deviation_gain(model, pol, player, x0=2) for player in (1, 2)]
+        assert [stack.tobytes() for _, *stacks in pol._stacks for stack in stacks] == before
+        fresh = deviation_gain(model, arithmetic_policies(model, 8), 2, x0=2)
+        assert (reports[1].gain, reports[1].base) == (fresh.gain, fresh.base)
+        for got, want in zip(reports[1].best_response._stacks, fresh.best_response._stacks, strict=True):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
 
     def test_best_response_in_large_action_space(self):
         # 17^2 = 289 stationary assignments: the best response plays the top
@@ -399,7 +437,7 @@ class TestDeviationGain:
             horizon=1.0,
         )
         grid = TimeGrid(1.0, 2)
-        pol = PolicyPair(
+        pol = policy_pair(
             grid,
             [np.full((3, n_act), 1.0 / n_act)] * 2,
             [np.ones((3, 1))] * 2,
@@ -452,7 +490,7 @@ class TestDeviationGain:
             horizon=1.0,
         )
         switch = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        pol = PolicyPair(TimeGrid(1.0, 2), [np.full((3, 2), 0.5)], [switch])
+        pol = policy_pair(TimeGrid(1.0, 2), [np.full((3, 2), 0.5)], [switch])
         report = deviation_gain(model, pol, 1, x0=0)
         np.testing.assert_array_equal(report.best_response.pi1[0], switch)
         assert report.gain == pytest.approx(math.e - math.exp(0.5), rel=1e-12)
@@ -498,7 +536,7 @@ class TestDeviationGain:
             horizon=1.0,
         )
         n_t = 8
-        pol = PolicyPair(
+        pol = policy_pair(
             TimeGrid(1.0, n_t),
             [np.full((n_t + 1, 2), 0.5), np.ones((n_t + 1, 1))],
             [np.ones((n_t + 1, 1))] * 2,
@@ -506,7 +544,7 @@ class TestDeviationGain:
         report = deviation_gain(model, pol, 1, x0=0)
         rows = report.best_response.pi1[0]
         assert rows[0, 1] == 1.0 and rows[n_t, 0] == 1.0
-        jump = PolicyPair(pol.grid, [np.tile([0.0, 1.0], (n_t + 1, 1)), pol.pi1[1]], pol.pi2)
+        jump = policy_pair(pol.grid, [np.tile([0.0, 1.0], (n_t + 1, 1)), pol.pi1[1]], pol.pi2)
         j_jump = evaluate_policies(model, jump).values[0, 0]
         assert report.gain > 0.99 * (j_jump - report.base)
 
@@ -524,9 +562,9 @@ class TestDeviationGain:
                 for r in rows:
                     r[:, action] = 1.0
                 if player == 1:
-                    constant = PolicyPair(pol.grid, rows, pol.pi2)
+                    constant = policy_pair(pol.grid, rows, pol.pi2)
                 else:
-                    constant = PolicyPair(pol.grid, pol.pi1, rows)
+                    constant = policy_pair(pol.grid, pol.pi1, rows)
                 j = evaluate_policies(model, constant).values[0, x0]
                 assert report.gain >= (j - j_base if player == 1 else j_base - j)
 
@@ -795,7 +833,7 @@ def arithmetic_policies(model: GameModel, n_t: int) -> PolicyPair:
     grid = TimeGrid(model.horizon, n_t)
     pi1 = [rows(x, len(model.actions_p1[x]), 1) for x in range(model.n_states)]
     pi2 = [rows(x, len(model.actions_p2[x]), 2) for x in range(model.n_states)]
-    return PolicyPair(grid, pi1, pi2)
+    return policy_pair(grid, pi1, pi2)
 
 
 def _pinned_model(name: str, two_state: GameModel) -> GameModel:
