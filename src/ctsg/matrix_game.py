@@ -43,16 +43,6 @@ once it is optimal. Each game's arithmetic is exactly the scalar method's,
 so a result does not depend on the other games in the stack or on where
 block boundaries fall.
 
-Bland's method in floating point can end on a basis that is not optimal
-for the exact LP, or read a vertex whose value and strategies disagree by
-more than round-off, when entries are nearly tied. So every tableau answer
-is checked on its mapped game: it is kept, bit for bit, when both
-players' guarantees (min p1'C and max C p2) lie within _SADDLE_TOL of its
-value 1 / sum w and no probability is below -_SADDLE_TOL. A game that
-fails is solved again by the same Bland's method in exact rational
-arithmetic on the same mapped matrix, whose answer is exact up to the
-final rounding to floats.
-
 Stacks are games last, (m, n, games), from ctsg.shapley's payoff stack to
 the strategies (m, games) and (n, games) of the core, solve_games_last.
 Each game's min and max are elementwise over the m * n rows of games, and
@@ -65,16 +55,11 @@ the end. solve_matrix_game is a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 _PIVOT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
-# Largest gap, on the game mapped into [1, 2], between a tableau answer's
-# value and either player's guarantee, and largest negative probability,
-# that the answer may show before the game is solved exactly.
-_SADDLE_TOL = 1e-12
 # Games per block of the rule and of the tableau. Bounds the working memory
 # and keeps it in cache. On one rps64 sweep's stack (16 448 3x3 games, all
 # by rule) the core takes 3.0-3.3 ms in blocks of 4096 and 5.3-5.7 ms as one
@@ -181,62 +166,6 @@ def _simplex(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nonbasic[basis, games] = False
     degenerate = (nonbasic & (np.abs(tab[0, : n + m]) <= _DEGENERACY_TOL)).any(axis=0)
     return w, y, degenerate
-
-
-def _exact_simplex(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    """_simplex for one (m, n) game, in exact rational arithmetic.
-
-    Bland's rule as in _simplex, with exact signs and exact ratio ties.
-    Returns (1 / sum w, p1 (m,), p2 (n,), degenerate), the value and
-    strategies of the mapped game rounded to floats, with degenerate judged
-    as _simplex judges it.
-    """
-    m, n = A.shape
-    tab = [[Fraction(-1)] * n + [Fraction(0)] * (m + 1)]
-    for i, row in enumerate(A.tolist()):
-        tab.append([Fraction(a) for a in row] + [Fraction(int(k == i)) for k in range(m)] + [Fraction(1)])
-    basis = list(range(n, n + m))
-    while True:
-        enter = next((j for j in range(n + m) if tab[0][j] < 0), None)
-        if enter is None:
-            break
-        leave = -1
-        for i in range(m):
-            a = tab[i + 1][enter]
-            if a > 0:
-                ratio = tab[i + 1][-1] / a
-                if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        pivot = [v / tab[leave + 1][enter] for v in tab[leave + 1]]
-        for r, row in enumerate(tab):
-            factor = row[enter]
-            if r != leave + 1 and factor != 0:
-                tab[r] = [v - factor * q for v, q in zip(row, pivot)]
-        tab[leave + 1] = pivot
-        basis[leave] = enter
-
-    w = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            w[var] = tab[i + 1][-1]
-    y = tab[0][n : n + m]
-    total_w, total_y = sum(w), sum(y)
-    p1 = np.array([float(v / total_y) for v in y])
-    p2 = np.array([float(v / total_w) for v in w])
-    degenerate = any(abs(tab[0][j]) <= _DEGENERACY_TOL for j in range(n + m) if j not in basis)
-    return float(1 / total_w), p1, p2, degenerate
-
-
-def _saddle(A: np.ndarray, p1: np.ndarray, p2: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Which games of an (m, n, B) stack the answer (value, p1, p2) solves to within _SADDLE_TOL."""
-    guarantee_p1 = (p1[:, None, :] * A).sum(axis=0).min(axis=0)
-    guarantee_p2 = (A * p2[None, :, :]).sum(axis=1).max(axis=0)
-    return (
-        (guarantee_p1 >= value - _SADDLE_TOL)
-        & (guarantee_p2 <= value + _SADDLE_TOL)
-        & (p1 >= -_SADDLE_TOL).all(axis=0)
-        & (p2 >= -_SADDLE_TOL).all(axis=0)
-    )
 
 
 def _completely_mixed(
@@ -365,16 +294,12 @@ def solve_games_last(
         if not tableau.any():
             continue
         rows = lo + np.flatnonzero(tableau)
-        games = np.compress(tableau, scaled, axis=2)
-        w, y, degenerate[rows] = _simplex(games)
+        w, y, degenerate[rows] = _simplex(np.compress(tableau, scaled, axis=2))
         total_w = w.sum(axis=0)
         total_y = y.sum(axis=0)
         p2[:, rows] = w / total_w
         p1[:, rows] = y / total_y
-        mapped = 1.0 / total_w
-        for g in np.flatnonzero(~_saddle(games, p1[:, rows], p2[:, rows], mapped)):
-            mapped[g], p1[:, rows[g]], p2[:, rows[g]], degenerate[rows[g]] = _exact_simplex(games[:, :, g])
-        values[rows] = (mapped - 1.0) * span[rows] + low[rows]
+        values[rows] = (1.0 / total_w - 1.0) * span[rows] + low[rows]
 
     constant = ~varied
     if constant.any():

@@ -12,7 +12,6 @@ from ctsg import matrix_game
 from ctsg.matrix_game import (
     _BLOCK_GAMES,
     _completely_mixed,
-    _exact_simplex,
     _simplex,
     solve_games_last,
     solve_matrix_game,
@@ -365,53 +364,6 @@ def test_cancelling_kernel_goes_to_the_tableau():
         assert a.tobytes() == b.tobytes()
     _, p1, p2, _ = got
     assert np.max(C[0] @ p2[0]) - np.min(p1[0] @ C[0]) <= 1e-12 * np.ptp(C)
-
-
-def saddle_miss(C: np.ndarray, value: float, p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
-    """How far (value, p1, p2) misses each player's guarantee, in units of C's range, and its least probability."""
-    miss = max(np.max(C @ p2) - value, value - np.min(p1 @ C)) / np.ptp(C)
-    return miss, min(p1.min(), p2.min())
-
-
-# Nearly tied games on which Bland's tableau in floating point ends with a
-# pair that is not a saddle, a value its strategies do not attain, or a
-# negative probability.
-MISSED_BY_THE_TABLEAU = [
-    [[0, 0, 0, 3], [3, 3, 0, 2**-24], [10, 3, 3, 0]],
-    [[0, 0, 1.75, 1], [1.75, 1.75, 1.75, 2**-24], [3, 1.75, 1.75, 0]],
-    [[0, 0, 0, 0], [0, 3, 0.015625, 0], [5, 3, 0, -3]],
-    [[0, 0, 0, 0], [0, 1, 6.14126625e-07, 0], [5.5, 1, 0, -4]],
-    [[3, -1.1920929e-07, 3, 3], [0, 3, 3, 3], [0, 3, 3, 3], [3, 0, 3, 3]],
-]
-
-
-@pytest.mark.parametrize("C", MISSED_BY_THE_TABLEAU, ids=range(len(MISSED_BY_THE_TABLEAU)))
-def test_tableau_answers_that_miss_the_saddle_are_solved_exactly(C):
-    C = np.array(C, dtype=float)
-    value, p1, p2, _ = tableau_answer(C[None])
-    miss, least = saddle_miss(C, value[0], p1[0], p2[0])
-    assert miss > 1e-10 or least < -1e-12
-    sol = solve_matrix_game(C)
-    miss, least = saddle_miss(C, sol.value, sol.strategy_p1, sol.strategy_p2)
-    assert miss <= 1e-15 and least >= 0.0
-    assert abs(sol.strategy_p1.sum() - 1.0) <= 1e-15 and abs(sol.strategy_p2.sum() - 1.0) <= 1e-15
-
-
-@pytest.mark.parametrize("entries", ["uniform", "integer"])
-def test_exact_simplex_is_blands_method(entries):
-    """On games the float tableau solves cleanly, the exact run reaches the same vertex."""
-    rng = np.random.default_rng(7)
-    shape = (3, 4, 40)
-    C = rng.uniform(-1.0, 1.0, shape) if entries == "uniform" else rng.integers(-2, 3, shape).astype(float)
-    C = C[:, :, np.ptp(C, axis=(0, 1)) != 0.0]
-    K = mapped(C.transpose(2, 0, 1))
-    w, y, degenerate = _simplex(K)
-    for g in range(K.shape[2]):
-        value, p1, p2, exact_degenerate = _exact_simplex(K[:, :, g])
-        assert value == pytest.approx(1.0 / w[:, g].sum(), rel=1e-13)
-        np.testing.assert_allclose(p1, y[:, g] / y[:, g].sum(), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(p2, w[:, g] / w[:, g].sum(), rtol=0, atol=1e-13)
-        assert exact_degenerate == degenerate[g]
 
 
 def core_stack(size: int, rng: np.random.Generator) -> tuple[np.ndarray, list[str]]:
