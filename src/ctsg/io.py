@@ -25,7 +25,7 @@ from .model import (
     LyapunovCertificate,
     ValidationReport,
 )
-from .shapley import PolicyPair, TimeGrid, ValueGrid, _policy_pair
+from .shapley import PolicyPair, TimeGrid, ValueGrid
 from .simulate import McEstimate
 from .truncation import LadderReport
 
@@ -313,7 +313,7 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
             raise ValueError(f"policy file has no record for state {sid} at t_index {t}")
     records = d["records"]
     pi1, pi2 = ([_policy_rows(records, rows, j, sid) for sid, rows in by_state.items()] for j in (0, 1))
-    return _policy_pair(grid, pi1, pi2), list(by_state)
+    return PolicyPair(grid, pi1, pi2), list(by_state)
 
 
 def _policy_rows(records: list, rows: dict, player: int, sid: int) -> np.ndarray:

@@ -27,7 +27,7 @@ not a probability vector, and hands uncopied to verify_saddle and ctsg.simulate.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -89,48 +89,50 @@ class ValueGrid:
 class PolicyPair:
     """Time-indexed mixed Markov policies for both players, stacked per action-set shape.
 
-    _stacks holds one (states, pi1, pi2) triple per shape group, in the model's
-    group order: pi1 is (k, n_steps + 1, |A|) and pi2 (k, n_steps + 1, |B|) for
-    the group's k states; row i is in force on [t_i, t_{i+1}). pi1[x] and pi2[x]
-    are tuples of per-state views built when read, as GameModel.payoff is.
+    Built from per-state rows pi1[x], (n_steps + 1, |A(x)|), and pi2[x] over B(x),
+    row i in force on [t_i, t_{i+1}); ValueError unless both players have n_steps + 1
+    rows for each of as many states. _stacks holds one C-order (states, pi1, pi2) per
+    shape group, in the model's group order, and pi1 and pi2 become tuples of views
+    into the stacks, as GameModel.payoff is.
     """
 
     grid: TimeGrid
-    _stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    pi1 = property(lambda self: _per_state((states, p1) for states, p1, _ in self._stacks))
-    pi2 = property(lambda self: _per_state((states, p2) for states, _, p2 in self._stacks))
+    pi1: Sequence[np.ndarray]
+    pi2: Sequence[np.ndarray]
+    _stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        pi1, pi2 = ([np.asarray(p, dtype=float) for p in rows] for rows in (self.pi1, self.pi2))
+        if len(pi1) != len(pi2):
+            raise ValueError(f"pi1 has rows for {len(pi1)} states, pi2 for {len(pi2)}")
+        n_rows = self.grid.n_steps + 1
+        for name, x, p in ((n, x, p) for n, ps in (("pi1", pi1), ("pi2", pi2)) for x, p in enumerate(ps)):
+            if p.ndim != 2 or len(p) != n_rows:
+                raise ValueError(f"{name} of state {x} has shape {p.shape}, not n_steps + 1 = {n_rows} rows")
+        # np.array, unlike np.stack, writes C order whatever the rows' strides
+        self._hold(self.grid, tuple(
+            (s, np.array([pi1[x] for x in s]), np.array([pi2[x] for x in s]))
+            for s in _group_by_shape((p1.shape[1], p2.shape[1]) for p1, p2 in zip(pi1, pi2))
+        ))
 
-def _policy_pair(grid: TimeGrid, pi1: Sequence[np.ndarray], pi2: Sequence[np.ndarray]) -> PolicyPair:
-    """The PolicyPair of per-state rows pi1[x], (n_steps + 1, |A(x)|), and pi2[x] likewise.
+    @classmethod
+    def _of_stacks(cls, grid: TimeGrid, stacks: tuple[tuple[np.ndarray, ...], ...]) -> PolicyPair:
+        """The pair that holds these (states, pi1, pi2) stacks themselves, unchecked and uncopied."""
+        return object.__new__(cls)._hold(grid, stacks)
 
-    ValueError unless both players have rows for as many states, each a table of n_steps + 1 rows.
-    """
-    pi1, pi2 = ([np.asarray(p, dtype=float) for p in rows] for rows in (pi1, pi2))
-    if len(pi1) != len(pi2):
-        raise ValueError(f"pi1 has rows for {len(pi1)} states, pi2 for {len(pi2)}")
-    n_rows = grid.n_steps + 1
-    for name, tables in (("pi1", pi1), ("pi2", pi2)):
-        for x, p in enumerate(tables):
-            if p.ndim != 2:
-                raise ValueError(f"{name} of state {x} has shape {p.shape}, not a table of rows")
-            if len(p) != n_rows:
-                raise ValueError(f"{name} of state {x} has {len(p)} rows, not n_steps + 1 = {n_rows}")
-    # np.array, unlike np.stack, writes C order whatever the rows' strides
-    return PolicyPair(grid, tuple(
-        (s, np.array([pi1[x] for x in s]), np.array([pi2[x] for x in s]))
-        for s in _group_by_shape((p1.shape[1], p2.shape[1]) for p1, p2 in zip(pi1, pi2))
-    ))
+    def _hold(self, grid: TimeGrid, stacks: tuple[tuple[np.ndarray, ...], ...]) -> PolicyPair:
+        pi1, pi2 = (_per_state((group[0], group[j]) for group in stacks) for j in (1, 2))
+        self.__dict__.update(grid=grid, pi1=pi1, pi2=pi2, _stacks=stacks)
+        return self
 
 
 def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
     """Each shape group of the model with the pair's pi1 and pi2 stacks, checked and not copied.
 
-    Raises ValueError when the policy grid's horizon does not match the model,
-    when a stack does not hold its model group's states, action counts and
-    n_steps + 1 rows, or when a row is not a probability vector (an entry below
-    -_PROBABILITY_TOL, or a sum more than _PROBABILITY_TOL from 1; NaN fails
-    both), naming the player, the state and the row.
+    Raises ValueError when the policy grid's horizon does not match the model, when a
+    stack does not hold its model group's states, action counts and n_steps + 1 rows, or
+    when a row is not a probability vector (an entry below -_PROBABILITY_TOL, or a sum
+    more than _PROBABILITY_TOL from 1; NaN fails both), naming the player, state and row.
     """
     grid = policies.grid
     if abs(grid.horizon - model.horizon) > 1e-12 * max(1.0, model.horizon):
@@ -147,10 +149,8 @@ def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
             ok = (p >= -_PROBABILITY_TOL).all(axis=2) & (np.abs(p.sum(axis=2) - 1.0) <= _PROBABILITY_TOL)
             if not ok.all():
                 j, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
-                raise ValueError(
-                    f"{name} at state {states[j]}, row {i} is not a probability vector: "
-                    f"{p[j, i].tolist()}"
-                )
+                row = p[j, i].tolist()
+                raise ValueError(f"{name} at state {states[j]}, row {i} is not a probability vector: {row}")
     return [(group, p1, p2) for group, (_, p1, p2) in zip(model._shape_groups, policies._stacks)]
 
 
@@ -208,7 +208,7 @@ def game_value_field(model: GameModel, v: ValueGrid) -> tuple[np.ndarray, Policy
         # (k, n_rows, |A|) in C order, as a policy file reads back: the readers' products round by layout
         p1, p2 = (np.ascontiguousarray(p.reshape(-1, k, n_rows).transpose(1, 2, 0)) for p in (p1, p2))
         stacks.append((states, p1, p2))
-    return a_field, PolicyPair(v.grid, tuple(stacks))
+    return a_field, PolicyPair._of_stacks(v.grid, tuple(stacks))
 
 
 def integrate_backward(grid: TimeGrid, a_field: np.ndarray, boundary: np.ndarray) -> ValueGrid:

@@ -431,6 +431,6 @@ def deviation_gain(
         std_error=0.0,
         player=deviating_player,
         base=j_base,
-        best_response=PolicyPair(grid, tuple((group.states, p1, p2) for group, p1, p2 in groups)),
+        best_response=PolicyPair._of_stacks(grid, tuple((group.states, p1, p2) for group, p1, p2 in groups)),
         n_candidates=1,
     )

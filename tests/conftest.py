@@ -11,7 +11,6 @@ import pytest
 from ctsg import io as artifacts
 from ctsg.example_games import build_rps
 from ctsg.model import GameModel, LyapunovCertificate
-from ctsg.shapley import PolicyPair, TimeGrid, _policy_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,11 +23,6 @@ def two_state_model() -> GameModel:
 @pytest.fixture(scope="session")
 def two_state_cert() -> LyapunovCertificate:
     return artifacts.load_certificate(FIXTURES / "two_state_cert.json")
-
-
-def policy_pair(grid: TimeGrid, pi1: list[np.ndarray], pi2: list[np.ndarray]) -> PolicyPair:
-    """The PolicyPair of per-state rows pi1[x] and pi2[x], stacked by shape as a policy file's are."""
-    return _policy_pair(grid, pi1, pi2)
 
 
 def single_state_model(r0: float, g0: float = 0.0, theta: float = 1.0, T: float = 1.0) -> GameModel:

@@ -28,7 +28,7 @@ from ctsg.model import CERTIFICATE_CONSTANTS
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma
 from ctsg.solver import SolverConfig, default_initial_grid, solve
 from ctsg.truncation import LadderLevelResult, LadderReport
-from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, policy_pair, single_state_model
+from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, single_state_model
 
 
 class TestRoundTrips:
@@ -170,7 +170,7 @@ class TestRoundTrips:
 
     def test_policies(self, tmp_path):
         grid = TimeGrid(1.0, 2)
-        policies = policy_pair(
+        policies = PolicyPair(
             grid,
             [np.array([[0.25, 0.75]] * 3), np.array([[1.0]] * 3)],
             [np.array([[0.5, 0.5]] * 3), np.array([[0.1, 0.9]] * 3)],
@@ -185,7 +185,7 @@ class TestRoundTrips:
 
     def test_policy_records_schema(self, tmp_path):
         grid = TimeGrid(1.0, 1)
-        policies = policy_pair(grid, [np.array([[1.0]] * 2)], [np.array([[1.0]] * 2)])
+        policies = PolicyPair(grid, [np.array([[1.0]] * 2)], [np.array([[1.0]] * 2)])
         path = tmp_path / "p.json"
         artifacts.save_policies(policies, [7], path)
         payload = json.loads(path.read_text())
@@ -210,7 +210,7 @@ class TestRoundTrips:
                 artifacts.ladder_to_csv(report, state_ids)
             else:
                 rows = [np.full((5, 3), 1.0 / 3.0)] * 8
-                artifacts.save_policies(policy_pair(grid, rows, rows), state_ids, path)
+                artifacts.save_policies(PolicyPair(grid, rows, rows), state_ids, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("n_rows", [10, 4])
@@ -219,9 +219,9 @@ class TestRoundTrips:
         pi1 = [np.full((5, 2), 0.5), np.full((n_rows, 3), 1.0 / 3.0)]
         path = tmp_path / "p.json"
         # the pair refuses such a state when it is built, naming its index, so none reaches the writer
-        message = f"pi1 of state 1 has {n_rows} rows, not n_steps + 1 = 5"
+        message = f"pi1 of state 1 has shape ({n_rows}, 3), not n_steps + 1 = 5 rows"
         with pytest.raises(ValueError, match=re.escape(message)):
-            artifacts.save_policies(policy_pair(grid, pi1, [np.ones((5, 1))] * 2), [7, 9], path)
+            artifacts.save_policies(PolicyPair(grid, pi1, [np.ones((5, 1))] * 2), [7, 9], path)
         assert not path.exists()
 
 
@@ -257,7 +257,7 @@ def _dirichlet_rows():
     pi2 = [rng.dirichlet(np.ones(2), 65) for _ in range(4)]
     entries = np.concatenate([p.ravel() for p in pi1 + pi2])
     assert np.unique(entries).size == entries.size
-    return policy_pair(TimeGrid(2.5, 64), pi1, pi2), [0, 1, 2, 3]
+    return PolicyPair(TimeGrid(2.5, 64), pi1, pi2), [0, 1, 2, 3]
 
 
 POLICY_CASES = {
@@ -271,7 +271,7 @@ POLICY_CASES = {
     ),
     "mixed_shapes": lambda: _one_sweep(mixed_shape_model(), 8),
     "non_finite_and_signed_zero": lambda: (
-        policy_pair(
+        PolicyPair(
             TimeGrid(1.0, 1),
             [np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-300]]), np.array([[5e-324], [1.0]])],
             [np.array([[-0.0, 1e308], [0.1, 0.2]]), np.array([[np.nan, -0.0, 0.0], [1e16, 1e-5, 2.0]])],
@@ -279,7 +279,7 @@ POLICY_CASES = {
         [0, 1],
     ),
     "ids_out_of_order": lambda: (
-        policy_pair(
+        PolicyPair(
             TimeGrid(0.3, 2),
             [np.array([[0.25, 0.75]] * 3), np.array([[1.0]] * 3), np.array([[0.5, 0.5]] * 3)],
             [np.array([[1.0]] * 3), np.array([[0.1, 0.2, 0.7]] * 3), np.array([[0.0, 1.0]] * 3)],
@@ -287,10 +287,10 @@ POLICY_CASES = {
         [9, 2, 5],
     ),
     "one_state_one_step": lambda: (
-        policy_pair(TimeGrid(1.0, 1), [np.array([[1.0], [1.0]])], [np.array([[1.0], [1.0]])]),
+        PolicyPair(TimeGrid(1.0, 1), [np.array([[1.0], [1.0]])], [np.array([[1.0], [1.0]])]),
         [3],
     ),
-    "no_states": lambda: (policy_pair(TimeGrid(1, 2), [], []), []),
+    "no_states": lambda: (PolicyPair(TimeGrid(1, 2), [], []), []),
     "dirichlet_all_distinct": _dirichlet_rows,
 }
 
@@ -982,7 +982,7 @@ class TestCli:
         artifacts.save_model(model, hot)
         policy_json = tmp_path / "policy.json"
         grid = TimeGrid(1.0, 4)
-        policies = policy_pair(grid, [np.ones((5, 1))], [np.ones((5, 1))])
+        policies = PolicyPair(grid, [np.ones((5, 1))], [np.ones((5, 1))])
         artifacts.save_policies(policies, model.state_ids, policy_json)
         code = self.run(
             "simulate", "--model", str(hot), "--policy", str(policy_json), "--x0", "0",

@@ -15,6 +15,7 @@ from ctsg.example_games import build_gaussian, build_rps
 from ctsg.matrix_game import solve_matrix_game
 from ctsg.model import GameModel
 from ctsg.shapley import (
+    PolicyPair,
     TimeGrid,
     ValueGrid,
     _checked_policies,
@@ -28,7 +29,7 @@ from ctsg.shapley import (
 from ctsg.solver import SolverConfig, default_initial_grid, solve
 from ctsg.truncation import floor_and_shift, truncate_nonnegative
 
-from .conftest import mixed_shape_model, policy_pair, random_bounded_model, single_state_model
+from .conftest import mixed_shape_model, random_bounded_model, single_state_model
 
 
 def constant_grid(n_t: int, values: np.ndarray, T: float = 1.0) -> ValueGrid:
@@ -161,6 +162,33 @@ class TestGameValueField:
         assert np.all(policies._stacks[0][2][0, 2] == 7.0)
 
 
+class TestPolicyPair:
+    def test_per_state_rows_are_stacked_once_as_the_sweep_stacks_them(self):
+        model = mixed_shape_model()
+        _, swept = apply_gamma(model, default_initial_grid(model, 8))
+        # Fortran-order rows, as a caller may hand in: the pair copies them into C-order stacks
+        policies = PolicyPair(swept.grid, [np.asfortranarray(p) for p in swept.pi1], list(swept.pi2))
+        assert policies.pi1 is policies.pi1 and policies.pi2 is policies.pi2  # built once, not per read
+        for got, want in zip(policies._stacks, swept._stacks, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes() and a.flags.c_contiguous
+            assert not np.shares_memory(got[1], want[1]) and not np.shares_memory(got[2], want[2])
+        assert _checked_policies(model, policies)[0][1] is policies._stacks[0][1]
+
+    @pytest.mark.parametrize(
+        "pi1, pi2, message",
+        [
+            ([np.ones((5, 1))] * 2, [np.ones((5, 1))], "pi1 has rows for 2 states, pi2 for 1"),
+            ([np.ones((5, 1))], [np.ones(5)], "pi2 of state 0 has shape (5,), not n_steps + 1 = 5 rows"),
+            ([np.ones((4, 1))], [np.ones((5, 1))], "pi1 of state 0 has shape (4, 1), not n_steps + 1 = 5 rows"),
+        ],
+        ids=["state_counts", "not_a_table", "too_few_rows"],
+    )
+    def test_refuses_rows_that_are_not_one_table_per_state(self, pi1, pi2, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PolicyPair(TimeGrid(1.0, 4), pi1, pi2)
+
+
 def per_cell_saddle_gap(model: GameModel, v: ValueGrid, policies) -> float:
     """verify_saddle's quantity by one weighted_payoff per cell."""
     worst = -np.inf
@@ -197,7 +225,7 @@ def test_verify_saddle_on_mixed_shapes_equals_the_per_cell_loop():
         counts = rng.multinomial(8, np.ones(n_actions) / n_actions, size=5)
         return counts / 8.0
 
-    policies = policy_pair(
+    policies = PolicyPair(
         grid, [rows(len(a)) for a in model.actions_p1], [rows(len(b)) for b in model.actions_p2]
     )
     groups = _checked_policies(model, policies)

@@ -28,9 +28,7 @@ from ctsg.simulate import (
 )
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import (
-    FIXTURES, action_dependent_rps, mixed_shape_model, policy_pair, single_state_model,
-)
+from .conftest import FIXTURES, action_dependent_rps, mixed_shape_model, single_state_model
 
 
 def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
@@ -43,7 +41,7 @@ def uniform_policies(model: GameModel, n_t: int) -> PolicyPair:
         np.full((n_t + 1, len(model.actions_p2[x])), 1.0 / len(model.actions_p2[x]))
         for x in range(model.n_states)
     ]
-    return policy_pair(grid, pi1, pi2)
+    return PolicyPair(grid, pi1, pi2)
 
 
 def two_state_chain(rate: float, T: float = 10.0, r: float = 0.0, g=(0.0, 0.0)) -> GameModel:
@@ -117,7 +115,7 @@ class TestSamplePath:
         pi1 = np.zeros((4, 2))
         pi1[0] = [1.0, 0.0]  # rate lo on [0, 1)
         pi1[1:] = [0.0, 1.0]  # rate hi afterwards
-        pol = policy_pair(grid, [pi1, np.ones((4, 1))], [np.ones((4, 1))] * 2)
+        pol = PolicyPair(grid, [pi1, np.ones((4, 1))], [np.ones((4, 1))] * 2)
 
         def cdf(t: np.ndarray) -> np.ndarray:
             hazard = np.where(t < 1.0, lo * t, lo + hi * (t - 1.0))
@@ -241,10 +239,10 @@ class TestEstimateValue:
 
     def test_policy_shape_mismatch_rejected(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)
-        fewer_states = policy_pair(pol.grid, pol.pi1[:1], pol.pi2[:1])
+        fewer_states = PolicyPair(pol.grid, pol.pi1[:1], pol.pi2[:1])
         with pytest.raises(ValueError, match="states"):
             estimate_value(two_state_model, fewer_states, 0, 0.0, paths=10, rng_seed=0)
-        extra_action = policy_pair(pol.grid, [np.full((5, 3), 1.0 / 3.0), *pol.pi1[1:]], pol.pi2)
+        extra_action = PolicyPair(pol.grid, [np.full((5, 3), 1.0 / 3.0), *pol.pi1[1:]], pol.pi2)
         with pytest.raises(ValueError, match="policy shapes"):
             estimate_value(two_state_model, extra_action, 0, 0.0, paths=10, rng_seed=0)
 
@@ -268,7 +266,7 @@ class TestEstimateValue:
 
     def test_policy_grid_horizon_must_match_the_model(self, two_state_model):
         pol = uniform_policies(two_state_model, 4)
-        longer = policy_pair(TimeGrid(2.0 * two_state_model.horizon, 4), pol.pi1, pol.pi2)
+        longer = PolicyPair(TimeGrid(2.0 * two_state_model.horizon, 4), pol.pi1, pol.pi2)
         with pytest.raises(ValueError, match="policy grid horizon does not match the model"):
             estimate_value(two_state_model, longer, 0, 0.0, paths=10, rng_seed=0)
         with pytest.raises(ValueError, match="policy grid horizon does not match the model"):
@@ -291,7 +289,7 @@ def test_evaluator_mix_matches_per_state_einsum():
     n_t = 7
     pi1 = [rng.dirichlet(np.ones(len(model.actions_p1[x])), n_t + 1) for x in range(n_x)]
     pi2 = [rng.dirichlet(np.ones(len(model.actions_p2[x])), n_t + 1) for x in range(n_x)]
-    policies = policy_pair(TimeGrid(model.horizon, n_t), pi1, pi2)
+    policies = PolicyPair(TimeGrid(model.horizon, n_t), pi1, pi2)
     groups = _checked_policies(model, policies)
     assert any(group.payoff.shape[1:] == (2, 3) for group, _, _ in groups)
     rbar_all, qbar_all = _mix(groups, slice(None), n_x)
@@ -378,14 +376,14 @@ class TestDeviationGain:
             horizon=1.0,
         )
         grid = TimeGrid(1.0, 4)
-        equalizer = policy_pair(
+        equalizer = PolicyPair(
             grid, [np.tile([0.5, 0.5], (5, 1))], [np.tile([0.25, 0.75], (5, 1))]
         )
         report = deviation_gain(model, equalizer, 1, x0=0)
         assert report.gain == pytest.approx(0.0, abs=1e-9)
 
         # swap player 2's weights: player 1 now profits by playing row 0
-        perturbed = policy_pair(
+        perturbed = PolicyPair(
             grid, [np.tile([0.5, 0.5], (5, 1))], [np.tile([0.75, 0.25], (5, 1))]
         )
         report = deviation_gain(model, perturbed, 1, x0=0)
@@ -437,7 +435,7 @@ class TestDeviationGain:
             horizon=1.0,
         )
         grid = TimeGrid(1.0, 2)
-        pol = policy_pair(
+        pol = PolicyPair(
             grid,
             [np.full((3, n_act), 1.0 / n_act)] * 2,
             [np.ones((3, 1))] * 2,
@@ -490,7 +488,7 @@ class TestDeviationGain:
             horizon=1.0,
         )
         switch = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        pol = policy_pair(TimeGrid(1.0, 2), [np.full((3, 2), 0.5)], [switch])
+        pol = PolicyPair(TimeGrid(1.0, 2), [np.full((3, 2), 0.5)], [switch])
         report = deviation_gain(model, pol, 1, x0=0)
         np.testing.assert_array_equal(report.best_response.pi1[0], switch)
         assert report.gain == pytest.approx(math.e - math.exp(0.5), rel=1e-12)
@@ -536,7 +534,7 @@ class TestDeviationGain:
             horizon=1.0,
         )
         n_t = 8
-        pol = policy_pair(
+        pol = PolicyPair(
             TimeGrid(1.0, n_t),
             [np.full((n_t + 1, 2), 0.5), np.ones((n_t + 1, 1))],
             [np.ones((n_t + 1, 1))] * 2,
@@ -544,7 +542,7 @@ class TestDeviationGain:
         report = deviation_gain(model, pol, 1, x0=0)
         rows = report.best_response.pi1[0]
         assert rows[0, 1] == 1.0 and rows[n_t, 0] == 1.0
-        jump = policy_pair(pol.grid, [np.tile([0.0, 1.0], (n_t + 1, 1)), pol.pi1[1]], pol.pi2)
+        jump = PolicyPair(pol.grid, [np.tile([0.0, 1.0], (n_t + 1, 1)), pol.pi1[1]], pol.pi2)
         j_jump = evaluate_policies(model, jump).values[0, 0]
         assert report.gain > 0.99 * (j_jump - report.base)
 
@@ -562,9 +560,9 @@ class TestDeviationGain:
                 for r in rows:
                     r[:, action] = 1.0
                 if player == 1:
-                    constant = policy_pair(pol.grid, rows, pol.pi2)
+                    constant = PolicyPair(pol.grid, rows, pol.pi2)
                 else:
-                    constant = policy_pair(pol.grid, pol.pi1, rows)
+                    constant = PolicyPair(pol.grid, pol.pi1, rows)
                 j = evaluate_policies(model, constant).values[0, x0]
                 assert report.gain >= (j - j_base if player == 1 else j_base - j)
 
@@ -833,7 +831,7 @@ def arithmetic_policies(model: GameModel, n_t: int) -> PolicyPair:
     grid = TimeGrid(model.horizon, n_t)
     pi1 = [rows(x, len(model.actions_p1[x]), 1) for x in range(model.n_states)]
     pi2 = [rows(x, len(model.actions_p2[x]), 2) for x in range(model.n_states)]
-    return policy_pair(grid, pi1, pi2)
+    return PolicyPair(grid, pi1, pi2)
 
 
 def _pinned_model(name: str, two_state: GameModel) -> GameModel:
