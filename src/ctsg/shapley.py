@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -85,32 +86,30 @@ class ValueGrid:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolicyPair:
     """Time-indexed mixed Markov policies for both players, stacked per action-set shape.
 
     Built from per-state rows pi1[x], (n_steps + 1, |A(x)|), and pi2[x] over B(x),
     row i in force on [t_i, t_{i+1}); ValueError unless both players have n_steps + 1
     rows for each of as many states. _stacks holds one C-order (states, pi1, pi2) per
-    shape group, in the model's group order, and pi1 and pi2 become tuples of views
-    into the stacks, as GameModel.payoff is.
+    shape group, in the model's group order; pi1 and pi2 read back as tuples of views
+    into the stacks, built on first read, as GameModel.payoff is.
     """
 
     grid: TimeGrid
-    pi1: Sequence[np.ndarray]
-    pi2: Sequence[np.ndarray]
-    _stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    _stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        pi1, pi2 = ([np.asarray(p, dtype=float) for p in rows] for rows in (self.pi1, self.pi2))
+    def __init__(self, grid: TimeGrid, pi1: Sequence[np.ndarray], pi2: Sequence[np.ndarray]) -> None:
+        pi1, pi2 = ([np.asarray(p, dtype=float) for p in rows] for rows in (pi1, pi2))
         if len(pi1) != len(pi2):
             raise ValueError(f"pi1 has rows for {len(pi1)} states, pi2 for {len(pi2)}")
-        n_rows = self.grid.n_steps + 1
+        n_rows = grid.n_steps + 1
         for name, x, p in ((n, x, p) for n, ps in (("pi1", pi1), ("pi2", pi2)) for x, p in enumerate(ps)):
             if p.ndim != 2 or len(p) != n_rows:
                 raise ValueError(f"{name} of state {x} has shape {p.shape}, not n_steps + 1 = {n_rows} rows")
         # np.array, unlike np.stack, writes C order whatever the rows' strides
-        self._hold(self.grid, tuple(
+        self.__dict__.update(grid=grid, _stacks=tuple(
             (s, np.array([pi1[x] for x in s]), np.array([pi2[x] for x in s]))
             for s in _group_by_shape((p1.shape[1], p2.shape[1]) for p1, p2 in zip(pi1, pi2))
         ))
@@ -118,12 +117,12 @@ class PolicyPair:
     @classmethod
     def _of_stacks(cls, grid: TimeGrid, stacks: tuple[tuple[np.ndarray, ...], ...]) -> PolicyPair:
         """The pair that holds these (states, pi1, pi2) stacks themselves, unchecked and uncopied."""
-        return object.__new__(cls)._hold(grid, stacks)
+        pair = object.__new__(cls)
+        pair.__dict__.update(grid=grid, _stacks=stacks)
+        return pair
 
-    def _hold(self, grid: TimeGrid, stacks: tuple[tuple[np.ndarray, ...], ...]) -> PolicyPair:
-        pi1, pi2 = (_per_state((group[0], group[j]) for group in stacks) for j in (1, 2))
-        self.__dict__.update(grid=grid, pi1=pi1, pi2=pi2, _stacks=stacks)
-        return self
+    pi1 = cached_property(lambda self: _per_state((states, p1) for states, p1, _ in self._stacks))
+    pi2 = cached_property(lambda self: _per_state((states, p2) for states, _, p2 in self._stacks))
 
 
 def _checked_policies(model: GameModel, policies: PolicyPair) -> _Groups:
