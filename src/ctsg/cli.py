@@ -101,7 +101,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     payload = artifacts.estimate_to_dict(est)
     if args.out:
-        artifacts._dump_json(payload, args.out)
+        _save(artifacts._dump_json, payload, args.out)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -117,7 +117,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         payload["certificate"] = artifacts.certificate_checks_to_dict(cert)
         ok = cert.all_ok
     if args.out:
-        artifacts._dump_json(payload, args.out)
+        _save(artifacts._dump_json, payload, args.out)
     print(json.dumps(payload, sort_keys=True))
     return 0 if ok else 1
 
@@ -137,7 +137,7 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     config = SolverConfig(epsilon=args.eps, n_t=args.nt, max_iterations=args.max_iter)
     report = run_ladder(model, cert, levels, config, kind=args.kind)
     if args.out:
-        Path(args.out).write_text(artifacts.ladder_to_csv(report, model.state_ids))
+        _save(lambda path: Path(path).write_text(artifacts.ladder_to_csv(report, model.state_ids)), args.out)
     print(json.dumps(artifacts.ladder_summary_to_dict(report), sort_keys=True))
     return 0 if report.monotone_ok else 1
 
@@ -160,9 +160,9 @@ def _cmd_build_example(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown {args.name} parameters {unknown}; known: {sorted(defaults)}")
     params = {key: artifacts._number(params, key, type(defaults[key])) for key in params}
     model, cert = builder(**{**defaults, **params})
-    artifacts.save_model(model, args.out)
+    _save(artifacts.save_model, model, args.out)
     if args.out_cert:
-        artifacts.save_certificate(cert, args.out_cert)
+        _save(artifacts.save_certificate, cert, args.out_cert)
     print(json.dumps({"states": model.n_states, "model": args.out}))
     return 0
 

@@ -1,9 +1,10 @@
 """JSON and CSV (de)serialization for models, certificates, grids and reports.
 
-JSON artifacts are written compactly (no indentation, so the json module's
-C encoder runs) with sorted keys; floats go through Python's
-shortest round-trip repr in both JSON and CSV, so write-then-read is exact
-and byte-deterministic.
+JSON artifacts are written compactly (no indentation, so the json module's C
+encoder runs) with sorted keys; floats go through Python's shortest round-trip
+repr in both JSON and CSV, so write-then-read is exact and byte-deterministic.
+Most rows of floats in a model or policy file repeat, so their writers fill %s
+templates with _row_texts, which spells each distinct row once.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ import numpy as np
 
 from .errors import CtsgError, SchemaError
 from .model import (
-    CERTIFICATE_CHECKS,
-    CERTIFICATE_CONSTANTS,
-    GameModel,
-    LyapunovCertificate,
-    ValidationReport,
+    CERTIFICATE_CHECKS, CERTIFICATE_CONSTANTS, GameModel, LyapunovCertificate, ValidationReport,
 )
 from .shapley import PolicyPair, TimeGrid, ValueGrid
 from .simulate import McEstimate
@@ -106,26 +103,23 @@ def _check_state_ids(state_ids: Sequence[int], n_states: int) -> None:
         raise ValueError(f"{len(state_ids)} state ids for {n_states} states")
 
 
+def _row_texts(stack: np.ndarray) -> np.ndarray:
+    """``json.dumps(row.tolist())`` of each row of a float stack (rows along the last axis).
+
+    An object array over the other axes. Each distinct row is spelled once, keyed by its
+    bytes (so -0.0 stays apart from 0.0), in one call of the json encoder.
+    """
+    stack = np.ascontiguousarray(stack, dtype=float)
+    *shape, width = stack.shape
+    keys = stack.view(f"V{8 * width}").ravel().tolist() if width else [b""] * int(np.prod(shape))
+    distinct = list(dict.fromkeys(keys))
+    floats = np.frombuffer(b"".join(distinct)).reshape(len(distinct), width)
+    spelled = json.dumps(floats.tolist())[2:-2].split("], [")  # the rows' texts less their brackets
+    texts = dict(zip(distinct, map("[{}]".format, spelled)))
+    return np.array(list(map(texts.__getitem__, keys)), dtype=object).reshape(shape)
+
+
 # -- model ---------------------------------------------------------------
-
-
-def model_to_dict(model: GameModel) -> dict:
-    states = []
-    for i, sid in enumerate(model.state_ids):
-        entry: dict[str, Any] = {"id": int(sid)}
-        if model.coords is not None:
-            entry["coord"] = float(model.coords[i])
-        states.append(entry)
-    return {
-        "states": states,
-        "actions_p1": [list(map(int, a)) for a in model.actions_p1],
-        "actions_p2": [list(map(int, b)) for b in model.actions_p2],
-        "payoff": [m.tolist() for m in model.payoff],
-        "generator": [g.tolist() for g in model.generator],
-        "terminal": model.terminal.tolist(),
-        "theta": float(model.theta),
-        "horizon": float(model.horizon),
-    }
 
 
 def model_from_dict(d: dict) -> GameModel:
@@ -153,7 +147,27 @@ def model_from_dict(d: dict) -> GameModel:
 
 
 def save_model(model: GameModel, path: str | Path) -> None:
-    _dump_json(model_to_dict(model), path)
+    """Write the bytes of ``json.dumps(..., sort_keys=True)`` on the model as nested lists.
+
+    The lists are not built: %s templates nest the rows that _row_texts spells.
+    """
+    generator, payoff = [""] * model.n_states, [""] * model.n_states
+    for group in model._shape_groups:
+        _, na, nb = group.payoff.shape
+        for out, stack, shape in ((generator, group.generator, (na, nb)), (payoff, group.payoff, (na,))):
+            template = json.dumps(np.full(shape, "%s").tolist()).replace('"', "")  # [[%s, %s], ...]
+            for x, rows in zip(group.states.tolist(), _row_texts(stack).tolist()):
+                out[x] = template % tuple(rows)
+    ids = [{"id": int(sid)} for sid in model.state_ids]
+    states = ids if model.coords is None else [{**e, "coord": c} for e, c in zip(ids, model.coords.tolist())]
+    fields = {  # no field but the two "%s" holds a %: the rest are numbers and fixed keys
+        "states": states, "terminal": model.terminal.tolist(), "generator": "%s", "payoff": "%s",
+        "actions_p1": [list(map(int, a)) for a in model.actions_p1],
+        "actions_p2": [list(map(int, b)) for b in model.actions_p2],
+        "theta": float(model.theta), "horizon": float(model.horizon),
+    }
+    template = json.dumps(fields, sort_keys=True).replace('"%s"', "[%s]") + "\n"
+    Path(path).write_text(template % (", ".join(generator), ", ".join(payoff)))
 
 
 def load_model(path: str | Path) -> GameModel:
@@ -346,37 +360,23 @@ def _policy_rows(records: list, rows: dict, player: int, sid: int) -> np.ndarray
 def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Path) -> None:
     """Write ``{horizon, n_steps, records}``, one record per (t_index, state).
 
-    The bytes are those of ``json.dumps(..., sort_keys=True)`` on a dict per
-    record, which this writer does not build: each distinct float (keyed by its
-    bits, so -0.0 stays apart from 0.0), t_index and id is spelled once, and one
-    ``%s`` template per state, repeated per time step, is filled by a single
-    ``%`` from the pair's stacks. ValueError unless there is one id per state.
+    The bytes are those of ``json.dumps(..., sort_keys=True)`` on a dict per record, which is
+    not built: one ``%`` fills a template per record with the _row_texts of its rows, its
+    t_index and its id. ValueError unless there is one id per state.
     """
     n_rows = policies.grid.n_steps + 1
-    stacks = policies._stacks
-    n_x = sum(len(states) for states, _, _ in stacks)
+    n_x = sum(len(states) for states, _, _ in policies._stacks)
     _check_state_ids(state_ids, n_x)
-    floats = np.concatenate([p.ravel() for _, *pair in stacks for p in pair] or [np.empty(0)])
-    bits = np.unique(floats.view(np.int64))
-    spelled = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    pool = np.array(spelled + [str(i) for i in range(n_rows)] + [str(int(s)) for s in state_ids], object)
-    # pool codes per time step and state: its floats, padded to the widest and masked, t_index and id
-    width = max((p1.shape[2] + p2.shape[2] for _, p1, p2 in stacks), default=0)
-    codes = np.zeros((n_rows, n_x, width + 2), dtype=np.int64)
-    used = np.ones((n_x, width + 2), dtype=bool)
-    templates = np.empty(n_x, dtype=object)
-    for states, p1, p2 in stacks:
-        record = np.concatenate([p1, p2], axis=2)  # (k, n_rows, |A| + |B|)
-        codes[:, states, : record.shape[2]] = np.searchsorted(bits, record.view(np.int64)).swapaxes(0, 1)
-        used[states, record.shape[2] : width] = False
-        slots1, slots2 = (", ".join(["%s"] * p.shape[2]) for p in (p1, p2))
-        templates[states] = f'{{"pi1": [{slots1}], "pi2": [{slots2}], "t_index": %s, "x_id": %s}}'
-    codes[:, :, -2] = len(spelled) + np.arange(n_rows)[:, None]
-    codes[:, :, -1] = len(spelled) + n_rows + np.arange(n_x)
-    records = ", ".join(templates.tolist() * n_rows)
+    fills = np.empty((n_rows, n_x, 4), dtype=object)  # each record's pi1, pi2, t_index and x_id
+    for states, *pair in policies._stacks:
+        for j, p in enumerate(pair):
+            fills[:, states, j] = _row_texts(p).T
+    fills[:, :, 2] = np.arange(n_rows)[:, None]
+    fills[:, :, 3] = [int(s) for s in state_ids]
+    record = '{"pi1": %s, "pi2": %s, "t_index": %s, "x_id": %s}'
     head = {"horizon": policies.grid.horizon, "n_steps": policies.grid.n_steps, "records": []}
-    template = json.dumps(head, sort_keys=True)[:-2] + records + "]}\n"
-    Path(path).write_text(template % tuple(pool[codes[:, used].ravel()].tolist()))
+    template = json.dumps(head, sort_keys=True)[:-2] + ", ".join([record] * (n_rows * n_x)) + "]}\n"
+    Path(path).write_text(template % tuple(fills.ravel().tolist()))
 
 
 def load_policies(path: str | Path) -> tuple[PolicyPair, list[int]]:

@@ -24,11 +24,31 @@ import ctsg
 from ctsg import io as artifacts
 from ctsg.cli import build_parser, dispatch
 from ctsg.example_games import build_gaussian, build_rps
-from ctsg.model import CERTIFICATE_CONSTANTS
+from ctsg.model import CERTIFICATE_CONSTANTS, GameModel
 from ctsg.shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma
 from ctsg.solver import SolverConfig, default_initial_grid, solve
 from ctsg.truncation import LadderLevelResult, LadderReport
-from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, single_state_model
+from .conftest import FIXTURES, lifted_rps8, mixed_shape_model, random_bounded_model, single_state_model
+
+
+def _model_dict(model: GameModel) -> dict:
+    """The model file's JSON object, built as nested lists: the oracle of the model writer."""
+    states = []
+    for i, sid in enumerate(model.state_ids):
+        entry = {"id": int(sid)}
+        if model.coords is not None:
+            entry["coord"] = float(model.coords[i])
+        states.append(entry)
+    return {
+        "states": states,
+        "actions_p1": [list(map(int, a)) for a in model.actions_p1],
+        "actions_p2": [list(map(int, b)) for b in model.actions_p2],
+        "payoff": [m.tolist() for m in model.payoff],
+        "generator": [g.tolist() for g in model.generator],
+        "terminal": model.terminal.tolist(),
+        "theta": float(model.theta),
+        "horizon": float(model.horizon),
+    }
 
 
 class TestRoundTrips:
@@ -36,7 +56,7 @@ class TestRoundTrips:
         path = tmp_path / "m.json"
         artifacts.save_model(two_state_model, path)
         loaded = artifacts.load_model(path)
-        assert artifacts.model_to_dict(loaded) == artifacts.model_to_dict(two_state_model)
+        assert _model_dict(loaded) == _model_dict(two_state_model)
 
     def test_certificate(self, tmp_path, two_state_cert):
         path = tmp_path / "c.json"
@@ -291,6 +311,27 @@ POLICY_CASES = {
         [3],
     ),
     "no_states": lambda: (PolicyPair(TimeGrid(1, 2), [], []), []),
+    "rows_differ_by_a_signed_zero": lambda: (
+        PolicyPair(
+            TimeGrid(1.0, 2),
+            [np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]), np.array([[-0.0, 1.0]] * 3)],
+            [np.array([[1.0, -0.0]] * 3), np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]])],
+        ),
+        [0, 1],
+    ),
+    # two interleaved shape groups, whose rows are 2 and 3 wide, hold the same floats
+    "equal_floats_in_groups_of_two_widths": lambda: (
+        PolicyPair(
+            TimeGrid(1.0, 1),
+            [np.array([[0.5, 0.5]] * 2), np.array([[0.5, 0.5, 0.0]] * 2), np.array([[0.5, 0.5]] * 2)],
+            [np.array([[0.5, 0.5, 0.0]] * 2), np.array([[0.5, 0.5]] * 2), np.array([[0.0, 0.5, 0.5]] * 2)],
+        ),
+        [4, 5, 6],
+    ),
+    "zero_width_rows": lambda: (
+        PolicyPair(TimeGrid(1.0, 1), [np.ones((2, 0)), np.ones((2, 1))], [np.ones((2, 1)), np.ones((2, 0))]),
+        [0, 1],
+    ),
     "dirichlet_all_distinct": _dirichlet_rows,
 }
 
@@ -319,6 +360,79 @@ class TestPolicyWriter:
             for a, b in zip(got, want, strict=True):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert all(p.flags.c_contiguous for p in (*got[1:], *want[1:]))
+
+
+def _special_floats_model() -> GameModel:
+    """Two states with NaN, infinities, signed zeros and the smallest subnormal in every tensor."""
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+    return GameModel(
+        actions_p1=[[0, 1], [0]],
+        actions_p2=[[0, 1, 2], [0]],
+        payoff=[np.reshape(special, (2, 3)), np.array([[-5e-324]])],
+        generator=[np.reshape(special * 2, (2, 3, 2)), np.array([[[-0.0, np.nan]]])],
+        terminal=np.array([-0.0, 5e-324]),
+        theta=0.5,
+        horizon=2.0,
+        coords=np.array([-0.0, np.inf]),
+    )
+
+
+def _signed_zero_rows_model() -> GameModel:
+    """Generator and payoff rows that differ only by the sign of one zero."""
+    return GameModel(
+        actions_p1=[[0, 1], [0, 1]],
+        actions_p2=[[0], [0]],
+        payoff=[np.array([[0.0], [-0.0]]), np.array([[-0.0], [0.0]])],
+        generator=[
+            np.array([[[0.0, 0.0]], [[-0.0, 0.0]]]),
+            np.array([[[1.0, -1.0]], [[1.0, -1.0]]]),
+        ],
+        terminal=np.array([0.0, -0.0]),
+        theta=1.0,
+        horizon=1.0,
+    )
+
+
+def _no_repeated_rows_model() -> GameModel:
+    model = random_bounded_model(np.random.default_rng(3), n_states=6, n_actions=3)
+    for stack in (model._shape_groups[0].generator, model._shape_groups[0].payoff):
+        rows = stack.reshape(-1, stack.shape[-1])
+        assert np.unique(rows, axis=0).shape == rows.shape
+    return model
+
+
+MODEL_CASES = {
+    "rps8": lambda: build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)[0],
+    "gaussian8": lambda: build_gaussian(
+        sigma=1.0, rate_bound=0.25, payoff_bound=1.0, x_min=-4.0, x_max=4.0, n_x=8, theta=1.0, T=1.0
+    )[0],
+    "mixed_shapes": mixed_shape_model,
+    "non_finite_signed_zero_and_subnormal": _special_floats_model,
+    "rows_differ_by_a_signed_zero": _signed_zero_rows_model,
+    "no_coords_ids_out_of_order": lambda: replace(mixed_shape_model(), state_ids=[9, 2, 5, 40, 0, 7]),
+    "one_state": lambda: single_state_model(r0=0.25, g0=-1.5),
+    "no_repeated_rows": _no_repeated_rows_model,
+}
+
+
+class TestModelWriter:
+    @pytest.mark.parametrize("case", list(MODEL_CASES))
+    def test_bytes_equal_dict_encoder(self, tmp_path, case):
+        model = MODEL_CASES[case]()
+        path = tmp_path / "m.json"
+        artifacts.save_model(model, path)
+        assert path.read_bytes() == (json.dumps(_model_dict(model), sort_keys=True) + "\n").encode()
+        loaded = artifacts.load_model(path)
+        assert loaded.state_ids == tuple(int(s) for s in model.state_ids)
+        assert (loaded.actions_p1, loaded.actions_p2) == (model.actions_p1, model.actions_p2)
+        assert (loaded.theta, loaded.horizon) == (model.theta, model.horizon)
+        got, want = (
+            [*m.payoff, *m.generator, m.terminal, *([] if m.coords is None else [m.coords])]
+            for m in (loaded, model)
+        )
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert a.shape == b.shape and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def _policy_payload(model) -> dict:
@@ -639,7 +753,7 @@ class TestCli:
     def test_solve_non_finite_scalar_exits_one_fast(self, tmp_path, capsys, field, value, extra):
         # a NaN once made the contraction search spin, and --eps nan ran every iteration
         model, _ = build_rps(0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
-        payload = artifacts.model_to_dict(model)
+        payload = _model_dict(model)
         if field is not None:
             payload[field] = value
         path = tmp_path / "m.json"
@@ -663,7 +777,7 @@ class TestCli:
     )
     def test_solve_state_ids_must_match_the_tensors(self, tmp_path, capsys, edit, message):
         model, _ = build_rps(0.35, x_max=8.0, n_x=4, theta=1.0, T=1.0)
-        payload = artifacts.model_to_dict(model)
+        payload = _model_dict(model)
         edit(payload)
         path, value_csv = tmp_path / "m.json", tmp_path / "v.csv"
         path.write_text(json.dumps(payload))
@@ -974,6 +1088,27 @@ class TestCli:
             # %-style arguments: nothing is formatted unless INFO is on
             assert record.levelno == logging.INFO and record.msg == "wrote %s: %d bytes in %.4f s"
             assert record.args[1] == path.stat().st_size > 0 and record.args[2] >= 0.0
+
+    def test_build_example_and_ladder_verbose_log_each_artifact(self, tmp_path, caplog):
+        params, model_json, cert_json, ladder_csv = (
+            tmp_path / name for name in ("params.json", "m.json", "c.json", "ladder.csv")
+        )
+        params.write_text(json.dumps({"n_x": 8}))
+        runs = [
+            (["build-example", "--name", "rps", "--params", str(params),
+              "--out", str(model_json), "--out-cert", str(cert_json)], [model_json, cert_json]),
+            (["ladder", "--model", str(model_json), "--cert", str(cert_json), "--levels", "2,4",
+              "--eps", "0.1", "--nt", "8", "--out", str(ladder_csv)], [ladder_csv]),
+        ]
+        for argv, paths in runs:
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="ctsg.cli"):
+                assert self.run("--verbose", *argv) == 0
+            records = [r for r in caplog.records if r.name == "ctsg.cli"]
+            assert [r.args[0] for r in records] == [str(p) for p in paths]
+            for record, path in zip(records, paths):
+                assert record.levelno == logging.INFO and record.msg == "wrote %s: %d bytes in %.4f s"
+                assert record.args[1] == path.stat().st_size > 0 and record.args[2] >= 0.0
 
     def test_simulate_overflowing_estimate_exits_one(self, tmp_path, capsys):
         # payoff rate 800 over T = 1: every path's functional is e^800
