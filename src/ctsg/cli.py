@@ -158,7 +158,6 @@ def _cmd_build_example(args: argparse.Namespace) -> int:
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {args.name} parameters {unknown}; known: {sorted(defaults)}")
-    params = {key: artifacts._number(params, key, type(defaults[key])) for key in params}
     model, cert = builder(**{**defaults, **params})
     _save(artifacts.save_model, model, args.out)
     if args.out_cert:

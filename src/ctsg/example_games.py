@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import DiscretizationError
-from .model import GameModel, LyapunovCertificate, _count
+from .model import GameModel, LyapunovCertificate, _count, _real
 
 logger = logging.getLogger(__name__)
 
@@ -41,13 +41,6 @@ _GAUSS_MASS_WARN = 0.999
 _RPS_SIGN = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 # Gaussian game's payoff pattern, scaled by payoff_bound x^2 / (1 + x^2).
 _GAUSS_PATTERN = np.array([[1.0, 0.2], [0.0, 0.8]])
-
-
-def _require_finite(**scalars: float) -> None:
-    """Refuse a NaN or infinite builder parameter, naming it."""
-    for name, value in scalars.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _jump_rows(density: np.ndarray, h: float) -> np.ndarray:
@@ -85,20 +78,18 @@ def build_rps(
     alpha in (0, 0.5] scales the winner's payoff rate alpha sqrt(ln(1+x));
     the sojourn rate is lambda_bound at every node and action pair. The x = 0
     node is jump-free: its exponential kernel degenerates to a point mass at 0.
+    lambda_bound and x_max must be positive, and n_x >= 2; GameModel checks theta and T.
     """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError("alpha must lie in (0, 0.5]")
-    if lambda_bound <= 0:
-        raise ValueError("lambda_bound must be positive")
-    _require_finite(lambda_bound=lambda_bound, x_max=x_max, theta=theta, T=T)
-    if x_max <= 0:
-        raise ValueError("x_max must be positive")
+    reals = {"alpha": alpha, "lambda_bound": lambda_bound, "x_max": x_max}
+    alpha, lambda_bound, x_max = (_real(value, name, 0, above=True) for name, value in reals.items())
+    if alpha > 0.5:
+        raise ValueError(f"alpha must lie in (0, 0.5], got {alpha}")
     n_x = _count(n_x, "n_x", 2)
 
     grid = np.linspace(0.0, x_max, n_x)
     mean = grid.copy()
     mean[0] = 1.0  # placeholder: the x = 0 row is zeroed below
-    with np.errstate(all="ignore"):  # _jump_rows and validate_shape refuse what overflows
+    with np.errstate(all="ignore"):  # _jump_rows and the certificate refuse what overflows
         kernel = np.exp(-grid / mean[:, None]) / mean[:, None]
         cert = LyapunovCertificate(
             v0=1.0 + grid,
@@ -147,14 +138,12 @@ def build_gaussian(
     the payoff is a fixed 2x2 pattern scaled by payoff_bound x^2/(1+x^2), and
     g(x) = payoff_bound x^2 / (2 (1 + x^2)). Rows whose truncated Gaussian
     mass falls below 0.999 trigger a warning (drift checks degrade near the
-    grid boundary).
+    grid boundary). sigma, rate_bound and payoff_bound must be positive, x_min
+    < x_max and n_x >= 2; GameModel checks theta and T.
     """
-    if not (sigma > 0 and rate_bound > 0 and payoff_bound > 0):  # NaN fails too
-        raise ValueError("sigma, rate_bound and payoff_bound must be positive")
-    _require_finite(
-        sigma=sigma, rate_bound=rate_bound, payoff_bound=payoff_bound,
-        x_min=x_min, x_max=x_max, theta=theta, T=T,
-    )
+    reals = {"sigma": sigma, "rate_bound": rate_bound, "payoff_bound": payoff_bound}
+    sigma, rate_bound, payoff_bound = (_real(value, name, 0, above=True) for name, value in reals.items())
+    x_min, x_max = _real(x_min, "x_min"), _real(x_max, "x_max")
     if x_min >= x_max:
         raise ValueError("x_min must lie below x_max")
     n_x = _count(n_x, "n_x", 2)

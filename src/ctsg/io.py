@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CtsgError, SchemaError
 from .model import (
     CERTIFICATE_CHECKS, CERTIFICATE_CONSTANTS, GameModel, LyapunovCertificate, ValidationReport,
+    _count, _state_ids,
 )
 from .shapley import PolicyPair, TimeGrid, ValueGrid
 from .simulate import McEstimate
@@ -57,19 +58,13 @@ def _load_json(path: str | Path, from_dict: Callable[[dict], Any]) -> Any:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _number(d: dict, key: str, kind: type = float, array: str = "", index: int = 0) -> Any:
-    """d[key] as kind; ValueError unless it is a JSON number, an integer for int (never a boolean).
+def _number(d: dict, key: str, array: str = "", index: int = 0) -> int:
+    """d[key], an integer field, by the count rule _count (ValueError; never a boolean).
 
     The message calls the value key, or array[index].key when d is entry
-    index of the JSON array named array; it is formatted only on failure.
+    index of the JSON array named array. (Float fields go to their containers as read.)
     """
-    value = d[key]
-    if type(value) is kind:  # the common case first: a policy file holds two per record
-        return value
-    if isinstance(value, bool) or not isinstance(value, (kind, int)):
-        name = f"{array}[{index}].{key}" if array else key
-        raise ValueError(f"{name} must be {kind.__name__}, got {json.dumps(value)}")
-    return kind(value)
+    return _count(d[key], f"{array}[{index}].{key}" if array else key)
 
 
 def _floats(value: Any, name: str) -> np.ndarray:
@@ -97,12 +92,6 @@ def _floats(value: Any, name: str) -> np.ndarray:
     return floats
 
 
-def _check_state_ids(state_ids: Sequence[int], n_states: int) -> None:
-    """ValueError unless a writer has one state id per state of its data, so it drops none."""
-    if len(state_ids) != n_states:
-        raise ValueError(f"{len(state_ids)} state ids for {n_states} states")
-
-
 def _row_texts(stack: np.ndarray) -> np.ndarray:
     """``json.dumps(row.tolist())`` of each row of a float stack (rows along the last axis).
 
@@ -111,7 +100,7 @@ def _row_texts(stack: np.ndarray) -> np.ndarray:
     """
     stack = np.ascontiguousarray(stack, dtype=float)
     *shape, width = stack.shape
-    keys = stack.view(f"V{8 * width}").ravel().tolist() if width else [b""] * int(np.prod(shape))
+    keys = stack.view(f"V{8 * width}").ravel().tolist()
     distinct = list(dict.fromkeys(keys))
     floats = np.frombuffer(b"".join(distinct)).reshape(len(distinct), width)
     spelled = json.dumps(floats.tolist())[2:-2].split("], [")  # the rows' texts less their brackets
@@ -139,10 +128,10 @@ def model_from_dict(d: dict) -> GameModel:
         payoff=[_floats(m, f"payoff[{x}]") for x, m in enumerate(d["payoff"])],
         generator=[_floats(g, f"generator[{x}]") for x, g in enumerate(d["generator"])],
         terminal=_floats(d["terminal"], "terminal"),
-        theta=_number(d, "theta"),
-        horizon=_number(d, "horizon"),
+        theta=d["theta"],
+        horizon=d["horizon"],
         coords=coords,
-        state_ids=[_number(s, "id", int, "states", i) for i, s in enumerate(states)],
+        state_ids=[_number(s, "id", "states", i) for i, s in enumerate(states)],
     )
 
 
@@ -158,13 +147,13 @@ def save_model(model: GameModel, path: str | Path) -> None:
             template = json.dumps(np.full(shape, "%s").tolist()).replace('"', "")  # [[%s, %s], ...]
             for x, rows in zip(group.states.tolist(), _row_texts(stack).tolist()):
                 out[x] = template % tuple(rows)
-    ids = [{"id": int(sid)} for sid in model.state_ids]
+    ids = [{"id": sid} for sid in model.state_ids]
     states = ids if model.coords is None else [{**e, "coord": c} for e, c in zip(ids, model.coords.tolist())]
     fields = {  # no field but the two "%s" holds a %: the rest are numbers and fixed keys
         "states": states, "terminal": model.terminal.tolist(), "generator": "%s", "payoff": "%s",
         "actions_p1": [list(map(int, a)) for a in model.actions_p1],
         "actions_p2": [list(map(int, b)) for b in model.actions_p2],
-        "theta": float(model.theta), "horizon": float(model.horizon),
+        "theta": model.theta, "horizon": model.horizon,
     }
     template = json.dumps(fields, sort_keys=True).replace('"%s"', "[%s]") + "\n"
     Path(path).write_text(template % (", ".join(generator), ", ".join(payoff)))
@@ -186,7 +175,7 @@ def certificate_from_dict(d: dict) -> LyapunovCertificate:
     return LyapunovCertificate(
         v0=_floats(d["v0"], "v0"),
         v1=_floats(d["v1"], "v1"),
-        **{name: _number(d, name) for name in CERTIFICATE_CONSTANTS},
+        **{name: d[name] for name in CERTIFICATE_CONSTANTS},
     )
 
 
@@ -204,7 +193,7 @@ def load_certificate(path: str | Path) -> LyapunovCertificate:
 def value_grid_to_csv(grid: ValueGrid, state_ids: Sequence[int]) -> str:
     # No field holds a comma, quote or line break, so csv.writer would write
     # these lines unquoted; each time node is formatted once per row.
-    _check_state_ids(state_ids, grid.values.shape[1])
+    state_ids = _state_ids(state_ids, grid.values.shape[1])
     lines = ["t,x_id,value"]
     for t, row in zip(grid.grid.nodes.tolist(), grid.values.tolist()):
         t_str = repr(t)
@@ -222,9 +211,10 @@ def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
     The first time node's rows give the state ids. Raises ValueError naming
     the file, and the line where there is one, on a header other than
     t,x_id,value, a file with no rows, a row that is not a time, an integer
-    id and a value, and a row that is not the next of the grid: each node of
-    the uniform grid to the last time, exactly, with the first node's ids in
-    their order, a last node cut short included.
+    id and a value, a first node that lists an id twice, and a row that is
+    not the next of the grid: each node of the uniform grid to the last
+    time, exactly, with the first node's ids in their order, a last node cut
+    short included.
     """
     rows = list(csv.reader(Path(path).read_text().splitlines()))
     if not rows:
@@ -243,6 +233,7 @@ def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
     ts, sids, values = zip(*cells)
     n_x = next((k for k in range(1, len(ts)) if ts[k] != ts[0]), len(ts))
     try:
+        ids = _state_ids(sids[:n_x], n_x)
         grid = TimeGrid(horizon=ts[-1], n_steps=-(-len(ts) // n_x) - 1)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -255,7 +246,7 @@ def load_value_grid(path: str | Path) -> tuple[ValueGrid, list[int]]:
             raise ValueError(
                 f"{path}: line {k + 2}: {found}, where the grid needs t={want[0]}, x_id {want[1]}"
             )
-    return ValueGrid(grid, np.reshape(values, (-1, n_x))), list(sids[:n_x])
+    return ValueGrid(grid, np.reshape(values, (-1, n_x))), list(ids)
 
 
 # -- matrix game CSV ----------------------------------------------------------
@@ -301,12 +292,12 @@ def policies_from_dict(d: dict) -> tuple[PolicyPair, list[int]]:
     row (SchemaError) or holds one that does not stack with the state's
     other rows.
     """
-    grid = TimeGrid(horizon=_number(d, "horizon"), n_steps=_number(d, "n_steps", int))
+    grid = TimeGrid(horizon=d["horizon"], n_steps=d["n_steps"])
     n_steps = grid.n_steps
     by_state: dict[int, dict[int, tuple[list[float], list[float]]]] = {}
     for j, rec in enumerate(d["records"]):
-        sid = _number(rec, "x_id", int, "records", j)
-        t = _number(rec, "t_index", int, "records", j)
+        sid = _number(rec, "x_id", "records", j)
+        t = _number(rec, "t_index", "records", j)
         rows = by_state.setdefault(sid, {})
         if t in rows:
             raise ValueError(f"policy file has two records for state {sid} at t_index {t}")
@@ -362,17 +353,17 @@ def save_policies(policies: PolicyPair, state_ids: Sequence[int], path: str | Pa
 
     The bytes are those of ``json.dumps(..., sort_keys=True)`` on a dict per record, which is
     not built: one ``%`` fills a template per record with the _row_texts of its rows, its
-    t_index and its id. ValueError unless there is one id per state.
+    t_index and its id. ValueError unless state_ids keeps the model's id rule, _state_ids.
     """
     n_rows = policies.grid.n_steps + 1
     n_x = sum(len(states) for states, _, _ in policies._stacks)
-    _check_state_ids(state_ids, n_x)
+    state_ids = _state_ids(state_ids, n_x)
     fills = np.empty((n_rows, n_x, 4), dtype=object)  # each record's pi1, pi2, t_index and x_id
     for states, *pair in policies._stacks:
         for j, p in enumerate(pair):
             fills[:, states, j] = _row_texts(p).T
     fills[:, :, 2] = np.arange(n_rows)[:, None]
-    fills[:, :, 3] = [int(s) for s in state_ids]
+    fills[:, :, 3] = state_ids
     record = '{"pi1": %s, "pi2": %s, "t_index": %s, "x_id": %s}'
     head = {"horizon": policies.grid.horizon, "n_steps": policies.grid.n_steps, "records": []}
     template = json.dumps(head, sort_keys=True)[:-2] + ", ".join([record] * (n_rows * n_x)) + "]}\n"
@@ -417,7 +408,7 @@ def ladder_to_csv(report: LadderReport, state_ids: Sequence[int]) -> str:
     # Unquoted lines, as in value_grid_to_csv.
     lines = ["level,x_id,value_t0"]
     for entry in report.levels:
-        _check_state_ids(state_ids, len(entry.values_t0))
+        state_ids = _state_ids(state_ids, len(entry.values_t0))
         lines.extend(
             f"{entry.level},{sid},{v!r}" for sid, v in zip(state_ids, entry.values_t0.tolist())
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Sequence
 
@@ -37,6 +38,30 @@ def _count(value: Any, name: str, low: float = -math.inf) -> int:
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     return int(value)
+
+
+def _real(value: Any, name: str, low: float = -math.inf, *, above: bool = False) -> float:
+    """value as a Python float: the one check of every real argument.
+
+    ValueError unless value is a finite Python or numpy real number (not a bool) of at
+    least low, or above low when above is set. (math.isfinite overflows on a huge int.)
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))):
+        raise ValueError(f"{name}={value!r} is not a finite real number")
+    if value < low or (above and value == low):
+        raise ValueError(f"{name} must be {'above' if above else 'at least'} {low}, got {value}")
+    return float(value)
+
+
+def _state_ids(state_ids: Iterable[Any], n_states: int) -> tuple[int, ...]:
+    """state_ids as Python ints: the one id rule, integers, one per state, none repeated (ValueError)."""
+    ids = tuple(_count(s, f"state_ids[{i}]") for i, s in enumerate(state_ids))
+    if len(ids) != n_states:
+        raise ValueError(f"{len(ids)} state ids for {n_states} states")
+    if len(set(ids)) != n_states:
+        raise ValueError(f"state id {next(s for s in ids if ids.count(s) > 1)} appears more than once")
+    return ids
 
 
 def _group_by_shape(shapes: Iterable[tuple[int, int]]) -> list[np.ndarray]:
@@ -84,12 +109,13 @@ class GameModel:
         coords: optional real coordinate per state (gridded continuous models).
         state_ids: external state identifiers, defaults to 0..n_states-1.
 
-    Construction checks the dimensions (StructureError). The action sets
-    become tuples of tuples and state_ids a tuple, so no in-place edit can
-    change them; payoff and generator become tuples of views into one stack
-    per action-set shape, so an in-place edit of r[x] or q[x] is seen
-    everywhere. Fields are frozen: dataclasses.replace re-checks and
-    restacks.
+    Construction holds theta and horizon as Python floats (_real, ValueError)
+    and checks the dimensions and the ids (_state_ids, StructureError). The
+    action sets become tuples of tuples and state_ids a tuple of ints, so no
+    in-place edit can change them; payoff and generator become tuples of
+    views into one stack per action-set shape, so an in-place edit of r[x] or
+    q[x] is seen everywhere. Fields are frozen: dataclasses.replace re-checks
+    and restacks.
     """
 
     actions_p1: Sequence[Sequence[int]]
@@ -104,13 +130,7 @@ class GameModel:
     _shape_groups: list[_ShapeGroup] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails: a NaN theta or horizon would spin the solver.
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ValueError(
-                "theta must be finite and strictly positive; model risk seeking by negating the payoff"
-            )
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be finite and positive")
+        theta, horizon = (_real(getattr(self, name), name, 0, above=True) for name in ("theta", "horizon"))
         actions_p1 = tuple(map(tuple, self.actions_p1))
         actions_p2 = tuple(map(tuple, self.actions_p2))
         terminal = np.asarray(self.terminal, dtype=float)
@@ -145,12 +165,10 @@ class GameModel:
                     [generator[x] for x in states], out=np.empty((len(states), na, nb, n))
                 ).reshape(len(states), na * nb, n),
             ))
-        state_ids = tuple(self.state_ids) or tuple(range(n))
-        if len(state_ids) != n:
-            raise StructureError(f"{len(state_ids)} state ids for {n} states")
-        if len(set(state_ids)) != n:
-            repeated = next(s for s in state_ids if state_ids.count(s) > 1)
-            raise StructureError(f"state id {repeated} appears more than once")
+        try:
+            state_ids = _state_ids(tuple(self.state_ids) or range(n), n)
+        except ValueError as exc:
+            raise StructureError(str(exc)) from None
         coords = None if self.coords is None else np.asarray(self.coords, dtype=float)
         if coords is not None and coords.shape != (n,):
             raise StructureError(f"coords must have shape ({n},), got {coords.shape}")
@@ -158,7 +176,7 @@ class GameModel:
             actions_p1=actions_p1, actions_p2=actions_p2,
             payoff=_per_state((g.states, g.payoff) for g in groups),
             generator=_per_state((g.states, g.generator.reshape(*g.payoff.shape, n)) for g in groups),
-            terminal=terminal,
+            terminal=terminal, theta=theta, horizon=horizon,
             coords=coords, state_ids=state_ids, _shape_groups=groups,
         )
 
@@ -222,13 +240,16 @@ CERTIFICATE_CONSTANTS = ("rho0", "l0", "m0", "rho1", "b1", "m1")
 CERTIFICATE_CHECKS = ("drift0", "rate_bound", "payoff_bound", "drift1", "squeeze")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LyapunovCertificate:
     """Candidate Lyapunov weights and drift constants, with check results.
 
     The weights and constants are supplied by the caller (searching for them
     is out of scope); check_assumptions fills the five booleans and the
-    worst-case residuals.
+    worst-case residuals. Each constant is held as a Python float above 0
+    (_real, raising CertificateError); validate_shape checks the weights.
+    Fields are frozen, so no constant skips that check: dataclasses.replace
+    re-checks.
     """
 
     v0: np.ndarray
@@ -247,8 +268,14 @@ class LyapunovCertificate:
     residuals: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.v0 = np.asarray(self.v0, dtype=float)
-        self.v1 = np.asarray(self.v1, dtype=float)
+        object.__setattr__(self, "v0", np.asarray(self.v0, dtype=float))
+        object.__setattr__(self, "v1", np.asarray(self.v1, dtype=float))
+        for name in CERTIFICATE_CONSTANTS:
+            try:
+                value = _real(getattr(self, name), f"certificate constant {name}", 0, above=True)
+            except ValueError as exc:
+                raise CertificateError(str(exc)) from None
+            object.__setattr__(self, name, value)
 
     def validate_shape(self, n_states: int) -> None:
         if self.v0.shape != (n_states,) or self.v1.shape != (n_states,):
@@ -261,12 +288,6 @@ class LyapunovCertificate:
             raise CertificateError("v0 must be finite with v0(x) >= 1 everywhere")
         if not np.all(np.isfinite(self.v1) & (self.v1 >= 1.0)):
             raise CertificateError("v1 must be finite with v1(x) >= 1 everywhere")
-        for name in CERTIFICATE_CONSTANTS:
-            c = getattr(self, name)
-            if not (math.isfinite(c) and c > 0):
-                raise CertificateError(
-                    f"certificate constant {name} must be finite and strictly positive, got {c}"
-                )
 
     @property
     def all_ok(self) -> bool:
@@ -343,8 +364,8 @@ def check_assumptions(
     read from one pass over the model's shape groups (residual = left-hand
     side minus the tolerance-free bound; a check passes when its residual is
     <= tol). The tolerance is caller-supplied because gridded continuous
-    models perturb exact drift identities; ValueError unless it is finite
-    and >= 0.
+    models perturb exact drift identities; it must be finite and >= 0 (an
+    infinite tol would pass every check, a NaN one fail them all).
 
     Checks:
         drift0:        sum_y v0(y) q(y|x,a,b) <= rho0 v0(x)
@@ -353,9 +374,7 @@ def check_assumptions(
         drift1:        sum_y v1(y)^2 q(y|x,a,b) <= rho1 v1(x)^2 + b1
         squeeze:       v0(x)^2 <= m1 v1(x)
     """
-    # Written so that NaN fails: an infinite tol passes every check, a NaN one fails them all.
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    tol = _real(tol, "tol", 0)
     cert.validate_shape(model.n_states)
     v0, v1 = cert.v0, cert.v1
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ModelScaleError
 from .matrix_game import solve_games_last
-from .model import _MAX_EXP_ARG, GameModel, _count, _group_by_shape, _per_state, _ShapeGroup
+from .model import _MAX_EXP_ARG, GameModel, _count, _group_by_shape, _per_state, _real, _ShapeGroup
 
 _PROBABILITY_TOL = 1e-9  # policy rows need entries >= -tol and a sum within tol of 1
 # Each shape group with its states' stacked pi1 and pi2 rows, from _checked_policies.
@@ -44,14 +44,13 @@ _Groups = list[tuple[_ShapeGroup, np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_{n_steps} = horizon; n_steps >= 1 is held as a Python int."""
+    """Uniform grid 0 = t_0 < ... < t_{n_steps} = horizon, with horizon > 0 and n_steps >= 1."""
 
     horizon: float
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.horizon) and self.horizon > 0):  # NaN fails too
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        object.__setattr__(self, "horizon", _real(self.horizon, "horizon", 0, above=True))
         object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", 1))
 
     @property
@@ -92,9 +91,9 @@ class PolicyPair:
 
     Built from per-state rows pi1[x], (n_steps + 1, |A(x)|), and pi2[x] over B(x),
     row i in force on [t_i, t_{i+1}); ValueError unless both players have n_steps + 1
-    rows for each of as many states. _stacks holds one C-order (states, pi1, pi2) per
-    shape group, in the model's group order; pi1 and pi2 read back as tuples of views
-    into the stacks, built on first read, as GameModel.payoff is.
+    rows over one or more actions for each of as many states. _stacks holds one C-order
+    (states, pi1, pi2) per shape group, in the model's group order; pi1 and pi2 read back
+    as tuples of views into the stacks, built on first read, as GameModel.payoff is.
     """
 
     grid: TimeGrid
@@ -108,6 +107,8 @@ class PolicyPair:
         for name, x, p in ((n, x, p) for n, ps in (("pi1", pi1), ("pi2", pi2)) for x, p in enumerate(ps)):
             if p.ndim != 2 or len(p) != n_rows:
                 raise ValueError(f"{name} of state {x} has shape {p.shape}, not n_steps + 1 = {n_rows} rows")
+            if not p.shape[1]:
+                raise ValueError(f"{name} of state {x} has rows over no action")
         # np.array, unlike np.stack, writes C order whatever the rows' strides
         self.__dict__.update(grid=grid, _stacks=tuple(
             (s, np.array([pi1[x] for x in s]), np.array([pi2[x] for x in s]))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelScaleError
-from .model import GameModel, _count
+from .model import GameModel, _count, _real
 from .shapley import (
     PolicyPair, TimeGrid, ValueGrid, _checked_policies, _Groups, _payoff_stacks, _pure_payoffs,
     boundary_row,
@@ -213,7 +213,8 @@ def _start_node(model: GameModel, policies: PolicyPair, x0: int, t0: float) -> i
     """
     if not 0 <= _count(x0, "x0") < model.n_states:
         raise ValueError(f"x0={x0} is not a state index in [0, {model.n_states})")
-    if not 0.0 <= t0 < model.horizon:  # NaN fails too, before round() could raise
+    t0 = _real(t0, "t0", 0)
+    if t0 >= model.horizon:
         raise ValueError("t0 must be a time-grid node in [0, horizon)")
     node = round(t0 / policies.grid.dt)
     if abs(t0 - node * policies.grid.dt) > 1e-9 * max(1.0, model.horizon):

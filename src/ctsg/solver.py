@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelScaleError, NumericsError
-from .model import GameModel, _count
+from .model import GameModel, _count, _real
 from .shapley import PolicyPair, TimeGrid, ValueGrid, apply_gamma, boundary_row
 
 logger = logging.getLogger(__name__)
@@ -38,15 +38,14 @@ _RESOLUTION_FACTOR = 16.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Accuracy target and grid resolution for one solve; n_t, max_iterations >= 1 are Python ints."""
+    """Accuracy target and grid resolution for one solve: epsilon > 0, n_t, max_iterations >= 1."""
 
     epsilon: float
     n_t: int
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):  # NaN fails too
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", 0, above=True))
         for name in ("n_t", "max_iterations"):
             object.__setattr__(self, name, _count(getattr(self, name), name, 1))
 
@@ -71,15 +70,15 @@ class SolverReport:
 def stopping_threshold(
     epsilon: float, theta: float, norm_r: float, norm_q: float, T: float
 ) -> float:
-    """Iterate-difference threshold that certifies an epsilon-Nash pair.
+    """Iterate-difference threshold that certifies an epsilon-Nash pair; norms >= 0, the rest > 0.
 
     When norm_r = 0 the defining formula divides by theta*norm_r; the exact
     limit of its derivation (the payoff envelope degenerates to T) is used
     instead and a loud warning is emitted.
     """
-    finite = all(math.isfinite(v) for v in (epsilon, theta, norm_r, norm_q, T))
-    if not (finite and epsilon > 0 and theta > 0 and T > 0 and norm_r >= 0 and norm_q >= 0):
-        raise ValueError("threshold arguments must be finite and positive (norms nonnegative)")
+    epsilon = _real(epsilon, "epsilon", 0, above=True)
+    theta, T = _real(theta, "theta", 0, above=True), _real(T, "T", 0, above=True)
+    norm_r, norm_q = _real(norm_r, "norm_r", 0), _real(norm_q, "norm_q", 0)
     if norm_r == 0.0:
         logger.warning(
             "degenerate: zero payoff norm; using the limit-form stopping threshold "
@@ -104,10 +103,9 @@ def _growth(exponent: float) -> float:
 def contraction_constants(
     theta: float, norm_r: float, norm_q: float, T: float
 ) -> tuple[float, int, float]:
-    """(l_tilde, k, beta): smallest k with beta = l_tilde^k T^k / k! < 1."""
-    finite = all(math.isfinite(v) for v in (theta, norm_r, norm_q, T))
-    if not (finite and theta >= 0 and norm_r >= 0 and norm_q >= 0 and T > 0):  # NaN would spin
-        raise ValueError("inputs must be finite and nonnegative with T > 0")
+    """(l_tilde, k, beta): smallest k with beta = l_tilde^k T^k / k! < 1; T > 0, the rest >= 0."""
+    theta, norm_r = _real(theta, "theta", 0), _real(norm_r, "norm_r", 0)
+    norm_q, T = _real(norm_q, "norm_q", 0), _real(T, "T", 0, above=True)
     l_tilde = theta * norm_r + 2.0 * norm_q
     term = 1.0
     k = 0

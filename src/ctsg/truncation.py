@@ -33,8 +33,8 @@ logger = logging.getLogger(__name__)
 
 
 def sublevel_set(cert: LyapunovCertificate, n: int) -> np.ndarray:
-    """Boolean mask of states with v0(x) <= n."""
-    return cert.v0 <= float(n)
+    """Boolean mask of states with v0(x) <= n, an integer level (_count, ValueError otherwise)."""
+    return cert.v0 <= _count(n, "n")
 
 
 def _lowest_reward(model: GameModel) -> float:

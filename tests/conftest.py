@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,13 @@ def two_state_model() -> GameModel:
 @pytest.fixture(scope="session")
 def two_state_cert() -> LyapunovCertificate:
     return artifacts.load_certificate(FIXTURES / "two_state_cert.json")
+
+
+def refused_real(name: str, value: float, bound: str = "above 0") -> str:
+    """The pattern of model._real's message on a float value for name: not finite, or not bound."""
+    if math.isfinite(value):
+        return f"^{re.escape(f'{name} must be {bound}, got {value}')}$"
+    return f"^{re.escape(f'{name}={value!r} is not a finite real number')}$"
 
 
 def single_state_model(r0: float, g0: float = 0.0, theta: float = 1.0, T: float = 1.0) -> GameModel:

@@ -3,13 +3,16 @@
 The tier-1 suite does not run bench/, so a change that deletes or renames
 something the benchmark uses would otherwise pass every test here and fail
 only when the benchmark runs. These tests parse the benchmark's command
-lines and look up the names it calls; they solve nothing.
+lines, look up the names it calls and pass its constants through the rules
+that check them (building at n_x 8); they solve nothing.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
+import json
 import importlib.util
 import inspect
 from pathlib import Path
@@ -21,6 +24,20 @@ import ctsg.cli
 import ctsg.simulate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# The values bench/workloads.py hands to ctsg's rules: its accuracy, builder parameters and grids.
+WORKLOAD_CONSTANTS = ("EPS", "RPS64", "GAUSSIAN64", "COMPANION", "SOLVE_NT", "COARSE_NT")
+
+
+def _workload_constants() -> dict:
+    """The module-level literals of bench/workloads.py, read without importing it."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in WORKLOAD_CONSTANTS
+    }
 
 
 def _bench_module(name: str):
@@ -94,3 +111,21 @@ def test_game_value_field_solves_through_a_traced_matrix_game_function():
 def test_parser_takes_the_bench_command_lines(argv):
     args = ctsg.cli.build_parser().parse_args(argv)
     assert args.command == argv[0] and callable(args.func)
+
+
+@pytest.mark.parametrize(
+    "example, params", [("rps", "RPS64"), ("gaussian", "GAUSSIAN64"), ("rps", "COMPANION")]
+)
+def test_build_example_takes_the_bench_parameters(tmp_path, example, params):
+    """Each builder parameter dict the benchmark passes, at n_x 8, builds a model and certificate."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({**_workload_constants()[params], "n_x": 8}))
+    argv = ["build-example", "--name", example, "--params", str(path), "--out", str(tmp_path / "m.json")]
+    assert ctsg.cli.dispatch([*argv, "--out-cert", str(tmp_path / "c.json")]) == 0
+
+
+@pytest.mark.parametrize("n_t", ["SOLVE_NT", "COARSE_NT"])
+def test_solver_config_takes_the_bench_accuracy_and_grids(n_t):
+    constants = _workload_constants()
+    config = ctsg.SolverConfig(constants["EPS"], constants[n_t])
+    assert (config.epsilon, config.n_t) == (constants["EPS"], constants[n_t])

@@ -16,6 +16,8 @@ from ctsg.example_games import _jump_rows, build_gaussian, build_rps
 from ctsg.matrix_game import solve_matrix_game
 from ctsg.model import check_assumptions, validate_generator
 
+from .conftest import refused_real
+
 
 class TestDiscretizeDensity:
     """_jump_rows: one density matrix to a unit-rate jump kernel, in place."""
@@ -95,12 +97,12 @@ class TestBuildRps:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            ({"x_max": 0.0}, "x_max must be positive"),
-            ({"x_max": -8.0}, "x_max must be positive"),
-            ({"x_max": math.inf}, "x_max must be finite"),
-            ({"lambda_bound": math.inf}, "lambda_bound must be finite"),
-            ({"T": math.nan}, "T must be finite"),
-            ({"lambda_bound": 0.0}, "lambda_bound must be positive"),
+            ({"x_max": 0.0}, "x_max must be above 0, got 0.0"),
+            ({"x_max": -8.0}, "x_max must be above 0, got -8.0"),
+            ({"x_max": math.inf}, "x_max=inf is not a finite real number"),
+            ({"lambda_bound": math.inf}, "lambda_bound=inf is not a finite real number"),
+            ({"T": math.nan}, "horizon=nan is not a finite real number"),
+            ({"lambda_bound": 0.0}, "lambda_bound must be above 0, got 0.0"),
             ({"n_x": 1}, "n_x must be at least 2, got 1"),
             ({"n_x": 8.5}, "n_x=8.5 is not an integer"),
             ({"n_x": True}, "n_x=True is not an integer"),
@@ -206,7 +208,8 @@ class TestBuildGaussian:
             sigma=1.0, rate_bound=0.1, payoff_bound=1.0,
             x_min=-2.0, x_max=2.0, n_x=8, theta=1.0, T=1.0,
         )
-        match = "n_x must be at least 2, got 1" if "n_x" in bad else "must be positive"
+        ((name, value),) = bad.items()
+        match = "n_x must be at least 2, got 1" if name == "n_x" else refused_real(name, value)
         with pytest.raises(ValueError, match=match):
             build_gaussian(**{**params, **bad})
 
@@ -215,9 +218,9 @@ class TestBuildGaussian:
         [
             ({"x_min": 2.0}, "x_min must lie below x_max"),
             ({"x_max": -3.0}, "x_min must lie below x_max"),
-            ({"sigma": math.inf}, "sigma must be finite"),
-            ({"x_min": -math.inf}, "x_min must be finite"),
-            ({"theta": math.inf}, "theta must be finite"),
+            ({"sigma": math.inf}, "sigma=inf is not a finite real number"),
+            ({"x_min": -math.inf}, "x_min=-inf is not a finite real number"),
+            ({"theta": math.inf}, "theta=inf is not a finite real number"),
             ({"rate_bound": 1e300, "sigma": 1e-5, "x_min": -1e5, "x_max": 1e5}, "overflows"),
             ({"n_x": 8.5}, "n_x=8.5 is not an integer"),
             ({"n_x": True}, "n_x=True is not an integer"),

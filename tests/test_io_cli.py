@@ -141,8 +141,12 @@ class TestRoundTrips:
             (["t,x_id,value", "0.0,0,1.0", "0.0,1"], "line 3: not enough values to unpack (expected 3, got 2)"),
             (["t,x_id,value", "0.0,0.5,1.0"], "line 2: invalid literal for int() with base 10: '0.5'"),
             (["t,x_id,value", "1.0,0,1.0", "1.0,1,1.0"], "n_steps must be at least 1, got 0"),
+            (
+                ["t,x_id,value", "0.0,0,1.0", "0.0,0,2.0", "1.0,0,3.0", "1.0,0,4.0"],
+                "state id 0 appears more than once",
+            ),
         ],
-        ids=["empty", "header_only", "two_fields", "float_id", "one_node"],
+        ids=["empty", "header_only", "two_fields", "float_id", "one_node", "repeated_id"],
     )
     def test_value_grid_csv_without_a_grid_is_refused(self, tmp_path, lines, message):
         self.check_value_csv_refused(tmp_path, lines, message)
@@ -212,26 +216,59 @@ class TestRoundTrips:
         assert set(payload["records"][0]) == {"t_index", "x_id", "pi1", "pi2"}
         assert payload["records"][0]["x_id"] == 7
 
+    @staticmethod
+    def write_eight_states(writer: str, state_ids: list, path: Path) -> None:
+        grid = TimeGrid(1.0, 4)
+        if writer == "value_grid":
+            artifacts.save_value_grid(ValueGrid(grid, np.ones((5, 8))), state_ids, path)
+        elif writer == "ladder":
+            level = LadderLevelResult(2, True, 5, 1e-6, np.ones(8), None)
+            report = LadderReport(
+                kind="cap", levels=[level], shift=0, monotone_ok=True, monotone_slack=1e-5,
+                worst_monotone_violation=0.0, diffs_decreasing=True,
+            )
+            artifacts.ladder_to_csv(report, state_ids)
+        else:
+            rows = [np.full((5, 3), 1.0 / 3.0)] * 8
+            artifacts.save_policies(PolicyPair(grid, rows, rows), state_ids, path)
+
     @pytest.mark.parametrize("writer", ["value_grid", "ladder", "policies"])
     @pytest.mark.parametrize("state_ids", [[0, 1], [0, 1, 2, 3, 4, 5, 6, 7, 8]])
     def test_writers_refuse_state_ids_that_do_not_cover_the_states(self, tmp_path, writer, state_ids):
         # 8 states against 2 or 9 ids: no state may be dropped or misnamed silently
-        grid = TimeGrid(1.0, 4)
         path = tmp_path / "out"
         with pytest.raises(ValueError, match=f"^{len(state_ids)} state ids for 8 states$"):
-            if writer == "value_grid":
-                artifacts.save_value_grid(ValueGrid(grid, np.ones((5, 8))), state_ids, path)
-            elif writer == "ladder":
-                level = LadderLevelResult(2, True, 5, 1e-6, np.ones(8), None)
-                report = LadderReport(
-                    kind="cap", levels=[level], shift=0, monotone_ok=True, monotone_slack=1e-5,
-                    worst_monotone_violation=0.0, diffs_decreasing=True,
-                )
-                artifacts.ladder_to_csv(report, state_ids)
-            else:
-                rows = [np.full((5, 3), 1.0 / 3.0)] * 8
-                artifacts.save_policies(PolicyPair(grid, rows, rows), state_ids, path)
+            self.write_eight_states(writer, state_ids, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("writer", ["value_grid", "ladder", "policies"])
+    @pytest.mark.parametrize(
+        "state_ids, message",
+        [
+            ([0, 0, 1, 2, 3, 4, 5, 6], "state id 0 appears more than once"),
+            ([0.5, 1, 2, 3, 4, 5, 6, 7], "state_ids[0]=0.5 is not an integer"),
+            ([0, True, 2, 3, 4, 5, 6, 7], "state_ids[1]=True is not an integer"),
+        ],
+        ids=["repeated", "fractional", "bool"],
+    )
+    def test_writers_keep_the_models_id_rule(self, tmp_path, writer, state_ids, message):
+        # save_policies(p, [0, 0, 1, 2]) once wrote a file that load_policies refused
+        path = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.write_eight_states(writer, state_ids, path)
+        assert not path.exists()
+
+    def test_policy_rows_over_no_action_are_refused(self, tmp_path):
+        # such a pair once wrote "pi1": [] rows, which read back
+        grid = TimeGrid(1.0, 1)
+        with pytest.raises(ValueError, match="^pi2 of state 1 has rows over no action$"):
+            PolicyPair(grid, [np.ones((2, 1)), np.ones((2, 1))], [np.ones((2, 1)), np.ones((2, 0))])
+        path = tmp_path / "p.json"
+        artifacts.save_policies(PolicyPair(grid, [np.ones((2, 1))], [np.ones((2, 1))]), [0], path)
+        path.write_text(path.read_text().replace('"pi1": [1.0]', '"pi1": []'))
+        message = f"{path}: pi1 of state 0 has rows over no action"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            artifacts.load_policies(path)
 
     @pytest.mark.parametrize("n_rows", [10, 4])
     def test_save_policies_refuses_a_state_without_n_steps_plus_one_rows(self, tmp_path, n_rows):
@@ -327,10 +364,6 @@ POLICY_CASES = {
             [np.array([[0.5, 0.5, 0.0]] * 2), np.array([[0.5, 0.5]] * 2), np.array([[0.0, 0.5, 0.5]] * 2)],
         ),
         [4, 5, 6],
-    ),
-    "zero_width_rows": lambda: (
-        PolicyPair(TimeGrid(1.0, 1), [np.ones((2, 0)), np.ones((2, 1))], [np.ones((2, 1)), np.ones((2, 0))]),
-        [0, 1],
     ),
     "dirichlet_all_distinct": _dirichlet_rows,
 }
@@ -561,13 +594,13 @@ MALFORMED_ARTIFACTS = {
     "model-state-id-fractional": (
         "model",
         lambda d: {**d, "states": [{"id": 7.9}, *d["states"][1:]]},
-        "states[0].id must be int, got 7.9",
+        "states[0].id=7.9 is not an integer",
         1,
     ),
     "model-state-id-bool": (
         "model",
         lambda d: {**d, "states": [{"id": True}, *d["states"][1:]]},
-        "states[0].id must be int, got true",
+        "states[0].id=True is not an integer",
         1,
     ),
     "model-terminal-scalar": (
@@ -579,25 +612,43 @@ MALFORMED_ARTIFACTS = {
     "model-state-id-string-second": (
         "model",
         lambda d: {**d, "states": [d["states"][0], {"id": "1"}]},
-        'states[1].id must be int, got "1"',
+        "states[1].id='1' is not an integer",
         1,
     ),
     "policy-x_id-fractional-sixth": (
         "policy",
         lambda d: {**d, "records": [*d["records"][:5], {**d["records"][5], "x_id": 1.5}, *d["records"][6:]]},
-        "records[5].x_id must be int, got 1.5",
+        "records[5].x_id=1.5 is not an integer",
         1,
     ),
     "policy-x_id-string": (
         "policy",
         lambda d: {**d, "records": [{**d["records"][0], "x_id": "0"}, *d["records"][1:]]},
-        'records[0].x_id must be int, got "0"',
+        "records[0].x_id='0' is not an integer",
         1,
     ),
     "policy-t_index-fractional": (
         "policy",
         lambda d: {**d, "records": [{**d["records"][0], "t_index": 5.5}, *d["records"][1:]]},
-        "records[0].t_index must be int, got 5.5",
+        "records[0].t_index=5.5 is not an integer",
+        1,
+    ),
+    "policy-pi1-over-no-action": (
+        "policy",
+        lambda d: {**d, "records": [{**r, "pi1": []} if r["x_id"] == 0 else r for r in d["records"]]},
+        "pi1 of state 0 has rows over no action",
+        1,
+    ),
+    "policy-horizon-bool": (
+        "policy",
+        lambda d: {**d, "horizon": True},
+        "horizon=True is not a finite real number",
+        1,
+    ),
+    "model-theta-string": (
+        "model",
+        lambda d: {**d, "theta": "1.0"},
+        "theta='1.0' is not a finite real number",
         1,
     ),
     "policy-pi1-missing-eighth": (
@@ -694,7 +745,7 @@ class TestCli:
 
     def test_solve_failing_certificate_exits_one(self, tmp_path, capsys):
         cert = artifacts.load_certificate(FIXTURES / "two_state_cert.json")
-        cert.m0 = 1e-6  # payoff bound now violated by the fixture's payoffs
+        cert = replace(cert, m0=1e-6)  # payoff bound now violated by the fixture's payoffs
         bad_cert = tmp_path / "bad_cert.json"
         artifacts.save_certificate(cert, bad_cert)
         code = self.run(
@@ -907,9 +958,9 @@ class TestCli:
         [
             ({"nx": 8}, "unknown rps parameters ['nx']"),
             ([8], "--params must hold a JSON object, not list"),
-            ({"n_x": "8"}, 'n_x must be int, got "8"'),
-            ({"alpha": True}, "alpha must be float, got true"),
-            ({"n_x": 8.5}, "n_x must be int, got 8.5"),
+            ({"n_x": "8"}, "n_x='8' is not an integer"),
+            ({"alpha": True}, "alpha=True is not a finite real number"),
+            ({"n_x": 8.5}, "n_x=8.5 is not an integer"),
         ],
         ids=["unknown_key", "list", "string", "bool", "fractional_count"],
     )
@@ -937,13 +988,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "name, params, message",
         [
-            ("gaussian", {"sigma": 1e-300}, "certificate constant rho0 must be finite"),
+            ("gaussian", {"sigma": 1e-300}, "certificate constant rho0 must be above 0, got 0.0"),
             ("rps", {"x_max": 1e-320}, "jump density from node 1 has grid mass inf"),
-            ("rps", {"x_max": -8}, "x_max must be positive"),
-            ("rps", {"x_max": 0}, "x_max must be positive"),
-            ("gaussian", {"sigma": 1e200}, "certificate constant rho0 must be finite"),
+            ("rps", {"x_max": -8}, "x_max must be above 0, got -8"),
+            ("rps", {"x_max": 0}, "x_max must be above 0, got 0"),
+            ("gaussian", {"sigma": 1e200}, "certificate constant rho0=inf is not a finite"),
             ("rps", {"x_max": 1e300}, "v1 must be finite"),
-            ("gaussian", {"sigma": 1e50}, "certificate constant rho1 must be finite"),
+            ("gaussian", {"sigma": 1e50}, "certificate constant rho1=inf is not a finite"),
         ],
         ids=[
             "sigma_tiny", "x_max_tiny", "x_max_negative", "x_max_zero", "sigma_huge", "x_max_huge",
@@ -1161,7 +1212,7 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: t0 must be a time-grid node in [0, horizon)"]
+        assert captured.err.splitlines() == [f"error: t0={float(t0)!r} is not a finite real number"]
 
     def test_simulate_threads_below_one_exits_one(self, tmp_path, capsys, two_state_model):
         code = self._simulate_two_state(tmp_path, two_state_model, "--threads", "0")
@@ -1225,7 +1276,7 @@ class TestCli:
         # rate_bound's residual is 0.928 here and drift0's -1e-9: inf would pass
         # the one, -1 fail the other, and nan fail every check
         model, cert = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
-        cert.l0 = cert.rho0 = 1e-9
+        cert = replace(cert, l0=1e-9, rho0=1e-9)
         model_json, cert_json, report = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "r.json"
         artifacts.save_model(model, model_json)
         artifacts.save_certificate(cert, cert_json)
@@ -1236,7 +1287,10 @@ class TestCli:
         assert code == 1 and not report.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: tol must be finite and >= 0, got {float(tol)}"]
+        message = f"tol={float(tol)!r} is not a finite real number"
+        if tol == "-1":
+            message = "tol must be at least 0, got -1.0"
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("case", [c for c, v in MALFORMED_ARTIFACTS.items() if v[3] == 2])
     def test_artifact_that_is_not_an_object_exits_two(self, tmp_path, capsys, two_state_model, case):
@@ -1277,7 +1331,8 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {bad}: rho0 must be float, got {spelled}"]
+        message = f"certificate constant rho0={value!r} is not a finite real number"
+        assert captured.err.splitlines() == [f"error: {bad}: {message}"]
 
     def test_solve_model_with_no_states_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -1293,7 +1348,7 @@ class TestCli:
     def test_solve_with_overflowing_rate_factor_bounds(self, tmp_path, capsys):
         # e^{rho0 T} overflows at rho0 = 1000, which passes every certificate check
         model, cert = build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)
-        cert.rho0 = 1000.0
+        cert = replace(cert, rho0=1000.0)
         model_json, cert_json, report = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "r.json"
         artifacts.save_model(model, model_json)
         artifacts.save_certificate(cert, cert_json)

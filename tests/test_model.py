@@ -26,7 +26,7 @@ from ctsg.shapley import TimeGrid, ValueGrid, verify_saddle
 from ctsg.simulate import estimate_value
 from ctsg.solver import SolverConfig, solve
 
-from .conftest import mixed_shape_model, random_bounded_model
+from .conftest import mixed_shape_model, random_bounded_model, refused_real
 
 
 def two_state(rows0, rows1, **kw) -> GameModel:
@@ -138,7 +138,7 @@ class TestModelInvariants:
     @pytest.mark.parametrize("name", ["theta", "horizon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_scalars_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=refused_real(name, value)):
             two_state([-1.0, 1.0], [1.0, -1.0], **{name: value})
 
     @pytest.mark.parametrize(
@@ -147,12 +147,20 @@ class TestModelInvariants:
             ({"state_ids": [7]}, "1 state ids for 2 states"),
             ({"state_ids": [3, 3]}, "state id 3 appears more than once"),
             ({"coords": np.zeros(3)}, r"coords must have shape \(2,\)"),
+            # [0.2, 0.7, 3.0] was once written as ids 0, 0, 3, which load_model refused
+            ({"state_ids": [0.2, 0.7]}, r"state_ids\[0\]=0\.2 is not an integer"),
+            ({"state_ids": [True, 2]}, r"state_ids\[0\]=True is not an integer"),
+            ({"state_ids": ["a", "b"]}, r"state_ids\[0\]='a' is not an integer"),
         ],
-        ids=["short", "duplicate", "coords"],
+        ids=["short", "duplicate", "coords", "fractional_id", "bool_id", "string_id"],
     )
     def test_state_ids_and_coords_match_the_states(self, kw, message):
         with pytest.raises(StructureError, match=message):
             two_state([-1.0, 1.0], [1.0, -1.0], **kw)
+
+    def test_numpy_state_ids_are_held_as_python_ints(self):
+        model = two_state([-1.0, 1.0], [1.0, -1.0], state_ids=np.array([7, 3]))
+        assert model.state_ids == (7, 3) and all(type(s) is int for s in model.state_ids)
 
     def test_norms(self):
         model = two_state([-1.0, 1.0], [2.0, -2.0])
@@ -272,6 +280,7 @@ FROZEN = {
     TimeGrid: lambda: TimeGrid(1.0, 4),
     ValueGrid: lambda: ValueGrid(TimeGrid(1.0, 4), np.ones((5, 2))),
     SolverConfig: lambda: SolverConfig(epsilon=0.1, n_t=4),
+    LyapunovCertificate: lambda: build_rps(alpha=0.35, x_max=8.0, n_x=8, theta=1.0, T=1.0)[1],
 }
 FROZEN_FIELDS = [(cls, f.name) for cls in FROZEN for f in fields(cls) if f.init]
 
@@ -406,15 +415,17 @@ class TestCheckAssumptions:
     def test_tol_must_be_finite_and_nonnegative(self, tol):
         # inf would pass every check and NaN fail them all; -1 fails a residual of exactly 0
         model = two_state([0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        with pytest.raises(ValueError, match=refused_real("tol", tol, "at least 0")):
             check_assumptions(model, unit_cert(), tol=tol)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["v0", "v1", "rho0", "l0", "m0", "rho1", "b1", "m1"])
     def test_non_finite_certificate_rejected(self, name, bad):
         model = two_state([0.0, 0.0], [0.0, 0.0])
-        value = np.array([1.0, bad]) if name in ("v0", "v1") else bad
-        with pytest.raises(CertificateError, match="must be finite"):
+        weights = name in ("v0", "v1")
+        value = np.array([1.0, bad]) if weights else bad
+        message = "must be finite with" if weights else refused_real(f"certificate constant {name}", bad)
+        with pytest.raises(CertificateError, match=message):
             check_assumptions(model, unit_cert(**{name: value}), tol=0.0)
 
 

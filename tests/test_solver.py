@@ -22,7 +22,7 @@ from ctsg.solver import (
     stopping_threshold,
 )
 
-from .conftest import lifted_rps8, mixed_shape_model, random_bounded_model, single_state_model
+from .conftest import lifted_rps8, mixed_shape_model, random_bounded_model, refused_real, single_state_model
 
 
 class TestStoppingThreshold:
@@ -199,7 +199,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-3])
     def test_epsilon_must_be_finite_and_positive(self, eps):
-        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        with pytest.raises(ValueError, match=refused_real("epsilon", eps)):
             SolverConfig(epsilon=eps, n_t=4)
 
     @pytest.mark.parametrize("name", ["n_t", "max_iterations"])

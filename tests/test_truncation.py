@@ -181,6 +181,8 @@ class TestRunLadder:
             truncate_nonnegative(model, growing_cert(4), n)
         with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an integer")):
             floor_and_shift(model, n)
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an integer")):
+            sublevel_set(growing_cert(4), n)  # float(n) once took each
 
     @pytest.mark.parametrize(
         "levels, message",
